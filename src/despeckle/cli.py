@@ -10,7 +10,8 @@ blowups, I/O). Every run echoes its fully resolved configuration to
 standard error before doing any work, so logs capture the effective
 parameters. The default worker cap for the non-local filters comes
 from the DESPECKLE_THREADS environment variable when --threads is not
-given; 0 means one worker per CPU.
+given; 0 means one worker per CPU, and larger values are capped at the
+CPU count.
 """
 
 from __future__ import annotations
@@ -317,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     filter_args.add_argument("--q0", type=float, default=1.0, help="srad initial speckle scale")
     filter_args.add_argument("--rho", type=float, default=1.0, help="srad q0 decay rate")
     filter_args.add_argument("--threads", type=int, default=None,
-                             help=f"worker cap for nlm filters; 0 = auto; default from {THREADS_ENV_VAR}")
+                             help=f"worker cap for nlm filters, at most the CPU count; 0 = one per CPU; "
+                                  f"default from {THREADS_ENV_VAR}")
 
     synth = sub.add_parser("synth", help="corrupt a clean PGM with synthetic speckle")
     synth.add_argument("input")

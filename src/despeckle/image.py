@@ -134,17 +134,23 @@ def correlate1d_valid(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarra
     bands. All taps used in this package are symmetric, making
     correlation and convolution interchangeable.
     """
-    m = taps.size
-    if axis == 0:
-        n = arr.shape[0] - m + 1
-        out = taps[0] * arr[0:n]
-        for t in range(1, m):
-            out += taps[t] * arr[t : t + n]
-    else:
-        n = arr.shape[1] - m + 1
-        out = taps[0] * arr[:, 0:n]
-        for t in range(1, m):
-            out += taps[t] * arr[:, t : t + n]
+    shape = list(arr.shape)
+    shape[axis] -= taps.size - 1
+    out = np.empty(shape)
+    return correlate1d_into(arr, taps, axis, out, np.empty_like(out))
+
+
+def correlate1d_into(arr: np.ndarray, taps: np.ndarray, axis: int,
+                     out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """`correlate1d_valid` writing into ``out``, with ``tmp`` (same
+    shape) holding each tap's product; allocates nothing. With axis 0
+    it also takes 1-D arrays."""
+    n = out.shape[axis]
+    windows = (arr[t : t + n] if axis == 0 else arr[:, t : t + n] for t in range(taps.size))
+    np.multiply(next(windows), taps[0], out=out)
+    for tap, window in zip(taps[1:], windows):
+        np.multiply(window, tap, out=tmp)
+        out += tmp
     return out
 
 

@@ -11,16 +11,22 @@ little to the average even when their patch happens to look similar.
 
 Boundary handling treats the image as extended by mirror reflection:
 window positions and patch reads past the border resolve against the
-reflected surface (the padded-array convention). Weights are
-accumulated over the window in a fixed row-major offset order, and the
-row-band parallel path slices a shared read-only padded input, so
-output bits do not depend on the thread count.
+reflected surface (the padded-array convention).
+
+The engine works in row tiles of about `_TILE_PIXELS` pixels, pulled by
+a pool of at most one worker per CPU, each reading the shared padded
+input and writing its rows of the output. Patch distances are
+symmetric, so each offset o of the half window serves both candidates
+i + o and i - o. Every pixel adds its self term, then the +o and -o
+terms of each half-window offset in one fixed order, so output bits do
+not depend on the thread count or the tile height.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,13 +37,16 @@ from .errors import ParameterError
 from .image import (
     GrayImage,
     blur_array,
-    correlate1d_valid,
+    correlate1d_into,
+    correlate1d_valid,  # noqa: F401  (perfbench/tracing.py wraps this binding)
     gaussian_axis_weights,
     mirror_index,
     mirror_pad,
 )
 
 SELF_WEIGHT_MODES = ("natural", "max_neighbor")
+# Pixels per row tile: 256 KiB per tile-sized float64 array.
+_TILE_PIXELS = 32768
 
 
 @dataclass(frozen=True)
@@ -152,8 +161,8 @@ class WeightField:
     """The normalized weights one filtered pixel was averaged with.
 
     ``entries`` holds one ((dy, dx), weight) pair per search-window
-    offset, in the same row-major order the filters accumulate in;
-    ``normalizer`` is the pre-normalization weight sum C(i).
+    offset, in row-major offset order; ``normalizer`` is the
+    pre-normalization weight sum C(i).
     """
 
     center: tuple[int, int]
@@ -193,87 +202,144 @@ def patch_distance(img: GrayImage, i: tuple[int, int], j: tuple[int, int],
     return float(np.sum(kernel.weights * (a - b) ** 2))
 
 
-def _resolve_threads(threads, height: int) -> int:
+def _view(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    # A contiguous prefix of a flat scratch buffer: strided views of a
+    # larger 2-D buffer would slow every correlation tap.
+    return buf[: rows * cols].reshape(rows, cols)
+
+
+def _plan_tiles(threads, height: int, width: int) -> tuple[int, int]:
+    """Tile height and worker count for the engine; starts nothing.
+
+    ``threads`` = 0 asks for one worker per CPU. Whatever is asked for,
+    workers never outnumber the CPUs or the tiles.
+    """
     if not isinstance(threads, (int, np.integer)) or isinstance(threads, bool) or threads < 0:
         raise ParameterError(f"threads must be a non-negative integer (0 = auto), got {threads!r}")
-    count = int(threads) if threads > 0 else (os.cpu_count() or 1)
-    return max(1, min(count, height))
-
-
-def _band_bounds(height: int, workers: int) -> list[tuple[int, int]]:
-    size, extra = divmod(height, workers)
-    bounds, start = [], 0
-    for k in range(workers):
-        stop = start + size + (1 if k < extra else 0)
-        if stop > start:
-            bounds.append((start, stop))
-        start = stop
-    return bounds
+    cpus = os.cpu_count() or 1
+    cap = min(int(threads) or cpus, cpus)
+    rows = max(1, min(_TILE_PIXELS // width, -(-height // cap)))
+    return rows, min(cap, -(-height // rows))
 
 
 def _filter_engine(v: np.ndarray, search_radius: int, patch_radius: int,
                    taps: np.ndarray, h: float, corr: np.ndarray | None,
                    self_weight: str, threads: int) -> np.ndarray:
+    """Weighted mean over the search window, tile by tile.
+
+    Offsets o run over the half window {dy > 0} or {dy = 0, dx > 0}.
+    Since d(i, i - o) = d(i - o, i), one patch-distance field E over a
+    tile and its -o shifted rows and columns serves both candidates:
+    E[i] weighs i + o and E[i - o] weighs i - o. The self term comes
+    first, except under ``max_neighbor``, whose self weight is known
+    only after the last offset.
+
+    Memory: besides the padded input, the padded penalty and the
+    output, each worker holds 3 x (tile + R + 2r) x (W + R + 2r) float64
+    scratch values (R the search radius, r the patch radius, W the width)
+    plus tile x W values each for ``acc``, ``norm`` and, for
+    ``max_neighbor``, ``wmax``.
+    """
     big_r, r = search_radius, patch_radius
     height, width = v.shape
     pad = big_r + r
     padded = mirror_pad(v, pad)
     corr_padded = mirror_pad(corr, big_r) if corr is not None else None
-    # Guard h*h against underflow to 0: -1/0 would be -inf and the self
-    # offset's exact-zero distance would produce 0 * -inf = NaN.
+    # Guard h*h against underflow to 0: -1/0 would be -inf and an
+    # exact-zero distance (identical patches) would produce 0 * -inf = NaN.
     inv_h = -1.0 / max(h * h, sys.float_info.min)
     skip_self = self_weight == "max_neighbor"
+    tile_rows, workers = _plan_tiles(threads, height, width)
+    half = [(0, dx) for dx in range(1, big_r + 1)]
+    half += [(dy, dx) for dy in range(1, big_r + 1) for dx in range(-big_r, big_r + 1)]
+    scratch_size = (tile_rows + big_r + 2 * r) * (width + big_r + 2 * r)
+    out = np.empty((height, width))
 
-    def run_band(y0: int, y1: int) -> np.ndarray:
+    def run_tile(y0: int, y1: int, bufs, acc, norm, wmax) -> None:
+        a, b, c = bufs
         n = y1 - y0
-        band = padded[y0 : y1 + 2 * pad]
-        base = band[big_r : big_r + n + 2 * r, big_r : big_r + width + 2 * r]
-        acc = np.zeros((n, width))
-        norm = np.zeros((n, width))
-        wmax = np.zeros((n, width)) if skip_self else None
-        for dy in range(-big_r, big_r + 1):
-            for dx in range(-big_r, big_r + 1):
-                if skip_self and dy == 0 and dx == 0:
-                    continue
-                shifted = band[big_r + dy : big_r + dy + n + 2 * r,
-                               big_r + dx : big_r + dx + width + 2 * r]
-                diff = base - shifted
-                diff *= diff
-                dist = correlate1d_valid(correlate1d_valid(diff, taps, axis=0), taps, axis=1)
-                # For tiny h the product saturates to -inf and exp flushes it
-                # to the intended weight 0, so the overflow is not an error.
-                with np.errstate(over="ignore"):
-                    dist *= inv_h
-                w = np.exp(dist, out=dist)
-                if corr_padded is not None:
-                    w *= corr_padded[y0 + big_r + dy : y0 + big_r + dy + n,
-                                     big_r + dx : big_r + dx + width]
-                values = band[pad + dy : pad + dy + n, pad + dx : pad + dx + width]
-                acc += w * values
-                norm += w
-                if wmax is not None:
-                    np.maximum(wmax, w, out=wmax)
         center = v[y0:y1]
+
+        def add_candidate(w, sy, sx):
+            # candidate i + (sy, sx), weighed by w before its penalty
+            if corr_padded is not None:
+                penalty = corr_padded[big_r + y0 + sy : big_r + y1 + sy,
+                                      big_r + sx : big_r + sx + width]
+                w = np.multiply(w, penalty, out=_view(a, n, width))
+            values = padded[pad + y0 + sy : pad + y1 + sy, pad + sx : pad + sx + width]
+            acc_term = np.multiply(w, values, out=_view(b, n, width))
+            np.add(acc, acc_term, out=acc)
+            np.add(norm, w, out=norm)
+            if wmax is not None:
+                np.maximum(wmax, w, out=wmax)
+
+        if skip_self:
+            acc.fill(0.0)
+            norm.fill(0.0)
+            wmax.fill(0.0)
+        elif corr is not None:
+            np.copyto(norm, corr[y0:y1])
+            np.multiply(norm, center, out=acc)
+        else:
+            norm.fill(1.0)
+            np.copyto(acc, center)
+        for dy, dx in half:
+            # E over rows y0-dy..y1-1 and columns min(0,-dx)..W-1+max(0,-dx),
+            # from patch differences grown by r on each side
+            nh, span = n + dy, width + abs(dx) + 2 * r
+            top, left = big_r + y0 - dy, big_r + min(0, -dx)
+            diff = _view(a, nh + 2 * r, span)
+            np.subtract(padded[top : top + nh + 2 * r, left : left + span],
+                        padded[top + dy : top + dy + nh + 2 * r, left + dx : left + dx + span],
+                        out=diff)
+            np.multiply(diff, diff, out=diff)
+            correlate1d_into(diff, taps, 0, _view(b, nh, span), _view(c, nh, span))
+            # The row taps run over the flattened rows, keeping every tap
+            # contiguous; the 2r sums that straddle two rows are never read.
+            m = nh * span - 2 * r
+            flat = correlate1d_into(b[: nh * span], taps, 0, c[:m], a[:m])
+            flat *= inv_h
+            np.exp(flat, out=flat)
+            dist = _view(c, nh, span)
+            add_candidate(dist[dy:, max(dx, 0) : max(dx, 0) + width], dy, dx)
+            add_candidate(dist[:n, max(-dx, 0) : max(-dx, 0) + width], -dy, -dx)
         if wmax is not None:
-            acc += wmax * center
+            acc += np.multiply(wmax, center, out=_view(b, n, width))
             norm += wmax
         # All-zero weight sums (possible only through exp underflow at
         # extreme decay settings) fall back to the identity.
-        zero = norm == 0.0
-        out = acc / np.where(zero, 1.0, norm)
-        if zero.any():
-            out = np.where(zero, center, out)
-        return out
+        if not norm.all():
+            zero = norm == 0.0
+            norm[zero] = 1.0
+            acc[zero] = center[zero]
+        np.divide(acc, norm, out=out[y0:y1])
 
-    workers = _resolve_threads(threads, height)
-    bounds = _band_bounds(height, workers)
-    if len(bounds) == 1:
-        return run_band(0, height)
-    out = np.empty_like(v)
-    with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-        futures = [(a, b, pool.submit(run_band, a, b)) for a, b in bounds]
-        for a, b, fut in futures:
-            out[a:b] = fut.result()
+    def work(tiles: queue.SimpleQueue) -> None:
+        bufs = [np.empty(scratch_size) for _ in range(3)]
+        acc, norm = np.empty((tile_rows, width)), np.empty((tile_rows, width))
+        wmax = np.empty((tile_rows, width)) if skip_self else None
+        # For tiny h the scaled distances saturate to -inf and exp flushes
+        # them to the intended weight 0, so the overflow is not an error.
+        with np.errstate(over="ignore"):
+            while True:
+                try:
+                    y0 = tiles.get_nowait()
+                except queue.Empty:
+                    return
+                n = min(tile_rows, height - y0)
+                run_tile(y0, y0 + n, bufs, acc[:n], norm[:n],
+                         None if wmax is None else wmax[:n])
+
+    tiles = queue.SimpleQueue()
+    for y0 in range(0, height, tile_rows):
+        tiles.put(y0)
+    # The calling thread is one of the workers. The others start while it
+    # runs, so the scheduler puts them on other CPUs rather than beside it.
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        helpers = [pool.submit(work, tiles) for _ in range(workers - 1)]
+        work(tiles)
+        for fut in helpers:
+            fut.result()
     return out
 
 
@@ -329,7 +395,7 @@ def compute_weight_field(img: GrayImage, center: tuple[int, int],
 
     Evaluates the same weight definition `robust_nlm_denoise` applies
     (including the self-weight rule), normalizes by the window sum C(i),
-    and returns the per-offset breakdown in accumulation order.
+    and returns the per-offset breakdown in row-major offset order.
     """
     h, w = img.height, img.width
     row, col = center

@@ -82,6 +82,13 @@ def load_pgm(path) -> GrayImage:
         dtype = np.dtype(">u2") if per_sample == 2 else np.dtype("u1")
         samples = np.frombuffer(raw, dtype=dtype).astype(np.float64)
     else:
+        # every sample but the last needs a digit and a separator
+        if count > (len(data) - pos + 1) // 2:
+            raise PgmParseError(
+                f"truncated raster: {count} samples cannot fit in the "
+                f"{len(data) - pos} bytes after offset {pos}",
+                len(data),
+            )
         samples = np.empty(count, dtype=np.float64)
         for k in range(count):
             pos = _skip_separators(data, pos)

@@ -43,13 +43,18 @@ def conv2_full_mirror(arr, kernel):
     h, w = arr.shape
     kh, kw = kernel.shape
     ry, rx = kh // 2, kw // 2
+    # mirrored source rows and columns, folded once per axis
+    rows = [[float(v) for v in arr[reflect(y, h)]] for y in range(-ry, h + ry)]
+    cols = [reflect(x, w) for x in range(-rx, w + rx)]
+    k = kernel.tolist()
     out = np.empty_like(arr)
     for y in range(h):
         for x in range(w):
             total = 0.0
             for dy in range(-ry, ry + 1):
+                row = rows[y + dy + ry]
                 for dx in range(-rx, rx + 1):
-                    total += kernel[dy + ry, dx + rx] * sample(arr, y + dy, x + dx)
+                    total += k[dy + ry][dx + rx] * row[cols[x + dx + rx]]
             out[y, x] = total
     return out
 
@@ -102,34 +107,39 @@ def naive_robust_nlm(arr, h1, h2, prefilter_sigma, search_radius, patch_radius,
 def _naive_nlm_engine(arr, h, corr, search_radius, patch_radius, sigma_s, self_weight):
     hgt, wid = arr.shape
     pad = search_radius + patch_radius
-    p = _padded(arr, pad)
-    corr_p = _padded(corr, search_radius) if corr is not None else None
-    kernel = naive_kernel(patch_radius, sigma_s)
+    # plain Python floats: per-pixel numpy calls on 3x3 patches would
+    # spend nearly all their time in call overhead
+    p = _padded(arr, pad).tolist()
+    corr_p = _padded(corr, search_radius).tolist() if corr is not None else None
+    kernel = naive_kernel(patch_radius, sigma_s).tolist()
     r = patch_radius
     out = np.empty_like(arr)
     for y in range(hgt):
         for x in range(wid):
             py, px = y + pad, x + pad
-            patch_i = p[py - r : py + r + 1, px - r : px + r + 1]
             weights = []
             values = []
             self_k = None
             for dy in range(-search_radius, search_radius + 1):
                 for dx in range(-search_radius, search_radius + 1):
                     qy, qx = py + dy, px + dx
-                    patch_j = p[qy - r : qy + r + 1, qx - r : qx + r + 1]
-                    dist = float(np.sum(kernel * (patch_i - patch_j) ** 2))
+                    dist = 0.0
+                    for ky in range(-r, r + 1):
+                        row_i, row_j, k_row = p[py + ky], p[qy + ky], kernel[ky + r]
+                        for kx in range(-r, r + 1):
+                            d = row_i[px + kx] - row_j[qx + kx]
+                            dist += k_row[kx + r] * d * d
                     w = math.exp(-dist / (h * h))
                     if corr_p is not None:
-                        w *= corr_p[y + search_radius + dy, x + search_radius + dx]
+                        w *= corr_p[y + search_radius + dy][x + search_radius + dx]
                     if dy == 0 and dx == 0:
                         self_k = len(weights)
                     weights.append(w)
-                    values.append(p[qy, qx])
+                    values.append(p[qy][qx])
             if self_weight == "max_neighbor":
                 others = weights[:self_k] + weights[self_k + 1 :]
                 weights[self_k] = max(others) if others else 0.0
-                values[self_k] = arr[y, x]
+                values[self_k] = float(arr[y, x])
             norm = math.fsum(weights)
             if norm == 0.0:
                 out[y, x] = arr[y, x]

@@ -1,5 +1,8 @@
 import math
 import os
+import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import as_img, rand_image, textured_image
+from despeckle import nlm as engine
 from despeckle import (
     NlmParams,
     ParameterError,
@@ -185,8 +189,9 @@ class TestFilterInvariants:
 
     def test_thread_count_validation(self):
         img = as_img(rand_image(18, 8, 8))
-        with pytest.raises(ParameterError):
-            nlm_denoise(img, SMALL, threads=-1)
+        for bad in (-1, True, 1.5, "2"):
+            with pytest.raises(ParameterError):
+                nlm_denoise(img, SMALL, threads=bad)
         # 0 means one worker per core
         nlm_denoise(img, SMALL, threads=0)
 
@@ -197,6 +202,87 @@ class TestFilterInvariants:
         got = nlm_denoise(as_img(arr), SMALL).pixels
         want = naive_nlm(arr, 40.0, 3, 1, SMALL.sigma_s)
         assert np.max(np.abs(got - want)) < 1e-6
+
+
+@st.composite
+def engine_cases(draw):
+    height = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 40))
+    # search radius up to twice the longer side, within a work budget
+    # that keeps the brute-force oracle and the one-row tiles quick
+    budget = min(20_000 // (height * width), 4_000 // height)
+    cap = max(1, min(2 * max(height, width), (math.isqrt(budget) - 1) // 2))
+    return (height, width, draw(st.integers(1, cap)), draw(st.integers(1, 2)))
+
+
+class TestEngine:
+    @settings(max_examples=25, deadline=None)
+    @given(case=engine_cases(), seed=st.integers(0, 2**32 - 1),
+           self_weight=st.sampled_from(["natural", "max_neighbor"]), robust=st.booleans())
+    def test_tiles_and_threads_keep_bits_and_oracle_agreement(self, case, seed, self_weight,
+                                                              robust):
+        height, width, search_radius, patch_radius = case
+        arr = textured_image(seed, height, width)
+        base = NlmParams(h=40.0, search_radius=search_radius, patch_radius=patch_radius,
+                         self_weight=self_weight)
+        if robust:
+            def run(threads):
+                return robust_nlm_denoise(as_img(arr), RobustNlmParams(base=base, h2=25.0),
+                                          threads=threads).pixels
+            want = naive_robust_nlm(arr, 40.0, 25.0, 1.5, search_radius, patch_radius,
+                                    base.sigma_s, self_weight)
+        else:
+            def run(threads):
+                return nlm_denoise(as_img(arr), base, threads=threads).pixels
+            want = naive_nlm(arr, 40.0, search_radius, patch_radius, base.sigma_s, self_weight)
+        first = run(1)
+        assert np.max(np.abs(first - want)) < 1e-6
+        # tile heights 1, 2 and the default
+        for tile_pixels in (1, 2 * width, engine._TILE_PIXELS):
+            with mock.patch.object(engine, "_TILE_PIXELS", tile_pixels):
+                for threads in (1, 2, 3):
+                    assert run(threads).tobytes() == first.tobytes()
+
+    def test_worker_count_is_capped_by_cpus_and_tiles(self):
+        before = threading.active_count()
+        cpus = os.cpu_count() or 1
+        rows, workers = engine._plan_tiles(10**6, 10**6, 1)
+        assert 1 <= workers <= cpus
+        assert rows <= engine._TILE_PIXELS
+        assert engine._plan_tiles(10**6, 1, 512) == (1, 1)  # one tile, one worker
+        # a row wider than a tile still gets a one-row tile
+        assert engine._plan_tiles(1, 4, 10 * engine._TILE_PIXELS) == (1, 1)
+        assert threading.active_count() == before
+
+    def test_peak_memory_grows_only_by_full_image_arrays(self):
+        search_radius, patch_radius, width = 2, 1, 128
+        tile = engine._TILE_PIXELS // width  # the same tile height at both image heights
+        taps = engine.gaussian_axis_weights(0.5, patch_radius)
+        pad = search_radius + patch_radius
+
+        def full_image_bytes(height):
+            # padded input, padded penalty and output
+            return 8 * ((height + 2 * pad) * (width + 2 * pad)
+                        + (height + 2 * search_radius) * (width + 2 * search_radius)
+                        + height * width)
+
+        def peak(height):
+            v = textured_image(height, height, width)
+            corr = np.full_like(v, 0.5)
+            tracemalloc.start()
+            try:
+                engine._filter_engine(v, search_radius, patch_radius, taps, 40.0, corr,
+                                      "max_neighbor", 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        scratch = 8 * (3 * (tile + search_radius + 2 * patch_radius)
+                       * (width + search_radius + 2 * patch_radius) + 3 * tile * width)
+        slack = 256 * 1024  # fixed costs: index vectors, ufunc buffers, interpreter objects
+        small, tall = peak(256), peak(1024)
+        assert small <= full_image_bytes(256) + scratch + slack
+        assert tall - small <= full_image_bytes(1024) - full_image_bytes(256) + slack
 
 
 class TestWeightField:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,20 @@ class TestParseErrors:
     def test_truncated_ascii_raster(self, tmp_path):
         err = self._err(tmp_path, b"P2\n3 3\n255\n1 2 3 4")
         assert "truncated" in str(err)
+
+    def test_oversized_ascii_header_fails_before_allocating(self, tmp_path):
+        # 10**10 declared samples in a 25-byte file: rejected from the
+        # header alone, without reserving 80 GB for the raster
+        payload = b"P2 100000 100000 255\n1 2\n"
+        tracemalloc.start()
+        try:
+            err = self._err(tmp_path, payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "truncated" in str(err)
+        assert err.byte_offset == len(payload)
+        assert peak < 1 << 20
 
     def test_zero_dimension(self, tmp_path):
         err = self._err(tmp_path, b"P5\n0 2\n255\n")
