@@ -9,14 +9,7 @@ wraps the lot; see the README for usage.
 
 from .baselines import FrostParams, LeeParams, SradParams, frost_filter, lee_filter, srad
 from .errors import DomainError, NumericError, ParameterError, PgmParseError
-from .image import (
-    BoundaryPolicy,
-    GrayImage,
-    gaussian_axis_weights,
-    gaussian_blur,
-    mirror_index,
-    sample_mirrored,
-)
+from .image import GrayImage, gaussian_axis_weights, gaussian_blur, mirror_index
 from .metrics import CSV_HEADER, MetricReport, SsimParams, epi, evaluate, psnr, ssim
 from .nlm import (
     NlmParams,
@@ -43,7 +36,6 @@ from .pgm import load_pgm, save_pgm
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryPolicy",
     "CSV_HEADER",
     "DomainError",
     "FrostParams",
@@ -80,7 +72,6 @@ __all__ = [
     "patch_distance",
     "psnr",
     "robust_nlm_denoise",
-    "sample_mirrored",
     "save_pgm",
     "srad",
     "ssim",

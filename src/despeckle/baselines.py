@@ -13,14 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, NumericError, ParameterError
+from .errors import DomainError, NumericError, check_int, check_real
 from .image import GrayImage, mirror_pad
-
-
-def _check_radius(value) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-        raise ParameterError(f"window_radius must be a positive integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -32,11 +26,9 @@ class LeeParams:
     noise_sigma: float = 0.2
 
     def __post_init__(self):
-        object.__setattr__(self, "window_radius", _check_radius(self.window_radius))
-        ns = self.noise_sigma
-        if not (isinstance(ns, (int, float)) and math.isfinite(ns) and ns >= 0):
-            raise ParameterError(f"noise_sigma must be a non-negative finite real, got {ns!r}")
-        object.__setattr__(self, "noise_sigma", float(ns))
+        object.__setattr__(self, "window_radius", check_int(self.window_radius, "window_radius", 1))
+        object.__setattr__(self, "noise_sigma",
+                           check_real(self.noise_sigma, "noise_sigma", nonnegative=True))
 
 
 @dataclass(frozen=True)
@@ -47,11 +39,8 @@ class FrostParams:
     damping: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "window_radius", _check_radius(self.window_radius))
-        d = self.damping
-        if not (isinstance(d, (int, float)) and math.isfinite(d) and d > 0):
-            raise ParameterError(f"damping must be a positive finite real, got {d!r}")
-        object.__setattr__(self, "damping", float(d))
+        object.__setattr__(self, "window_radius", check_int(self.window_radius, "window_radius", 1))
+        object.__setattr__(self, "damping", check_real(self.damping, "damping"))
 
 
 @dataclass(frozen=True)
@@ -69,22 +58,10 @@ class SradParams:
     rho: float = 1.0
 
     def __post_init__(self):
-        it = self.iterations
-        if not isinstance(it, (int, np.integer)) or isinstance(it, bool) or it < 0:
-            raise ParameterError(f"iterations must be a non-negative integer, got {it!r}")
-        object.__setattr__(self, "iterations", int(it))
-        dt = self.dt
-        if not (isinstance(dt, (int, float)) and math.isfinite(dt) and 0 < dt <= 0.25):
-            raise ParameterError(f"dt must be in (0, 0.25], got {dt!r}")
-        object.__setattr__(self, "dt", float(dt))
-        q0 = self.q0
-        if not (isinstance(q0, (int, float)) and math.isfinite(q0) and q0 > 0):
-            raise ParameterError(f"q0 must be a positive finite real, got {q0!r}")
-        object.__setattr__(self, "q0", float(q0))
-        rho = self.rho
-        if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho >= 0):
-            raise ParameterError(f"rho must be a non-negative finite real, got {rho!r}")
-        object.__setattr__(self, "rho", float(rho))
+        object.__setattr__(self, "iterations", check_int(self.iterations, "iterations"))
+        object.__setattr__(self, "dt", check_real(self.dt, "dt", at_most=0.25))
+        object.__setattr__(self, "q0", check_real(self.q0, "q0"))
+        object.__setattr__(self, "rho", check_real(self.rho, "rho", nonnegative=True))
 
 
 def _local_windows(v: np.ndarray, radius: int) -> np.ndarray:

@@ -23,11 +23,10 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .baselines import FrostParams, LeeParams, SradParams, frost_filter, lee_filter, srad
-from .errors import DomainError, NumericError, ParameterError, PgmParseError
+from .errors import DomainError, NumericError, ParameterError, PgmParseError, check_int, check_real
 from .image import GrayImage
 from .metrics import CSV_HEADER, SsimParams, evaluate
 from .nlm import NlmParams, RobustNlmParams, nlm_denoise, robust_nlm_denoise
@@ -42,49 +41,6 @@ FILTER_CHOICES = ("nlm", "robust-nlm", "lee", "frost", "srad")
 MODEL_CHOICES = {"mult-gauss": "multiplicative_gaussian", "rayleigh": "rayleigh"}
 
 
-@dataclass(frozen=True)
-class JobConfig:
-    """Resolved invocation of one subcommand.
-
-    Optional fields hold None when the flag was not given; resolution
-    to effective values happens in the runners and is echoed to stderr.
-    """
-
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    reference_path: str | None = None
-    test_path: str | None = None
-    filter: str = "robust-nlm"
-    domain: str | None = None
-    epsilon: float = 1.0
-    model: str = "mult-gauss"
-    sigma: float = 0.2
-    seed: int = 0
-    maxval: int = 255
-    search_radius: int = 10
-    patch_radius: int = 3
-    sigma_s: float | None = None
-    h: float | None = None
-    h2: float | None = None
-    prefilter_sigma: float = 1.5
-    sigma_n: float | None = None
-    self_weight: str = "natural"
-    window_radius: int = 2
-    noise_sigma: float | None = None
-    damping: float = 1.0
-    iterations: int = 100
-    dt: float = 0.05
-    q0: float = 1.0
-    rho: float = 1.0
-    threads: int | None = None
-    report_path: str | None = None
-    image_id: str | None = None
-    filter_name: str = "-"
-    peak: float = 255.0
-    repeats: int = 3
-
-
 def _echo(pairs: dict) -> None:
     text = " ".join(f"{key}={value}" for key, value in pairs.items())
     print(f"resolved-config: {text}", file=sys.stderr)
@@ -94,9 +50,9 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
-def _resolve_threads(config: JobConfig) -> int:
-    if config.threads is not None:
-        requested = config.threads
+def _resolve_threads(flag: int | None) -> int:
+    if flag is not None:
+        requested = flag
     else:
         raw = os.environ.get(THREADS_ENV_VAR)
         if raw is None or raw.strip() == "":
@@ -113,26 +69,24 @@ def _resolve_threads(config: JobConfig) -> int:
     return requested
 
 
-def _prepare_filter(config: JobConfig, work: GrayImage, threads: int):
+def _prepare_filter(args: argparse.Namespace, work: GrayImage, threads: int):
     """Resolve filter parameters against the working-domain image.
 
     Returns (run, echo) where run maps GrayImage -> GrayImage and echo
     is the dict of effective parameters for the stderr line.
     """
-    name = config.filter
+    name = args.filter
     echo: dict = {"filter": name}
 
     if name in ("nlm", "robust-nlm"):
-        if config.sigma_n is not None:
-            if not (math.isfinite(config.sigma_n) and config.sigma_n >= 0):
-                raise ParameterError(f"--sigma-n must be a non-negative finite real, got {config.sigma_n}")
-            sigma_n = float(config.sigma_n)
+        if args.sigma_n is not None:
+            sigma_n = check_real(args.sigma_n, "--sigma-n", nonnegative=True)
         else:
             sigma_n = estimate_noise_sigma(work).sigma_n
-        h1 = float(config.h) if config.h is not None else max(9.0 * sigma_n, H1_FLOOR)
-        self_weight = config.self_weight.replace("-", "_")
-        base = NlmParams(h=h1, search_radius=config.search_radius,
-                         patch_radius=config.patch_radius, sigma_s=config.sigma_s,
+        h1 = float(args.h) if args.h is not None else max(9.0 * sigma_n, H1_FLOOR)
+        self_weight = args.self_weight.replace("-", "_")
+        base = NlmParams(h=h1, search_radius=args.search_radius,
+                         patch_radius=args.patch_radius, sigma_s=args.sigma_s,
                          self_weight=self_weight)
         side = 2 * base.search_radius + 1
         patch_side = 2 * base.patch_radius + 1
@@ -147,39 +101,39 @@ def _prepare_filter(config: JobConfig, work: GrayImage, threads: int):
         if name == "nlm":
             echo["h"] = _fmt(base.h)
             return (lambda image: nlm_denoise(image, base, threads=threads)), echo
-        if config.h2 is not None:
-            h2 = float(config.h2)
+        if args.h2 is not None:
+            h2 = float(args.h2)
         elif sigma_n < 1e-6:
             h2 = H2_CAP
         else:
             h2 = min(148.0 / sigma_n, H2_CAP)
-        params = RobustNlmParams(base=base, h2=h2, prefilter_sigma=config.prefilter_sigma)
+        params = RobustNlmParams(base=base, h2=h2, prefilter_sigma=args.prefilter_sigma)
         echo.update({"h1": _fmt(base.h), "h2": _fmt(h2),
                      "prefilter_sigma": _fmt(params.prefilter_sigma)})
         return (lambda image: robust_nlm_denoise(image, params, threads=threads)), echo
 
     if name == "lee":
-        if config.noise_sigma is not None:
-            noise_sigma = float(config.noise_sigma)
+        if args.noise_sigma is not None:
+            noise_sigma = float(args.noise_sigma)
         else:
             est = estimate_noise_sigma(work).sigma_n
             mean = float(work.pixels.mean())
             noise_sigma = est / mean if mean > 0 else 0.0
-        params = LeeParams(window_radius=config.window_radius, noise_sigma=noise_sigma)
+        params = LeeParams(window_radius=args.window_radius, noise_sigma=noise_sigma)
         side = 2 * params.window_radius + 1
         echo.update({"window": f"{side}x{side}", "noise_sigma": _fmt(params.noise_sigma)})
         return (lambda image: lee_filter(image, params)), echo
 
     if name == "frost":
-        params = FrostParams(window_radius=config.window_radius, damping=config.damping)
+        params = FrostParams(window_radius=args.window_radius, damping=args.damping)
         side = 2 * params.window_radius + 1
         echo.update({"window": f"{side}x{side}", "damping": _fmt(params.damping)})
         return (lambda image: frost_filter(image, params)), echo
 
     # srad: the diffusion needs strictly positive pixels; PGM inputs may
     # contain zeros, so shift up before and back down after.
-    params = SradParams(iterations=config.iterations, dt=config.dt,
-                        q0=config.q0, rho=config.rho)
+    params = SradParams(iterations=args.iterations, dt=args.dt,
+                        q0=args.q0, rho=args.rho)
     lo = float(work.pixels.min())
     shift = (1e-6 - lo) if lo <= 0.0 else 0.0
     echo.update({"iterations": params.iterations, "dt": _fmt(params.dt),
@@ -195,54 +149,62 @@ def _prepare_filter(config: JobConfig, work: GrayImage, threads: int):
     return run, echo
 
 
-def run_synth(config: JobConfig) -> int:
-    img = load_pgm(config.input_path)
-    params = SpeckleParams(model=MODEL_CHOICES[config.model], sigma=config.sigma,
-                           seed=config.seed)
-    _echo({"command": "synth", "input": config.input_path, "output": config.output_path,
-           "model": config.model, "sigma": _fmt(params.sigma), "seed": params.seed,
-           "maxval": config.maxval})
+def _load_and_prepare(args: argparse.Namespace, echo: dict):
+    """Load, move to the filtering domain, resolve threads and the filter,
+    and echo the resolved configuration: the part `denoise` and `bench`
+    share. ``echo`` holds the command's own fields.
+
+    Returns (working-domain image, filter run, domain, threads).
+    """
+    img = load_pgm(args.input)
+    domain = args.domain or ("log" if args.filter == "robust-nlm" else "linear")
+    epsilon = check_real(args.epsilon, "--epsilon")
+    work = log_compress(img, epsilon) if domain == "log" else img
+    threads = _resolve_threads(args.threads)
+    run, filter_echo = _prepare_filter(args, work, threads)
+    _echo({"command": args.command, "input": args.input, **echo, "domain": domain,
+           "epsilon": _fmt(epsilon), **filter_echo})
+    return work, run, domain, threads
+
+
+def run_synth(args: argparse.Namespace) -> int:
+    img = load_pgm(args.input)
+    params = SpeckleParams(model=MODEL_CHOICES[args.model], sigma=args.sigma,
+                           seed=args.seed)
+    _echo({"command": "synth", "input": args.input, "output": args.output,
+           "model": args.model, "sigma": _fmt(params.sigma), "seed": params.seed,
+           "maxval": args.maxval})
     noisy = add_multiplicative_speckle(img, params)
-    save_pgm(noisy, config.output_path, maxval=config.maxval)
-    sidecar = str(config.output_path) + ".noise.txt"
+    save_pgm(noisy, args.output, maxval=args.maxval)
+    sidecar = str(args.output) + ".noise.txt"
     Path(sidecar).write_text(
-        f"model={config.model}\nsigma={_fmt(params.sigma)}\nseed={params.seed}\n",
+        f"model={args.model}\nsigma={_fmt(params.sigma)}\nseed={params.seed}\n",
         encoding="ascii",
     )
     return 0
 
 
-def run_denoise(config: JobConfig) -> int:
-    img = load_pgm(config.input_path)
-    domain = config.domain or ("log" if config.filter == "robust-nlm" else "linear")
-    if not (math.isfinite(config.epsilon) and config.epsilon > 0):
-        raise ParameterError(f"--epsilon must be a positive finite real, got {config.epsilon}")
-    work = log_compress(img, config.epsilon) if domain == "log" else img
-    threads = _resolve_threads(config)
-    run, filter_echo = _prepare_filter(config, work, threads)
-    echo = {"command": "denoise", "input": config.input_path, "output": config.output_path,
-            "domain": domain, "epsilon": _fmt(config.epsilon), "maxval": config.maxval}
-    echo.update(filter_echo)
-    _echo(echo)
+def run_denoise(args: argparse.Namespace) -> int:
+    work, run, domain, _ = _load_and_prepare(args, {"output": args.output, "maxval": args.maxval})
     filtered = run(work)
-    out = exp_expand(filtered, config.epsilon) if domain == "log" else filtered
-    save_pgm(out, config.output_path, maxval=config.maxval)
+    out = exp_expand(filtered, args.epsilon) if domain == "log" else filtered
+    save_pgm(out, args.output, maxval=args.maxval)
     return 0
 
 
-def run_eval(config: JobConfig) -> int:
-    reference = load_pgm(config.reference_path)
-    test = load_pgm(config.test_path)
-    image_id = config.image_id if config.image_id is not None else Path(config.test_path).stem
-    _echo({"command": "eval", "reference": config.reference_path, "test": config.test_path,
-           "image_id": image_id, "filter_name": config.filter_name,
-           "peak": _fmt(config.peak),
-           "report": config.report_path if config.report_path else "-"})
-    report = evaluate(reference, test, peak=config.peak, ssim_params=SsimParams())
-    row = report.csv_row(image_id, config.filter_name)
+def run_eval(args: argparse.Namespace) -> int:
+    reference = load_pgm(args.reference)
+    test = load_pgm(args.test)
+    image_id = args.image_id if args.image_id is not None else Path(args.test).stem
+    _echo({"command": "eval", "reference": args.reference, "test": args.test,
+           "image_id": image_id, "filter_name": args.filter_name,
+           "peak": _fmt(args.peak),
+           "report": args.report if args.report else "-"})
+    report = evaluate(reference, test, peak=args.peak, ssim_params=SsimParams())
+    row = report.csv_row(image_id, args.filter_name)
     print(row)
-    if config.report_path:
-        path = Path(config.report_path)
+    if args.report:
+        path = Path(args.report)
         fresh = not path.exists() or path.stat().st_size == 0
         with path.open("a", encoding="ascii") as handle:
             if fresh:
@@ -251,21 +213,12 @@ def run_eval(config: JobConfig) -> int:
     return 0
 
 
-def run_bench(config: JobConfig) -> int:
-    if config.repeats < 1:
-        raise ParameterError(f"--repeats must be >= 1, got {config.repeats}")
-    img = load_pgm(config.input_path)
-    domain = config.domain or ("log" if config.filter == "robust-nlm" else "linear")
-    work = log_compress(img, config.epsilon) if domain == "log" else img
-    threads = _resolve_threads(config)
-    run, filter_echo = _prepare_filter(config, work, threads)
-    echo = {"command": "bench", "input": config.input_path, "domain": domain,
-            "repeats": config.repeats}
-    echo.update(filter_echo)
-    _echo(echo)
+def run_bench(args: argparse.Namespace) -> int:
+    repeats = check_int(args.repeats, "--repeats", 1)
+    work, run, _, threads = _load_and_prepare(args, {"repeats": repeats})
     times = []
     digests = []
-    for _ in range(config.repeats):
+    for _ in range(repeats):
         start = time.perf_counter()
         out = run(work)
         times.append(time.perf_counter() - start)
@@ -274,9 +227,9 @@ def run_bench(config: JobConfig) -> int:
         raise NumericError("filter outputs differ across bench repeats")
     best = min(times)
     med = statistics.median(times)
-    pixels = img.height * img.width
+    pixels = work.height * work.width
     rate = pixels / best if best > 0 else math.inf
-    print(f"bench: filter={config.filter} repeats={config.repeats} threads={threads} "
+    print(f"bench: filter={args.filter} repeats={repeats} threads={threads} "
           f"pixels={pixels} min_s={best:.6f} median_s={med:.6f} "
           f"pixels_per_second={rate:.0f} checksum={digests[0]}")
     return 0
@@ -351,36 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> JobConfig:
-    if args.command == "synth":
-        return JobConfig(command="synth", input_path=args.input, output_path=args.output,
-                         model=args.model, sigma=args.sigma, seed=args.seed,
-                         maxval=args.maxval)
-    if args.command == "denoise":
-        return JobConfig(command="denoise", input_path=args.input, output_path=args.output,
-                         filter=args.filter, domain=args.domain, epsilon=args.epsilon,
-                         search_radius=args.search_radius, patch_radius=args.patch_radius,
-                         sigma_s=args.sigma_s, h=args.h, h2=args.h2,
-                         prefilter_sigma=args.prefilter_sigma, sigma_n=args.sigma_n,
-                         self_weight=args.self_weight, window_radius=args.window_radius,
-                         noise_sigma=args.noise_sigma, damping=args.damping,
-                         iterations=args.iterations, dt=args.dt, q0=args.q0, rho=args.rho,
-                         threads=args.threads, maxval=args.maxval)
-    if args.command == "eval":
-        return JobConfig(command="eval", reference_path=args.reference, test_path=args.test,
-                         report_path=args.report, image_id=args.image_id,
-                         filter_name=args.filter_name, peak=args.peak)
-    return JobConfig(command="bench", input_path=args.input, filter=args.filter,
-                     domain=args.domain, epsilon=args.epsilon,
-                     search_radius=args.search_radius, patch_radius=args.patch_radius,
-                     sigma_s=args.sigma_s, h=args.h, h2=args.h2,
-                     prefilter_sigma=args.prefilter_sigma, sigma_n=args.sigma_n,
-                     self_weight=args.self_weight, window_radius=args.window_radius,
-                     noise_sigma=args.noise_sigma, damping=args.damping,
-                     iterations=args.iterations, dt=args.dt, q0=args.q0, rho=args.rho,
-                     threads=args.threads, repeats=args.repeats)
-
-
 _RUNNERS = {"synth": run_synth, "denoise": run_denoise, "eval": run_eval, "bench": run_bench}
 
 
@@ -390,9 +313,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors (exit 2) and --help (exit 0)
         return int(exc.code or 0)
-    config = _config_from_args(args)
     try:
-        return _RUNNERS[config.command](config)
+        return _RUNNERS[args.command](args)
     except FileNotFoundError as exc:
         missing = exc.filename if exc.filename else exc
         print(f"error: missing input file: {missing}", file=sys.stderr)

@@ -3,26 +3,19 @@
 Every filter in this package extends images past their borders by
 half-sample mirror reflection: index -1 maps back to 0, index ``width``
 maps back to ``width - 1``. The reflection is implemented once here
-(`mirror_index`) and everything else (padding, blurring, patch reads)
-is built on top of it, so all modules agree about boundary values.
+(`mirror_index`, vectorised as `mirror_indices`) and everything else
+(padding, blurring, patch reads) is built on top of it, so all modules
+agree about boundary values.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
-
-
-class BoundaryPolicy(enum.Enum):
-    """Border extension mode. Mirror reflection is the single supported
-    mode; the enum exists so future modes do not change call signatures."""
-
-    MIRROR = "mirror"
+from .errors import ParameterError, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -83,23 +76,21 @@ def mirror_index(i: int, n: int) -> int:
     return i if i < n else period - 1 - i
 
 
-def sample_mirrored(img: GrayImage, row: int, col: int) -> float:
-    """Read a pixel with mirror extension for out-of-bounds coordinates."""
-    return float(img.pixels[mirror_index(row, img.height), mirror_index(col, img.width)])
-
-
 def mirror_indices(n: int, pad: int) -> np.ndarray:
-    """Index vector realizing a mirror pad of width ``pad`` on an axis of length ``n``."""
-    if pad < 0:
-        raise ParameterError(f"pad must be >= 0, got {pad}")
-    return np.array([mirror_index(i - pad, n) for i in range(n + 2 * pad)], dtype=np.intp)
+    """Index vector realizing a mirror pad of width ``pad`` on an axis of length ``n``.
+
+    Entry k is ``mirror_index(k - pad, n)``, folded for all k at once.
+    """
+    period = 2 * check_int(n, "axis length", 1)
+    i = np.arange(-check_int(pad, "pad"), n + pad, dtype=np.intp) % period
+    return np.where(i < n, i, period - 1 - i)
 
 
 def mirror_pad(arr: np.ndarray, pad: int) -> np.ndarray:
     """Pad a 2-D array on all sides by mirror reflection.
 
-    Built directly on `mirror_index`, so padded reads agree with
-    `sample_mirrored` for arbitrarily large pads.
+    Built on `mirror_indices`, so padded reads agree with `mirror_index`
+    for arbitrarily large pads.
     """
     rows = mirror_indices(arr.shape[0], pad)
     cols = mirror_indices(arr.shape[1], pad)
@@ -115,14 +106,10 @@ def gaussian_axis_weights(sigma: float, radius: int | None = None) -> np.ndarray
     taps, which equals normalizing exp(-(dx^2 + dy^2) / (2 sigma^2))
     over the full square support.
     """
-    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma > 0):
-        raise ParameterError(f"sigma must be a positive finite real, got {sigma!r}")
-    if radius is None:
-        radius = math.ceil(3.0 * float(sigma))
-    elif radius < 0:
-        raise ParameterError(f"radius must be >= 0, got {radius}")
+    sigma = check_real(sigma, "sigma")
+    radius = math.ceil(3.0 * sigma) if radius is None else check_int(radius, "radius")
     k = np.arange(-radius, radius + 1, dtype=np.float64)
-    w = np.exp(-(k * k) / (2.0 * float(sigma) ** 2))
+    w = np.exp(-(k * k) / (2.0 * sigma ** 2))
     return w / w.sum()
 
 
@@ -163,14 +150,11 @@ def blur_array(arr: np.ndarray, sigma: float) -> np.ndarray:
     return correlate1d_valid(tmp, taps, axis=1)
 
 
-def gaussian_blur(img: GrayImage, sigma: float,
-                  boundary: BoundaryPolicy = BoundaryPolicy.MIRROR) -> GrayImage:
+def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
     """Gaussian blur with kernel truncated at ceil(3 * sigma).
 
     The truncated kernel is renormalized to sum 1, so flat regions keep
     their level and the global mean is preserved up to rounding. Output
     size equals input size; borders use mirror extension.
     """
-    if boundary is not BoundaryPolicy.MIRROR:
-        raise ParameterError(f"unsupported boundary policy: {boundary!r}")
     return GrayImage(blur_array(img.pixels, sigma))

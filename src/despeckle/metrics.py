@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_real
 from .image import GrayImage, correlate1d_valid, gaussian_axis_weights, mirror_pad
 
 CSV_HEADER = "image_id,filter_name,psnr_db,ssim,epi"
@@ -33,12 +33,11 @@ def psnr(reference: GrayImage, test: GrayImage, peak: float = 255.0) -> float:
     10 * log10(peak^2 / MSE); identical images give +inf.
     """
     _check_pair(reference, test)
-    if not (isinstance(peak, (int, float)) and math.isfinite(peak) and peak > 0):
-        raise ParameterError(f"peak must be a positive finite real, got {peak!r}")
+    peak = check_real(peak, "peak")
     mse = float(np.mean((reference.pixels - test.pixels) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(float(peak) ** 2 / mse)
+    return 10.0 * math.log10(peak ** 2 / mse)
 
 
 @dataclass(frozen=True)
@@ -57,10 +56,7 @@ class SsimParams:
 
     def __post_init__(self):
         for name in ("window_sigma", "k1", "k2", "dynamic_range"):
-            val = getattr(self, name)
-            if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
-                raise ParameterError(f"{name} must be a positive finite real, got {val!r}")
-            object.__setattr__(self, name, float(val))
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
 
     @property
     def window_side(self) -> int:

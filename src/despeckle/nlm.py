@@ -28,23 +28,25 @@ not depend on the thread count or the tile height.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import queue
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int, check_real
 from .image import (
     GrayImage,
     blur_array,
     correlate1d_into,
     correlate1d_valid,  # noqa: F401  (perfbench/tracing.py wraps this binding)
     gaussian_axis_weights,
-    mirror_index,
+    mirror_indices,
     mirror_pad,
 )
 
@@ -82,25 +84,11 @@ class PatchKernel:
 
 def make_patch_kernel(radius: int, sigma_s: float) -> PatchKernel:
     """Build the normalized Gaussian patch kernel of the given radius."""
-    if not isinstance(radius, (int, np.integer)) or isinstance(radius, bool) or radius < 0:
-        raise ParameterError(f"radius must be a non-negative integer, got {radius!r}")
-    taps = gaussian_axis_weights(sigma_s, int(radius))
+    radius = check_int(radius, "radius")
+    taps = gaussian_axis_weights(sigma_s, radius)
     weights = np.outer(taps, taps)
     weights /= weights.sum()
-    return PatchKernel(radius=int(radius), sigma_s=float(sigma_s), weights=weights)
-
-
-def _check_positive_int(value, name: str) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def _check_decay(value, name: str) -> float:
-    # positive; +inf allowed (it disables the corresponding penalty)
-    if not isinstance(value, (int, float)) or math.isnan(value) or value <= 0:
-        raise ParameterError(f"{name} must be positive, got {value!r}")
-    return float(value)
+    return PatchKernel(radius=radius, sigma_s=float(sigma_s), weights=weights)
 
 
 @dataclass(frozen=True)
@@ -121,15 +109,12 @@ class NlmParams:
     self_weight: str = "natural"
 
     def __post_init__(self):
-        object.__setattr__(self, "h", _check_decay(self.h, "h"))
-        object.__setattr__(self, "search_radius", _check_positive_int(self.search_radius, "search_radius"))
-        object.__setattr__(self, "patch_radius", _check_positive_int(self.patch_radius, "patch_radius"))
-        sigma_s = self.sigma_s
-        if sigma_s is None:
-            sigma_s = self.patch_radius / 2.0
-        if not (isinstance(sigma_s, (int, float)) and math.isfinite(sigma_s) and sigma_s > 0):
-            raise ParameterError(f"sigma_s must be a positive finite real, got {self.sigma_s!r}")
-        object.__setattr__(self, "sigma_s", float(sigma_s))
+        # an infinite h is allowed: it makes the filter a flat box average
+        object.__setattr__(self, "h", check_real(self.h, "h", allow_inf=True))
+        object.__setattr__(self, "search_radius", check_int(self.search_radius, "search_radius", 1))
+        object.__setattr__(self, "patch_radius", check_int(self.patch_radius, "patch_radius", 1))
+        sigma_s = self.patch_radius / 2.0 if self.sigma_s is None else self.sigma_s
+        object.__setattr__(self, "sigma_s", check_real(sigma_s, "sigma_s"))
         if self.self_weight not in SELF_WEIGHT_MODES:
             raise ParameterError(
                 f"self_weight must be one of {SELF_WEIGHT_MODES}, got {self.self_weight!r}"
@@ -156,11 +141,9 @@ class RobustNlmParams:
     def __post_init__(self):
         if not isinstance(self.base, NlmParams):
             raise ParameterError(f"base must be NlmParams, got {type(self.base).__name__}")
-        object.__setattr__(self, "h2", _check_decay(self.h2, "h2"))
-        ps = self.prefilter_sigma
-        if not (isinstance(ps, (int, float)) and math.isfinite(ps) and ps > 0):
-            raise ParameterError(f"prefilter_sigma must be a positive finite real, got {ps!r}")
-        object.__setattr__(self, "prefilter_sigma", float(ps))
+        object.__setattr__(self, "h2", check_real(self.h2, "h2", allow_inf=True))
+        object.__setattr__(self, "prefilter_sigma",
+                           check_real(self.prefilter_sigma, "prefilter_sigma"))
 
 
 @dataclass(frozen=True)
@@ -188,6 +171,19 @@ class WeightField:
             raise ParameterError(f"normalized weights must sum to 1, got {total!r}")
 
 
+def _check_center(img: GrayImage, center: tuple[int, int], name: str) -> None:
+    if not (0 <= center[0] < img.height and 0 <= center[1] < img.width):
+        raise ParameterError(f"{name} {center} is outside a {img.height}x{img.width} image")
+
+
+def _mirrored_block(v: np.ndarray, center: tuple[int, int], radius: int) -> np.ndarray:
+    """The (2 radius + 1)^2 block around an in-bounds ``center`` of the
+    mirror-extended surface."""
+    rows = mirror_indices(v.shape[0], radius)[center[0] : center[0] + 2 * radius + 1]
+    cols = mirror_indices(v.shape[1], radius)[center[1] : center[1] + 2 * radius + 1]
+    return v[np.ix_(rows, cols)]
+
+
 def patch_distance(img: GrayImage, i: tuple[int, int], j: tuple[int, int],
                    kernel: PatchKernel) -> float:
     """Kernel-weighted squared distance between the patches around i and j.
@@ -195,17 +191,10 @@ def patch_distance(img: GrayImage, i: tuple[int, int], j: tuple[int, int],
     Patch positions outside the image are read through mirror
     reflection. Both centers must be in bounds.
     """
-    h, w = img.height, img.width
-    for name, (r, c) in (("i", i), ("j", j)):
-        if not (0 <= r < h and 0 <= c < w):
-            raise ParameterError(f"{name} = {(r, c)} is outside a {h}x{w} image")
-    rad = kernel.radius
-    rows_i = [mirror_index(i[0] + d, h) for d in range(-rad, rad + 1)]
-    cols_i = [mirror_index(i[1] + d, w) for d in range(-rad, rad + 1)]
-    rows_j = [mirror_index(j[0] + d, h) for d in range(-rad, rad + 1)]
-    cols_j = [mirror_index(j[1] + d, w) for d in range(-rad, rad + 1)]
-    a = img.pixels[np.ix_(rows_i, cols_i)]
-    b = img.pixels[np.ix_(rows_j, cols_j)]
+    _check_center(img, i, "i")
+    _check_center(img, j, "j")
+    a = _mirrored_block(img.pixels, i, kernel.radius)
+    b = _mirrored_block(img.pixels, j, kernel.radius)
     return float(np.sum(kernel.weights * (a - b) ** 2))
 
 
@@ -221,10 +210,8 @@ def _plan_tiles(threads, height: int, width: int) -> tuple[int, int]:
     ``threads`` = 0 asks for one worker per CPU. Whatever is asked for,
     workers never outnumber the CPUs or the tiles.
     """
-    if not isinstance(threads, (int, np.integer)) or isinstance(threads, bool) or threads < 0:
-        raise ParameterError(f"threads must be a non-negative integer (0 = auto), got {threads!r}")
     cpus = os.cpu_count() or 1
-    cap = min(int(threads) or cpus, cpus)
+    cap = min(check_int(threads, "threads (0 = auto)") or cpus, cpus)
     rows = max(1, min(_TILE_PIXELS // width, -(-height // cap)))
     return rows, min(cap, -(-height // rows))
 
@@ -402,61 +389,38 @@ def robust_nlm_denoise(img: GrayImage, params: RobustNlmParams, threads: int = 1
     return GrayImage(out)
 
 
-def _virtual_patch_distance(v: np.ndarray, center: tuple[int, int],
-                            other: tuple[int, int], weights: np.ndarray, rad: int) -> float:
-    """Patch distance where ``other`` may be a virtual (out-of-bounds)
-    coordinate on the mirror-extended surface."""
-    h, w = v.shape
-    rows_i = [mirror_index(center[0] + d, h) for d in range(-rad, rad + 1)]
-    cols_i = [mirror_index(center[1] + d, w) for d in range(-rad, rad + 1)]
-    rows_j = [mirror_index(other[0] + d, h) for d in range(-rad, rad + 1)]
-    cols_j = [mirror_index(other[1] + d, w) for d in range(-rad, rad + 1)]
-    a = v[np.ix_(rows_i, cols_i)]
-    b = v[np.ix_(rows_j, cols_j)]
-    return float(np.sum(weights * (a - b) ** 2))
-
-
 def compute_weight_field(img: GrayImage, center: tuple[int, int],
                          params: RobustNlmParams) -> WeightField:
     """Normalized robust weights at one pixel, for inspection and testing.
 
-    Evaluates the same weight definition `robust_nlm_denoise` applies
-    (including the self-weight rule), normalizes by the window sum C(i),
-    and returns the per-offset breakdown in row-major offset order.
+    Evaluates the weight definition `robust_nlm_denoise` applies
+    (including the self-weight rule) for every search-window offset at
+    once: the patch distances come from sliding the patch kernel over
+    the mirrored block of the search window grown by the patch radius.
+    The weights are normalized by the window sum C(i) and returned per
+    offset in row-major offset order. They agree with the filter's to
+    rounding, not bit for bit: the filter sums the same terms in a
+    different order.
     """
-    h, w = img.height, img.width
-    row, col = center
-    if not (0 <= row < h and 0 <= col < w):
-        raise ParameterError(f"center {center} is outside a {h}x{w} image")
+    _check_center(img, center, "center")
+    base = params.base
+    big_r, r = base.search_radius, base.patch_radius
+    kernel = make_patch_kernel(r, base.sigma_s)
     v = img.pixels
+    patches = sliding_window_view(_mirrored_block(v, center, big_r + r), kernel.weights.shape)
+    dist = np.sum(kernel.weights * (patches - patches[big_r, big_r]) ** 2, axis=(-2, -1))
     corr = _corruption_factor(v, params.h2, params.prefilter_sigma)
-    kernel = make_patch_kernel(params.base.patch_radius, params.base.sigma_s)
-    big_r = params.base.search_radius
-    h1 = params.base.h
-
-    offsets: list[tuple[int, int]] = []
-    raw: list[float] = []
-    self_pos = None
-    hh1 = max(h1 * h1, sys.float_info.min)  # mirror the engine's underflow guard
+    hh1 = max(base.h * base.h, sys.float_info.min)  # mirror the engine's underflow guard
     with np.errstate(under="ignore"):
-        for dy in range(-big_r, big_r + 1):
-            for dx in range(-big_r, big_r + 1):
-                jr = mirror_index(row + dy, h)
-                jc = mirror_index(col + dx, w)
-                dist = _virtual_patch_distance(v, (row, col), (row + dy, col + dx),
-                                               kernel.weights, kernel.radius)
-                weight = math.exp(-dist / hh1) * float(corr[jr, jc])
-                if dy == 0 and dx == 0:
-                    self_pos = len(raw)
-                offsets.append((dy, dx))
-                raw.append(weight)
-    if params.base.self_weight == "max_neighbor":
-        others = [x for k, x in enumerate(raw) if k != self_pos]
-        raw[self_pos] = max(others) if others else 0.0
-    normalizer = math.fsum(raw)
+        raw = np.exp(-dist / hh1) * _mirrored_block(corr, center, big_r)
+    if base.self_weight == "max_neighbor":
+        raw[big_r, big_r] = 0.0
+        raw[big_r, big_r] = raw.max()
+    normalizer = math.fsum(raw.ravel().tolist())
     if normalizer <= 0.0:
         raise ParameterError(
             f"all weights underflowed to zero at pixel {center}; decay scales are too small"
         )
-    entries = tuple((off, x / normalizer) for off, x in zip(offsets, raw))
-    return WeightField(center=(row, col), entries=entries, normalizer=normalizer)
+    offsets = itertools.product(range(-big_r, big_r + 1), repeat=2)
+    entries = tuple(zip(offsets, (raw / normalizer).ravel().tolist()))
+    return WeightField(center=tuple(center), entries=entries, normalizer=normalizer)

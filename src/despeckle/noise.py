@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ParameterError
+from .errors import DomainError, NumericError, ParameterError, check_int, check_real
 from .image import GrayImage
 
 SPECKLE_MODELS = ("multiplicative_gaussian", "rayleigh")
@@ -20,20 +20,6 @@ SPECKLE_MODELS = ("multiplicative_gaussian", "rayleigh")
 
 def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
-
-
-def _check_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ParameterError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) < 2**64:
-        raise ParameterError(f"seed must fit in 64 unsigned bits, got {seed}")
-    return int(seed)
-
-
-def _check_sigma(sigma) -> float:
-    if not isinstance(sigma, (int, float)) or not math.isfinite(sigma) or sigma < 0:
-        raise ParameterError(f"sigma must be a non-negative finite real, got {sigma!r}")
-    return float(sigma)
 
 
 @dataclass(frozen=True)
@@ -49,8 +35,8 @@ class SpeckleParams:
             raise ParameterError(
                 f"model must be one of {SPECKLE_MODELS}, got {self.model!r}"
             )
-        object.__setattr__(self, "sigma", _check_sigma(self.sigma))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "sigma", check_real(self.sigma, "sigma", nonnegative=True))
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0, 2**64 - 1))
 
 
 @dataclass(frozen=True)
@@ -60,8 +46,7 @@ class NoiseEstimate:
     sigma_n: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma_n) and self.sigma_n >= 0):
-            raise ParameterError(f"sigma_n must be finite and >= 0, got {self.sigma_n!r}")
+        check_real(self.sigma_n, "sigma_n", nonnegative=True)
 
 
 def add_multiplicative_speckle(img: GrayImage, params: SpeckleParams) -> GrayImage:
@@ -90,8 +75,8 @@ def add_multiplicative_speckle(img: GrayImage, params: SpeckleParams) -> GrayIma
 
 def add_gaussian_noise(img: GrayImage, sigma: float, seed: int) -> GrayImage:
     """Add i.i.d. zero-mean Gaussian noise of standard deviation sigma."""
-    sigma = _check_sigma(sigma)
-    seed = _check_seed(seed)
+    sigma = check_real(sigma, "sigma", nonnegative=True)
+    seed = check_int(seed, "seed", 0, 2**64 - 1)
     if sigma == 0.0:
         return img
     eta = _generator(seed).standard_normal(img.pixels.shape)
@@ -100,23 +85,21 @@ def add_gaussian_noise(img: GrayImage, sigma: float, seed: int) -> GrayImage:
 
 def log_compress(img: GrayImage, epsilon: float = 1.0) -> GrayImage:
     """Map pixels to ln(v + epsilon), turning multiplicative noise additive."""
-    if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon) and epsilon > 0):
-        raise ParameterError(f"epsilon must be a positive finite real, got {epsilon!r}")
+    epsilon = check_real(epsilon, "epsilon")
     v = img.pixels
     if np.any(v < 0):
         idx = np.argwhere(v < 0)[0]
         raise DomainError(
             f"log compression requires non-negative pixels; pixel ({idx[0]}, {idx[1]}) is negative"
         )
-    return GrayImage(np.log(v + float(epsilon)))
+    return GrayImage(np.log(v + epsilon))
 
 
 def exp_expand(img: GrayImage, epsilon: float = 1.0) -> GrayImage:
     """Inverse of `log_compress`: exp(v) - epsilon."""
-    if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon) and epsilon > 0):
-        raise ParameterError(f"epsilon must be a positive finite real, got {epsilon!r}")
+    epsilon = check_real(epsilon, "epsilon")
     with np.errstate(over="ignore"):
-        out = np.exp(img.pixels) - float(epsilon)
+        out = np.exp(img.pixels) - epsilon
     bad = ~np.isfinite(out)
     if np.any(bad):
         idx = np.argwhere(bad)[0]

@@ -41,14 +41,17 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
         pos += 1
     if pos == start:
         raise PgmParseError(f"malformed header: expected integer {what}", start)
-    return int(data[start:pos]), start, pos
+    try:
+        return int(data[start:pos]), start, pos
+    except ValueError:  # more digits than the interpreter converts
+        raise PgmParseError(f"integer {what} has too many digits ({pos - start})", start) from None
 
 
 def load_pgm(path) -> GrayImage:
     """Load a P5 or P2 graymap as a float64 image.
 
     Sample values are taken verbatim (no rescaling by maxval) and raster
-    order is preserved.
+    order is preserved. An ASCII sample above maxval is a parse error.
     """
     data = Path(path).read_bytes()
     magic = data[:2]
@@ -97,6 +100,8 @@ def load_pgm(path) -> GrayImage:
                     f"truncated raster: expected {count} samples, got {k}", len(data)
                 )
             value, start, pos = _read_int(data, pos, f"sample {k}")
+            if value > maxval:
+                raise PgmParseError(f"sample {k} exceeds maxval {maxval}", start)
             samples[k] = value
     return GrayImage(samples.reshape(height, width))
 

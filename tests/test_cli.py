@@ -176,6 +176,15 @@ class TestDenoise:
         assert rc == 1
         assert "truncated" in capsys.readouterr().err
 
+    def test_overlong_header_integer_exits_1(self, tmp_path, capsys):
+        # more digits than Python converts to an int: a parse error, not a traceback
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5 " + b"9" * 5000 + b" 1 255\n\x00")
+        rc = main(["denoise", str(bad), str(tmp_path / "out.pgm"), "--filter", "lee"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "width" in err and "byte offset 3" in err
+
     def test_threads_env_var(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "in.pgm"
         dst = tmp_path / "out.pgm"
@@ -263,6 +272,18 @@ class TestBench:
         src = tmp_path / "in.pgm"
         write_pgm(src, rand_image(84, 8, 8))
         assert main(["bench", str(src), "--filter", "lee", "--repeats", "0"]) == 2
+
+
+@pytest.mark.parametrize("command", ["denoise", "bench"])
+@pytest.mark.parametrize("epsilon", ["0", "nan"])
+def test_bad_epsilon_exits_2(tmp_path, capsys, command, epsilon):
+    # the same check on both commands, also where the domain is linear
+    src = tmp_path / "in.pgm"
+    write_pgm(src, rand_image(85, 8, 8))
+    outputs = [str(tmp_path / "out.pgm")] if command == "denoise" else []
+    rc = main([command, str(src), *outputs, "--filter", "nlm", "--epsilon", epsilon])
+    assert rc == 2
+    assert "--epsilon" in capsys.readouterr().err
 
 
 class TestParsing:

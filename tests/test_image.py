@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import rand_image
 from despeckle import (
-    BoundaryPolicy,
     GrayImage,
     ParameterError,
     gaussian_axis_weights,
     gaussian_blur,
     mirror_index,
-    sample_mirrored,
 )
-from reference import conv2_full_mirror, naive_blur, reflect, sample
+from despeckle.image import mirror_indices
+from reference import conv2_full_mirror, naive_blur, reflect
 
 
 class TestGrayImage:
@@ -71,13 +70,11 @@ class TestMirror:
         # half-sample symmetry about the left edge
         assert mirror_index(-1 - i, n) == mirror_index(i, n)
 
-    def test_sample_mirrored(self):
-        arr = np.arange(12.0).reshape(3, 4)
-        img = GrayImage.from_array(arr)
-        assert sample_mirrored(img, -1, -1) == arr[0, 0]
-        assert sample_mirrored(img, 3, 4) == arr[2, 3]
-        for row, col in [(-2, 1), (4, -3), (0, 5), (2, 2)]:
-            assert sample_mirrored(img, row, col) == sample(arr, row, col)
+    @given(st.integers(1, 20), st.integers(0, 60))
+    def test_vector_fold_matches_scalar_fold(self, n, pad):
+        got = mirror_indices(n, pad)
+        assert got.dtype == np.intp
+        assert got.tolist() == [mirror_index(i - pad, n) for i in range(n + 2 * pad)]
 
     def test_invalid_axis(self):
         with pytest.raises(ParameterError):
@@ -146,12 +143,3 @@ class TestGaussianBlur:
         arr = np.array([[1.0, 5.0, 9.0], [2.0, 4.0, 8.0]])
         out = gaussian_blur(GrayImage.from_array(arr), 2.0).pixels
         assert np.max(np.abs(out - naive_blur(arr, 2.0))) < 1e-12
-
-    def test_rejects_bad_boundary(self):
-        img = GrayImage.from_array(np.zeros((4, 4)))
-        with pytest.raises(ParameterError):
-            gaussian_blur(img, 1.0, boundary="wrap")
-
-    def test_boundary_enum_accepted(self):
-        img = GrayImage.from_array(np.zeros((4, 4)))
-        gaussian_blur(img, 1.0, boundary=BoundaryPolicy.MIRROR)

@@ -346,17 +346,19 @@ class TestWeightField:
 
     def test_reconstructs_filter_output(self):
         arr = textured_image(21, 16, 16)
-        base = NlmParams(h=50.0, search_radius=3, patch_radius=1)
-        params = RobustNlmParams(base=base, h2=20.0)
-        filtered = robust_nlm_denoise(as_img(arr), params).pixels
-        for center in ((8, 8), (0, 0), (15, 3), (2, 15)):
-            field = compute_weight_field(as_img(arr), center, params)
-            pad = np.pad(arr, 3 + 1, mode="symmetric")
-            acc = math.fsum(
-                w * pad[center[0] + 4 + dy, center[1] + 4 + dx]
-                for (dy, dx), w in field.entries
-            )
-            assert abs(acc - filtered[center]) < 1e-9
+        # both self-weight rules, the corner centres among the inputs
+        for self_weight in ("natural", "max_neighbor"):
+            base = NlmParams(h=50.0, search_radius=3, patch_radius=1, self_weight=self_weight)
+            params = RobustNlmParams(base=base, h2=20.0)
+            filtered = robust_nlm_denoise(as_img(arr), params).pixels
+            for center in ((8, 8), (0, 0), (15, 3), (2, 15)):
+                field = compute_weight_field(as_img(arr), center, params)
+                pad = np.pad(arr, 3 + 1, mode="symmetric")
+                acc = math.fsum(
+                    w * pad[center[0] + 4 + dy, center[1] + 4 + dx]
+                    for (dy, dx), w in field.entries
+                )
+                assert abs(acc - filtered[center]) < 1e-9
 
     def test_outlier_weight_drops(self):
         arr = textured_image(22, 16, 16).copy()

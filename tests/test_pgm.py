@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_image
 from despeckle import GrayImage, ParameterError, PgmParseError, load_pgm, save_pgm
@@ -135,6 +137,55 @@ class TestParseErrors:
     def test_missing_header_token(self, tmp_path):
         err = self._err(tmp_path, b"P5\n2")
         assert "height" in str(err)
+
+    @pytest.mark.parametrize("what, payload, offset", [
+        ("width", b"P5 " + b"9" * 5000 + b" 1 255\n\x00", 3),
+        ("height", b"P5 1 " + b"9" * 5000 + b" 255\n\x00", 5),
+        ("maxval", b"P5 1 1 " + b"9" * 5000 + b"\n\x00", 7),
+        ("sample 1", b"P2 2 1 255 7 " + b"9" * 5000 + b"\n", 13),
+        ("sample 1", b"P2 2 1 255 7 256\n", 13),
+    ], ids=["long-width", "long-height", "long-maxval", "long-sample", "sample-above-maxval"])
+    def test_bad_integer_token(self, tmp_path, what, payload, offset):
+        # "long": beyond the interpreter's int-string digit limit
+        err = self._err(tmp_path, payload)
+        assert what in str(err)
+        assert err.byte_offset == offset
+
+
+@pytest.mark.parametrize("magic", [b"P5", b"P2"])
+def test_long_zero_padded_tokens_still_parse(tmp_path, magic):
+    # 4300 digits is the interpreter's limit and still converts
+    pad = b"0" * 4299
+    raster = b"\x07" if magic == b"P5" else pad + b"7\n"
+    path = tmp_path / "padded.pgm"
+    path.write_bytes(magic + b" " + pad + b"1 " + pad + b"1 " + pad + b"9\n" + raster)
+    assert load_pgm(path).pixels.tolist() == [[7.0]]
+
+
+# magic, width, height and maxval, each followed by the separator
+_HEADERS = st.builds(
+    lambda magic, sep, *values: sep.join([magic, *(b"%d" % v for v in values), b""]),
+    st.sampled_from([b"P5", b"P2"]), st.sampled_from([b" ", b"\n", b"\n# c\n"]),
+    st.integers(0, 6), st.integers(0, 6), st.sampled_from([0, 1, 9, 255, 256, 65535, 65536]),
+)
+_ASCII_BODY = st.lists(st.sampled_from([b"0", b"7", b"255", b"65535", b"9" * 400, b"x", b"#", b"-1"]),
+                       max_size=40).map(b" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.tuples(_HEADERS, st.binary(max_size=64)).map(b"".join),
+    st.tuples(_HEADERS, _ASCII_BODY).map(b"".join),
+))
+def test_fuzz_load_gives_image_or_parse_error(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+    path.write_bytes(payload)
+    try:
+        img = load_pgm(path)
+    except PgmParseError:
+        return
+    assert isinstance(img, GrayImage)
 
 
 def test_missing_file_raises_oserror(tmp_path):
