@@ -2,10 +2,11 @@
 
 Every filter in this package extends images past their borders by
 half-sample mirror reflection: index -1 maps back to 0, index ``width``
-maps back to ``width - 1``. The reflection is implemented once here
-(`mirror_index`, vectorised as `mirror_indices`) and everything else
-(padding, blurring, patch reads) is built on top of it, so all modules
-agree about boundary values.
+maps back to ``width - 1``. The reflection is defined once here by
+`mirror_index`, vectorised as `mirror_indices` for patch reads.
+`mirror_pad`, behind every blur and filter, is NumPy's ``symmetric``
+pad, which is the same reflection for any pad width (a test checks it
+against `mirror_indices`), so all modules agree about boundary values.
 """
 
 from __future__ import annotations
@@ -89,12 +90,10 @@ def mirror_indices(n: int, pad: int) -> np.ndarray:
 def mirror_pad(arr: np.ndarray, pad: int) -> np.ndarray:
     """Pad a 2-D array on all sides by mirror reflection.
 
-    Built on `mirror_indices`, so padded reads agree with `mirror_index`
-    for arbitrarily large pads.
+    NumPy's ``symmetric`` mode reflects about the half-sample point, as
+    `mirror_index` does, also for pads wider than the array.
     """
-    rows = mirror_indices(arr.shape[0], pad)
-    cols = mirror_indices(arr.shape[1], pad)
-    return arr[np.ix_(rows, cols)]
+    return np.pad(arr, pad, mode="symmetric")
 
 
 def gaussian_axis_weights(sigma: float, radius: int | None = None) -> np.ndarray:

@@ -17,13 +17,18 @@ Boundary handling treats the image as extended by mirror reflection:
 window positions and patch reads past the border resolve against the
 reflected surface (the padded-array convention).
 
-The engine works in row tiles of about `_TILE_PIXELS` pixels, pulled by
-a pool of at most one worker per CPU, each reading the shared padded
-input and writing its rows of the output. Patch distances are
-symmetric, so each offset o of the half window serves both candidates
-i + o and i - o. Every pixel adds its self term, then the +o and -o
-terms of each half-window offset in one fixed order, so output bits do
-not depend on the thread count or the tile height.
+The engine pads the input and the penalty by R + r (search plus patch
+radius) and flattens both, so that all its arrays share one row stride
+S = W + 2(R + r). A search offset (dy, dx) is then the flat step
+dy S + dx, and each pass over an offset (difference, column taps, row
+taps, exp, accumulation) reads and writes one contiguous slice. It
+works in row tiles of about `_TILE_PIXELS` pixels, pulled by a pool of
+at most one worker per CPU, each reading the shared padded arrays and
+writing its rows of the output. Patch distances are symmetric, so each
+offset o of the half window serves both candidates i + o and i - o.
+Every pixel adds its self term, then the +o and -o terms of each
+half-window offset in one fixed order, so output bits do not depend on
+the thread count or the tile height.
 """
 
 from __future__ import annotations
@@ -198,12 +203,6 @@ def patch_distance(img: GrayImage, i: tuple[int, int], j: tuple[int, int],
     return float(np.sum(kernel.weights * (a - b) ** 2))
 
 
-def _view(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    # A contiguous prefix of a flat scratch buffer: strided views of a
-    # larger 2-D buffer would slow every correlation tap.
-    return buf[: rows * cols].reshape(rows, cols)
-
-
 def _plan_tiles(threads, height: int, width: int) -> tuple[int, int]:
     """Tile height and worker count for the engine; starts nothing.
 
@@ -221,47 +220,62 @@ def _filter_engine(v: np.ndarray, search_radius: int, patch_radius: int,
                    self_weight: str, threads: int) -> np.ndarray:
     """Weighted mean over the search window, tile by tile.
 
+    The input and the penalty are mirror-padded by R + r (R the search
+    radius, r the patch radius) and flattened, so every array shares one
+    row stride S = W + 2(R + r) and an offset (dy, dx) is the flat step
+    m = dy S + dx. A tile of n rows whose first pixel sits at flat index
+    k0 covers [k0, k0 + (n - 1) S + W); the margin columns in between
+    are computed but never read.
+
     Offsets o run over the half window {dy > 0} or {dy = 0, dx > 0}.
-    Since d(i, i - o) = d(i - o, i), one patch-distance field E over a
-    tile and its -o shifted rows and columns serves both candidates:
-    E[i] weighs i + o and E[i - o] weighs i - o. The self term comes
-    first, except under ``max_neighbor``, whose self weight is known
-    only after the last offset.
+    Since d(i, i - o) = d(i - o, i), one patch-distance field E over
+    [k0 - m, k0 + (n - 1) S + W) serves both candidates: E[i] weighs
+    i + o and E[i - o] weighs i - o. Every step of an offset (the
+    difference, the column and row taps, exp and the +o and -o
+    accumulation) reads and writes one contiguous slice. The self term
+    comes first, except under ``max_neighbor``, whose self weight is
+    known only after the last offset.
 
     Memory: besides the padded input, the padded penalty and the
-    output, each worker holds 3 x (tile + R + 2r) x (W + R + 2r) float64
-    scratch values (R the search radius, r the patch radius, W the width)
-    plus tile x W values each for ``acc``, ``norm`` and, for
+    output, each worker holds 3 x (tile + R + 2r) x S float64 scratch
+    values plus tile x S values each for ``acc``, ``norm`` and, for
     ``max_neighbor``, ``wmax``.
     """
     big_r, r = search_radius, patch_radius
     height, width = v.shape
     pad = big_r + r
-    padded = mirror_pad(v, pad)
-    corr_padded = mirror_pad(corr, big_r) if corr is not None else None
+    stride = width + 2 * pad
+    padded = mirror_pad(v, pad).ravel()
+    corr_padded = mirror_pad(corr, pad).ravel() if corr is not None else None
     # Guard h*h against underflow to 0: -1/0 would be -inf and an
     # exact-zero distance (identical patches) would produce 0 * -inf = NaN.
     inv_h = -1.0 / max(h * h, sys.float_info.min)
     skip_self = self_weight == "max_neighbor"
     tile_rows, workers = _plan_tiles(threads, height, width)
-    half = [(0, dx) for dx in range(1, big_r + 1)]
-    half += [(dy, dx) for dy in range(1, big_r + 1) for dx in range(-big_r, big_r + 1)]
-    scratch_size = (tile_rows + big_r + 2 * r) * (width + big_r + 2 * r)
+    half = list(range(1, big_r + 1))
+    half += [dy * stride + dx for dy in range(1, big_r + 1) for dx in range(-big_r, big_r + 1)]
+    halo = r * stride + r  # from a patch centre to its first tap
+    scratch_size = (tile_rows + big_r + 2 * r) * stride
     out = np.empty((height, width))
 
-    def run_tile(y0: int, y1: int, bufs, acc, norm, wmax) -> None:
+    def run_tile(y0: int, y1: int, bufs, acc_buf, norm_buf, wmax_buf) -> None:
         a, b, c = bufs
+        # Row t of this view of the differences in ``a`` starts t strides
+        # in, so each column tap reads one contiguous slice.
+        rows = sliding_window_view(a, a.size - 2 * r * stride)[::stride]
         n = y1 - y0
-        center = v[y0:y1]
+        k0 = (y0 + pad) * stride + pad
+        size = (n - 1) * stride + width
+        center = padded[k0 : k0 + size]
+        acc, norm = acc_buf[:size], norm_buf[:size]
+        wmax = None if wmax_buf is None else wmax_buf[:size]
 
-        def add_candidate(w, sy, sx):
-            # candidate i + (sy, sx), weighed by w before its penalty
+        def add_candidate(w, k):
+            # the candidates at flat indices k .. k + size, weighed by w
+            # before their penalty
             if corr_padded is not None:
-                penalty = corr_padded[big_r + y0 + sy : big_r + y1 + sy,
-                                      big_r + sx : big_r + sx + width]
-                w = np.multiply(w, penalty, out=_view(a, n, width))
-            values = padded[pad + y0 + sy : pad + y1 + sy, pad + sx : pad + sx + width]
-            acc_term = np.multiply(w, values, out=_view(b, n, width))
+                w = np.multiply(w, corr_padded[k : k + size], out=a[:size])
+            acc_term = np.multiply(w, padded[k : k + size], out=b[:size])
             np.add(acc, acc_term, out=acc)
             np.add(norm, w, out=norm)
             if wmax is not None:
@@ -271,47 +285,45 @@ def _filter_engine(v: np.ndarray, search_radius: int, patch_radius: int,
             acc.fill(0.0)
             norm.fill(0.0)
             wmax.fill(0.0)
-        elif corr is not None:
-            np.copyto(norm, corr[y0:y1])
+        elif corr_padded is not None:
+            np.copyto(norm, corr_padded[k0 : k0 + size])
             np.multiply(norm, center, out=acc)
         else:
             norm.fill(1.0)
             np.copyto(acc, center)
-        for dy, dx in half:
-            # E over rows y0-dy..y1-1 and columns min(0,-dx)..W-1+max(0,-dx),
-            # from patch differences grown by r on each side
-            nh, span = n + dy, width + abs(dx) + 2 * r
-            top, left = big_r + y0 - dy, big_r + min(0, -dx)
-            diff = _view(a, nh + 2 * r, span)
-            np.subtract(padded[top : top + nh + 2 * r, left : left + span],
-                        padded[top + dy : top + dy + nh + 2 * r, left + dx : left + dx + span],
-                        out=diff)
+        for m in half:
+            # E over [k0 - m, k0 + size), from squared differences grown
+            # by the patch halo on each side
+            span = size + m
+            lo = k0 - m - halo
+            diff = np.subtract(padded[lo : lo + span + 2 * halo],
+                               padded[lo + m : lo + m + span + 2 * halo],
+                               out=a[: span + 2 * halo])
             np.multiply(diff, diff, out=diff)
-            correlate1d_into(diff, taps, 0, _view(b, nh, span), _view(c, nh, span))
-            # The row taps run over the flattened rows, keeping every tap
-            # contiguous; the 2r sums that straddle two rows are never read.
-            m = nh * span - 2 * r
-            flat = correlate1d_into(b[: nh * span], taps, 0, c[:m], a[:m])
-            flat *= inv_h
-            np.exp(flat, out=flat)
-            dist = _view(c, nh, span)
-            add_candidate(dist[dy:, max(dx, 0) : max(dx, 0) + width], dy, dx)
-            add_candidate(dist[:n, max(-dx, 0) : max(-dx, 0) + width], -dy, -dx)
+            cols = correlate1d_into(rows[:, : span + 2 * r], taps, 0,
+                                    b[None, : span + 2 * r], c[None, : span + 2 * r])[0]
+            dist = correlate1d_into(cols, taps, 0, c[:span], a[:span])
+            dist *= inv_h
+            np.exp(dist, out=dist)
+            add_candidate(dist[m:], k0 + m)
+            add_candidate(dist[:size], k0 - m)
         if wmax is not None:
-            acc += np.multiply(wmax, center, out=_view(b, n, width))
+            acc += np.multiply(wmax, center, out=b[:size])
             norm += wmax
+        acc_px, norm_px = (buf[: n * stride].reshape(n, stride)[:, :width]
+                           for buf in (acc_buf, norm_buf))
         # All-zero weight sums (possible only through exp underflow at
         # extreme decay settings) fall back to the identity.
-        if not norm.all():
-            zero = norm == 0.0
-            norm[zero] = 1.0
-            acc[zero] = center[zero]
-        np.divide(acc, norm, out=out[y0:y1])
+        if not norm_px.all():
+            zero = norm_px == 0.0
+            norm_px[zero] = 1.0
+            acc_px[zero] = v[y0:y1][zero]
+        np.divide(acc_px, norm_px, out=out[y0:y1])
 
     def work(tiles: queue.SimpleQueue) -> None:
         bufs = [np.empty(scratch_size) for _ in range(3)]
-        acc, norm = np.empty((tile_rows, width)), np.empty((tile_rows, width))
-        wmax = np.empty((tile_rows, width)) if skip_self else None
+        acc, norm = np.empty(tile_rows * stride), np.empty(tile_rows * stride)
+        wmax = np.empty(tile_rows * stride) if skip_self else None
         # For tiny h the scaled distances saturate to -inf and exp flushes
         # them to the intended weight 0, so the overflow is not an error.
         with np.errstate(over="ignore"):
@@ -320,9 +332,7 @@ def _filter_engine(v: np.ndarray, search_radius: int, patch_radius: int,
                     y0 = tiles.get_nowait()
                 except queue.Empty:
                     return
-                n = min(tile_rows, height - y0)
-                run_tile(y0, y0 + n, bufs, acc[:n], norm[:n],
-                         None if wmax is None else wmax[:n])
+                run_tile(y0, min(y0 + tile_rows, height), bufs, acc, norm, wmax)
 
     tiles = queue.SimpleQueue()
     for y0 in range(0, height, tile_rows):

@@ -47,6 +47,19 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
         raise PgmParseError(f"integer {what} has too many digits ({pos - start})", start) from None
 
 
+def _bulk_samples(body: bytes, count: int, maxval: int) -> np.ndarray | None:
+    """The first ``count`` samples of a raster of digits and whitespace,
+    parsed in one call; None where the sample scanner must decide."""
+    # A sample with more digits than the interpreter converts (a limit of
+    # at least 640) that still reads as at most 65535 starts with 636 zeros.
+    if body.translate(None, b"0123456789" + _WHITESPACE) or b"0" * 636 in body:
+        return None
+    samples = np.fromstring(body, dtype=np.float64, sep=" ")[:count]
+    if samples.size < count or samples.max() > maxval:
+        return None
+    return samples
+
+
 def load_pgm(path) -> GrayImage:
     """Load a P5 or P2 graymap as a float64 image.
 
@@ -92,17 +105,21 @@ def load_pgm(path) -> GrayImage:
                 f"{len(data) - pos} bytes after offset {pos}",
                 len(data),
             )
-        samples = np.empty(count, dtype=np.float64)
-        for k in range(count):
-            pos = _skip_separators(data, pos)
-            if pos >= len(data):
-                raise PgmParseError(
-                    f"truncated raster: expected {count} samples, got {k}", len(data)
-                )
-            value, start, pos = _read_int(data, pos, f"sample {k}")
-            if value > maxval:
-                raise PgmParseError(f"sample {k} exceeds maxval {maxval}", start)
-            samples[k] = value
+        samples = _bulk_samples(data[pos:], count, maxval)
+        if samples is None:
+            # comments, stray bytes and bad samples: one sample at a time, so
+            # that errors carry the offending sample's byte offset
+            samples = np.empty(count, dtype=np.float64)
+            for k in range(count):
+                pos = _skip_separators(data, pos)
+                if pos >= len(data):
+                    raise PgmParseError(
+                        f"truncated raster: expected {count} samples, got {k}", len(data)
+                    )
+                value, start, pos = _read_int(data, pos, f"sample {k}")
+                if value > maxval:
+                    raise PgmParseError(f"sample {k} exceeds maxval {maxval}", start)
+                samples[k] = value
     return GrayImage(samples.reshape(height, width))
 
 

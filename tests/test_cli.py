@@ -1,3 +1,4 @@
+import os
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,14 @@ from despeckle.cli import main
 
 FAST = ["--search-radius", "3", "--patch-radius", "1"]
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+def child_env():
+    """The environment for a child interpreter that imports the package
+    from this checkout's ``src``, installed or not."""
+    src = str(PYPROJECT.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 def write_pgm(path, arr, maxval=255):
@@ -302,7 +311,7 @@ class TestParsing:
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "despeckle", "--help"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=child_env(),
         )
         assert proc.returncode == 0
         assert "despeckle" in proc.stdout
@@ -318,7 +327,7 @@ class TestParsing:
                 f"sys.argv[0] = 'despeckle'; sys.exit({attr}())")
         proc = subprocess.run(
             [sys.executable, "-c", code, "denoise", "--help"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert "--h2" in proc.stdout

@@ -13,7 +13,7 @@ from despeckle import (
     gaussian_blur,
     mirror_index,
 )
-from despeckle.image import mirror_indices
+from despeckle.image import mirror_indices, mirror_pad
 from reference import conv2_full_mirror, naive_blur, reflect
 
 
@@ -75,6 +75,12 @@ class TestMirror:
         got = mirror_indices(n, pad)
         assert got.dtype == np.intp
         assert got.tolist() == [mirror_index(i - pad, n) for i in range(n + 2 * pad)]
+
+    @given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 60))
+    def test_pad_matches_index_fold(self, height, width, pad):
+        arr = np.arange(height * width, dtype=np.float64).reshape(height, width)
+        want = arr[np.ix_(mirror_indices(height, pad), mirror_indices(width, pad))]
+        assert np.array_equal(mirror_pad(arr, pad), want)
 
     def test_invalid_axis(self):
         with pytest.raises(ParameterError):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import as_img, make_phantom, rand_image, textured_image
@@ -263,6 +263,14 @@ class TestEngine:
     @settings(max_examples=25, deadline=None)
     @given(case=engine_cases(), seed=st.integers(0, 2**32 - 1),
            self_weight=st.sampled_from(["natural", "max_neighbor"]), robust=st.booleans())
+    # case = (height, width, search radius, patch radius): single rows and
+    # columns, search radii of at least twice the longer side, patch radius 2
+    @example(case=(1, 23, 5, 1), seed=1, self_weight="natural", robust=True)
+    @example(case=(23, 1, 5, 1), seed=2, self_weight="max_neighbor", robust=False)
+    @example(case=(1, 9, 18, 2), seed=3, self_weight="max_neighbor", robust=True)
+    @example(case=(7, 1, 14, 2), seed=4, self_weight="natural", robust=False)
+    @example(case=(4, 6, 12, 2), seed=5, self_weight="natural", robust=True)
+    @example(case=(5, 3, 10, 2), seed=6, self_weight="max_neighbor", robust=False)
     def test_tiles_and_threads_keep_bits_and_oracle_agreement(self, case, seed, self_weight,
                                                               robust):
         height, width, search_radius, patch_radius = case

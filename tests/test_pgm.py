@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_image
 from despeckle import GrayImage, ParameterError, PgmParseError, load_pgm, save_pgm
+from despeckle import pgm
 
 
 def test_roundtrip_8bit(tmp_path):
@@ -144,7 +145,9 @@ class TestParseErrors:
         ("maxval", b"P5 1 1 " + b"9" * 5000 + b"\n\x00", 7),
         ("sample 1", b"P2 2 1 255 7 " + b"9" * 5000 + b"\n", 13),
         ("sample 1", b"P2 2 1 255 7 256\n", 13),
-    ], ids=["long-width", "long-height", "long-maxval", "long-sample", "sample-above-maxval"])
+        ("sample 1", b"P2 2 1 255 7 " + b"0" * 5000 + b"1\n", 13),
+    ], ids=["long-width", "long-height", "long-maxval", "long-sample", "sample-above-maxval",
+            "long-zero-padded-sample"])
     def test_bad_integer_token(self, tmp_path, what, payload, offset):
         # "long": beyond the interpreter's int-string digit limit
         err = self._err(tmp_path, payload)
@@ -186,6 +189,36 @@ def test_fuzz_load_gives_image_or_parse_error(tmp_path_factory, payload):
     except PgmParseError:
         return
     assert isinstance(img, GrayImage)
+
+
+_SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b" \x0b ", b"\x0c", b"   "])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bulk_and_scanned_ascii_rasters_agree(tmp_path_factory, data):
+    width, height = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    maxval = data.draw(st.sampled_from([1, 9, 255, 65535]))
+    values = data.draw(st.lists(st.integers(0, maxval), min_size=width * height,
+                                max_size=width * height))
+    tokens = [b"0" * data.draw(st.integers(0, 3)) + b"%d" % v for v in values]
+    seps = data.draw(st.lists(_SEPARATORS, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    raster = b"".join(s + t for s, t in zip(seps, tokens)) + seps[-1]
+    cut = data.draw(st.integers(0, len(tokens)))
+    commented = (b"".join(s + t for s, t in zip(seps[:cut], tokens[:cut]))
+                 + b"\n# a comment 12 x\n"
+                 + b"".join(s + t for s, t in zip(seps[cut:], tokens[cut:])) + seps[-1])
+    count = width * height
+    # the plain raster is parsed in bulk, the commented one by the scanner
+    assert pgm._bulk_samples(raster, count, maxval) is not None
+    assert pgm._bulk_samples(commented, count, maxval) is None
+    header = b"P2\n%d %d\n%d" % (width, height, maxval)
+    base = tmp_path_factory.getbasetemp()
+    (base / "bulk.pgm").write_bytes(header + raster)
+    (base / "scanned.pgm").write_bytes(header + commented)
+    bulk, scanned = load_pgm(base / "bulk.pgm"), load_pgm(base / "scanned.pgm")
+    assert bulk.pixels.tobytes() == scanned.pixels.tobytes()
+    assert bulk.pixels.tolist() == np.reshape(values, (height, width)).tolist()
 
 
 def test_missing_file_raises_oserror(tmp_path):
