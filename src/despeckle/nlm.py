@@ -203,6 +203,17 @@ def patch_distance(img: GrayImage, i: tuple[int, int], j: tuple[int, int],
     return float(np.sum(kernel.weights * (a - b) ** 2))
 
 
+def _check_radii(img: GrayImage, params: NlmParams) -> None:
+    """Reject a search or patch radius above 2 max(H, W, 10) before
+    anything is sized by it. The mirror-extended image repeats with
+    period 2H by 2W, so wider windows only revisit its samples; the
+    floor of 10 keeps the default radii valid on the smallest images."""
+    bound = 2 * max(img.height, img.width, 10)
+    where = f" for a {img.height}x{img.width} image"
+    check_int(params.search_radius, "search_radius" + where, 1, bound)
+    check_int(params.patch_radius, "patch_radius" + where, 1, bound)
+
+
 def _plan_tiles(threads, height: int, width: int) -> tuple[int, int]:
     """Tile height and worker count for the engine; starts nothing.
 
@@ -352,8 +363,10 @@ def nlm_denoise(img: GrayImage, params: NlmParams, threads: int = 1) -> GrayImag
 
     Each output pixel is the weighted mean of the search-window pixels,
     with weights exp(-d(i, j) / h^2) for the kernel-weighted squared
-    patch distance d. Output size equals input size.
+    patch distance d. Output size equals input size. Each radius may be
+    at most 2 max(H, W, 10).
     """
+    _check_radii(img, params)
     taps = gaussian_axis_weights(params.sigma_s, params.patch_radius)
     out = _filter_engine(img.pixels, params.search_radius, params.patch_radius,
                          taps, params.h, None, params.self_weight, threads)
@@ -389,9 +402,11 @@ def robust_nlm_denoise(img: GrayImage, params: RobustNlmParams, threads: int = 1
     band on the local mean absolute deviation, blurred with the same
     sigma. Only candidates that deviate from their own smoothed
     neighborhood by more than that band are discounted, which makes the
-    average robust to outliers at no cost on ordinary speckle.
+    average robust to outliers at no cost on ordinary speckle. Each
+    radius may be at most 2 max(H, W, 10).
     """
     v = img.pixels
+    _check_radii(img, params.base)
     corr = _corruption_factor(v, params.h2, params.prefilter_sigma)
     taps = gaussian_axis_weights(params.base.sigma_s, params.base.patch_radius)
     out = _filter_engine(v, params.base.search_radius, params.base.patch_radius,
@@ -415,6 +430,7 @@ def compute_weight_field(img: GrayImage, center: tuple[int, int],
     _check_center(img, center, "center")
     base = params.base
     big_r, r = base.search_radius, base.patch_radius
+    _check_radii(img, base)
     kernel = make_patch_kernel(r, base.sigma_s)
     v = img.pixels
     patches = sliding_window_view(_mirrored_block(v, center, big_r + r), kernel.weights.shape)

@@ -8,6 +8,7 @@ Writing always produces binary P5. Parse failures raise
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from .errors import ParameterError, PgmParseError
 from .image import GrayImage
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+# a comment runs from "#" to the end of its line, as in `_skip_separators`
+_COMMENT = re.compile(rb"#[^\n\r]*")
 
 
 def _skip_separators(data: bytes, pos: int) -> int:
@@ -48,8 +51,12 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
 
 
 def _bulk_samples(body: bytes, count: int, maxval: int) -> np.ndarray | None:
-    """The first ``count`` samples of a raster of digits and whitespace,
-    parsed in one call; None where the sample scanner must decide."""
+    """The first ``count`` samples of a raster of digits, whitespace and
+    ``#`` comments, parsed in one call; None where the sample scanner
+    must decide."""
+    if b"#" in body:
+        # same-length blanks keep every byte offset
+        body = _COMMENT.sub(lambda m: b" " * len(m[0]), body)
     # A sample with more digits than the interpreter converts (a limit of
     # at least 640) that still reads as at most 65535 starts with 636 zeros.
     if body.translate(None, b"0123456789" + _WHITESPACE) or b"0" * 636 in body:
@@ -107,8 +114,8 @@ def load_pgm(path) -> GrayImage:
             )
         samples = _bulk_samples(data[pos:], count, maxval)
         if samples is None:
-            # comments, stray bytes and bad samples: one sample at a time, so
-            # that errors carry the offending sample's byte offset
+            # stray bytes and bad samples: one sample at a time, so that
+            # errors carry the offending sample's byte offset
             samples = np.empty(count, dtype=np.float64)
             for k in range(count):
                 pos = _skip_separators(data, pos)

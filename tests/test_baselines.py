@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import as_img, make_step, rand_image, textured_image
 from despeckle import (
@@ -131,6 +135,16 @@ class TestSrad:
         assert out.max() <= arr.max() + 1e-9
         assert out.min() > 0.0
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_margin_values_never_reach_pixels(self):
+        # columns fall by 1e10 from 1e150, so each pixel's own differences
+        # stay finite, while the margin right of a row meets the next
+        # row's first pixel: a 1e300 jump whose q2 is inf - inf
+        arr = np.tile(1e150 * 1e-10 ** np.arange(31.0), (3, 1))
+        got = srad(as_img(arr), SradParams(iterations=2, dt=0.25)).pixels
+        assert np.array_equal(got, srad_reference(arr, 2, 0.25, 1.0, 1.0))
+
     def test_smooths_speckle(self):
         rng = np.random.Generator(np.random.Philox(44))
         arr = 100.0 * (1.0 + 0.2 * rng.standard_normal((32, 32)))
@@ -150,3 +164,68 @@ class TestSrad:
         with pytest.raises(ParameterError):
             SradParams(rho=-1.0)
         SradParams(rho=0.0)  # a frozen threshold is allowed
+
+
+# 1x1 to 24x24, single rows and columns among them
+SHAPES = st.one_of(st.tuples(st.integers(1, 24), st.integers(1, 24)),
+                   st.tuples(st.just(1), st.integers(1, 24)),
+                   st.tuples(st.integers(1, 24), st.just(1)))
+
+
+class TestProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(shape=SHAPES, seed=st.integers(0, 2**32 - 1), radius=st.integers(1, 3),
+           noise_sigma=st.sampled_from([0.0, 0.2, 0.5]), damping=st.sampled_from([0.5, 1.0, 4.0]))
+    # windows at least as wide as the image
+    @example(shape=(1, 1), seed=1, radius=3, noise_sigma=0.2, damping=1.0)
+    @example(shape=(2, 5), seed=2, radius=3, noise_sigma=0.5, damping=4.0)
+    @example(shape=(1, 17), seed=3, radius=2, noise_sigma=0.2, damping=0.5)
+    @example(shape=(13, 1), seed=4, radius=3, noise_sigma=0.0, damping=1.0)
+    def test_lee_and_frost_match_oracles(self, shape, seed, radius, noise_sigma, damping):
+        arr = rand_image(seed, *shape)
+        lee = lee_filter(as_img(arr), LeeParams(window_radius=radius, noise_sigma=noise_sigma))
+        assert np.max(np.abs(lee.pixels - naive_lee(arr, radius, noise_sigma))) < 1e-8
+        frost = frost_filter(as_img(arr), FrostParams(window_radius=radius, damping=damping))
+        assert np.max(np.abs(frost.pixels - naive_frost(arr, radius, damping))) < 1e-8
+
+    @settings(max_examples=25, deadline=None)
+    @given(shape=SHAPES, value=st.integers(0, 65535), radius=st.integers(1, 3))
+    def test_integer_constants_come_back_exactly(self, shape, value, radius):
+        img = as_img(np.full(shape, float(value)))
+        lee = lee_filter(img, LeeParams(window_radius=radius, noise_sigma=0.3))
+        frost = frost_filter(img, FrostParams(window_radius=radius, damping=2.0))
+        assert np.array_equal(lee.pixels, img.pixels)
+        assert np.array_equal(frost.pixels, img.pixels)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=SHAPES, seed=st.integers(0, 2**32 - 1), iterations=st.integers(0, 15),
+           dt=st.sampled_from([0.05, 0.25]), rho=st.sampled_from([0.0, 1.0]))
+    @example(shape=(1, 1), seed=1, iterations=3, dt=0.25, rho=1.0)
+    @example(shape=(1, 24), seed=2, iterations=15, dt=0.25, rho=0.0)
+    @example(shape=(24, 1), seed=3, iterations=15, dt=0.05, rho=1.0)
+    def test_srad_matches_reference(self, shape, seed, iterations, dt, rho):
+        arr = rand_image(seed, *shape, lo=1.0, hi=255.0)
+        got = srad(as_img(arr), SradParams(iterations=iterations, dt=dt, rho=rho)).pixels
+        want = srad_reference(arr, iterations, dt, 1.0, rho)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+class TestMemory:
+    # Each filter holds a fixed handful of image-sized buffers, whatever
+    # the window radius or the iteration count; per-pixel window copies
+    # would take 28 (Lee) to 105 (Frost, radius 3) image sizes.
+    @pytest.mark.parametrize("name, run", [
+        ("lee", lambda img: lee_filter(img, LeeParams(window_radius=2))),
+        ("frost-2", lambda img: frost_filter(img, FrostParams(window_radius=2))),
+        ("frost-3", lambda img: frost_filter(img, FrostParams(window_radius=3))),
+        ("srad", lambda img: srad(img, SradParams(iterations=3))),
+    ])
+    def test_peak_stays_under_twelve_images(self, name, run):
+        img = as_img(np.abs(textured_image(40, 256, 256)) + 1.0)
+        tracemalloc.start()
+        try:
+            run(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * img.pixels.nbytes, f"{name}: {peak / img.pixels.nbytes:.1f} images"

@@ -2,6 +2,8 @@ import os
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +195,26 @@ class TestDenoise:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "width" in err and "byte offset 3" in err
+
+    @pytest.mark.parametrize("flag", ["--search-radius", "--patch-radius"])
+    def test_oversized_radius_exits_2_fast(self, tmp_path, capsys, flag):
+        src = tmp_path / "in.pgm"
+        write_pgm(src, rand_image(83, 8, 8, lo=60, hi=200))
+        argv = ["denoise", str(src), str(tmp_path / "out.pgm"), flag, str(10**6)]
+        main(argv)  # lazy imports on first use are not the rejection's cost
+        capsys.readouterr()
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            rc = main(argv)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "8x8 image" in capsys.readouterr().err
+        assert elapsed < 0.5
+        assert peak < 2**20
 
     def test_threads_env_var(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "in.pgm"

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -431,6 +432,41 @@ class TestParams:
     def test_self_weight_validation(self):
         with pytest.raises(ParameterError):
             NlmParams(h=10.0, self_weight="clamp")
+
+    @pytest.mark.parametrize("search_radius, patch_radius", [(10**6, 1), (1, 10**6)])
+    def test_oversized_radius_fails_fast_in_bounded_memory(self, search_radius, patch_radius):
+        img = as_img(rand_image(25, 8, 8))
+        base = NlmParams(h=40.0, search_radius=search_radius, patch_radius=patch_radius)
+        robust = RobustNlmParams(base=base, h2=25.0)
+        for call in (lambda: nlm_denoise(img, base), lambda: robust_nlm_denoise(img, robust),
+                     lambda: compute_weight_field(img, (3, 3), robust)):
+            with pytest.raises(ParameterError):
+                call()  # lazy imports on first use are not the rejection's cost
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                with pytest.raises(ParameterError, match="8x8 image"):
+                    call()
+                elapsed = time.perf_counter() - start
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert elapsed < 0.5
+            assert peak < 2**20
+
+    def test_radius_bound_is_twice_the_longer_side_or_twenty(self):
+        tall = as_img(textured_image(26, 3, 12))
+        for search_radius, patch_radius in ((24, 1), (1, 24)):
+            base = NlmParams(h=40.0, search_radius=search_radius, patch_radius=patch_radius)
+            compute_weight_field(tall, (1, 5), RobustNlmParams(base=base, h2=25.0))
+        for search_radius, patch_radius in ((25, 1), (1, 25)):
+            with pytest.raises(ParameterError):
+                nlm_denoise(tall, NlmParams(h=40.0, search_radius=search_radius,
+                                            patch_radius=patch_radius))
+        one = as_img(np.array([[7.0]]))
+        assert nlm_denoise(one, NlmParams(h=40.0, search_radius=20)).pixels[0, 0] == 7.0
+        with pytest.raises(ParameterError):
+            nlm_denoise(one, NlmParams(h=40.0, search_radius=21))
 
     def test_h2_validation(self):
         with pytest.raises(ParameterError):

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -209,16 +210,41 @@ def test_bulk_and_scanned_ascii_rasters_agree(tmp_path_factory, data):
                  + b"\n# a comment 12 x\n"
                  + b"".join(s + t for s, t in zip(seps[cut:], tokens[cut:])) + seps[-1])
     count = width * height
-    # the plain raster is parsed in bulk, the commented one by the scanner
-    assert pgm._bulk_samples(raster, count, maxval) is not None
-    assert pgm._bulk_samples(commented, count, maxval) is None
+    # both rasters are parsed in bulk
+    assert pgm._bulk_samples(raster, count, maxval).tolist() == values
+    assert pgm._bulk_samples(commented, count, maxval).tolist() == values
     header = b"P2\n%d %d\n%d" % (width, height, maxval)
     base = tmp_path_factory.getbasetemp()
     (base / "bulk.pgm").write_bytes(header + raster)
     (base / "scanned.pgm").write_bytes(header + commented)
-    bulk, scanned = load_pgm(base / "bulk.pgm"), load_pgm(base / "scanned.pgm")
+    bulk = load_pgm(base / "bulk.pgm")
+    with mock.patch.object(pgm, "_bulk_samples", return_value=None):
+        scanned = load_pgm(base / "scanned.pgm")
     assert bulk.pixels.tobytes() == scanned.pixels.tobytes()
     assert bulk.pixels.tolist() == np.reshape(values, (height, width)).tolist()
+
+
+def test_commented_raster_is_parsed_in_bulk(tmp_path):
+    # comments right after maxval, touching a sample, ending at "\r", holding
+    # digits or "#", past the last sample, and at the end of the file
+    body = b"# c1 7\r1#2\n 2 # x # 9\r\n3\n4 5 6 # tail\n# last"
+    assert pgm._bulk_samples(body, 6, 255).tolist() == [1, 2, 3, 4, 5, 6]
+    path = tmp_path / "commented.pgm"
+    path.write_bytes(b"P2 3 2 255" + body)
+    with mock.patch.object(pgm, "_read_int", wraps=pgm._read_int) as read_int:
+        img = load_pgm(path)
+    assert img.pixels.tolist() == [[1, 2, 3], [4, 5, 6]]
+    assert read_int.call_count == 3  # the header's three integers only
+
+
+def test_commented_raster_errors_keep_their_offsets(tmp_path):
+    data = b"P2\n2 1\n9\n# note\n1 # 99\n12\n"
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(PgmParseError) as info:
+        load_pgm(path)
+    assert "sample 1 exceeds maxval 9" in str(info.value)
+    assert info.value.byte_offset == data.index(b"12\n")
 
 
 def test_missing_file_raises_oserror(tmp_path):
