@@ -9,11 +9,10 @@ wraps the lot; see the README for usage.
 
 from .baselines import FrostParams, LeeParams, SradParams, frost_filter, lee_filter, srad
 from .errors import DomainError, NumericError, ParameterError, PgmParseError
-from .image import GrayImage, gaussian_axis_weights, gaussian_blur, mirror_index
-from .metrics import CSV_HEADER, MetricReport, SsimParams, epi, evaluate, psnr, ssim
+from .image import GrayImage, gaussian_axis_weights, gaussian_blur
+from .metrics import CSV_HEADER, MetricReport, epi, evaluate, psnr, ssim
 from .nlm import (
     NlmParams,
-    PatchKernel,
     RobustNlmParams,
     WeightField,
     compute_weight_field,
@@ -46,12 +45,10 @@ __all__ = [
     "NoiseEstimate",
     "NumericError",
     "ParameterError",
-    "PatchKernel",
     "PgmParseError",
     "RobustNlmParams",
     "SpeckleParams",
     "SradParams",
-    "SsimParams",
     "WeightField",
     "add_gaussian_noise",
     "add_multiplicative_speckle",
@@ -67,7 +64,6 @@ __all__ = [
     "load_pgm",
     "log_compress",
     "make_patch_kernel",
-    "mirror_index",
     "nlm_denoise",
     "patch_distance",
     "psnr",

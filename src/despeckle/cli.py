@@ -28,7 +28,7 @@ from pathlib import Path
 from .baselines import FrostParams, LeeParams, SradParams, frost_filter, lee_filter, srad
 from .errors import DomainError, NumericError, ParameterError, PgmParseError, check_int, check_real
 from .image import GrayImage
-from .metrics import CSV_HEADER, SsimParams, evaluate
+from .metrics import CSV_HEADER, evaluate
 from .nlm import NlmParams, RobustNlmParams, nlm_denoise, robust_nlm_denoise
 from .noise import SpeckleParams, add_multiplicative_speckle, estimate_noise_sigma, exp_expand, log_compress
 from .pgm import load_pgm, save_pgm
@@ -52,21 +52,15 @@ def _fmt(value: float) -> str:
 
 def _resolve_threads(flag: int | None) -> int:
     if flag is not None:
-        requested = flag
-    else:
-        raw = os.environ.get(THREADS_ENV_VAR)
-        if raw is None or raw.strip() == "":
-            requested = 0
-        else:
-            try:
-                requested = int(raw)
-            except ValueError:
-                raise ParameterError(
-                    f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-                ) from None
-    if requested < 0:
-        raise ParameterError(f"--threads must be >= 0 (0 = auto), got {requested}")
-    return requested
+        return check_int(flag, "--threads (0 = auto)")
+    raw = os.environ.get(THREADS_ENV_VAR, "")
+    if raw.strip() == "":
+        return 0
+    try:
+        requested = int(raw)
+    except ValueError:
+        raise ParameterError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
+    return check_int(requested, f"{THREADS_ENV_VAR} (0 = auto)")
 
 
 def _prepare_filter(args: argparse.Namespace, work: GrayImage, threads: int):
@@ -200,7 +194,7 @@ def run_eval(args: argparse.Namespace) -> int:
            "image_id": image_id, "filter_name": args.filter_name,
            "peak": _fmt(args.peak),
            "report": args.report if args.report else "-"})
-    report = evaluate(reference, test, peak=args.peak, ssim_params=SsimParams())
+    report = evaluate(reference, test, peak=args.peak)
     row = report.csv_row(image_id, args.filter_name)
     print(row)
     if args.report:

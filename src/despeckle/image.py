@@ -2,11 +2,10 @@
 
 Every filter in this package extends images past their borders by
 half-sample mirror reflection: index -1 maps back to 0, index ``width``
-maps back to ``width - 1``. The reflection is defined once here by
-`mirror_index`, vectorised as `mirror_indices` for patch reads.
-`mirror_pad`, behind every blur and filter, is NumPy's ``symmetric``
-pad, which is the same reflection for any pad width (a test checks it
-against `mirror_indices`), so all modules agree about boundary values.
+maps back to ``width - 1``. The fold is defined once, by `mirror_pad`,
+which is NumPy's ``symmetric`` pad; patch reads fold their indices by
+padding ``np.arange(n)`` with it, so all modules agree about boundary
+values.
 """
 
 from __future__ import annotations
@@ -61,37 +60,11 @@ class GrayImage:
         return self.pixels.copy()
 
 
-def mirror_index(i: int, n: int) -> int:
-    """Fold integer index ``i`` into ``[0, n)`` by half-sample mirror reflection.
-
-    The reflected sequence for n = 3 is ... 1 0 | 0 1 2 | 2 1 0 0 1 ...
-    so -1 -> 0 and n -> n - 1. Works for any integer, not just indices
-    within one reflection period.
-    """
-    if n < 1:
-        raise ParameterError(f"axis length must be >= 1, got {n}")
-    if n == 1:
-        return 0
-    period = 2 * n
-    i %= period
-    return i if i < n else period - 1 - i
-
-
-def mirror_indices(n: int, pad: int) -> np.ndarray:
-    """Index vector realizing a mirror pad of width ``pad`` on an axis of length ``n``.
-
-    Entry k is ``mirror_index(k - pad, n)``, folded for all k at once.
-    """
-    period = 2 * check_int(n, "axis length", 1)
-    i = np.arange(-check_int(pad, "pad"), n + pad, dtype=np.intp) % period
-    return np.where(i < n, i, period - 1 - i)
-
-
 def mirror_pad(arr: np.ndarray, pad: int) -> np.ndarray:
-    """Pad a 2-D array on all sides by mirror reflection.
+    """Pad an array on all sides by half-sample mirror reflection.
 
-    NumPy's ``symmetric`` mode reflects about the half-sample point, as
-    `mirror_index` does, also for pads wider than the array.
+    NumPy's ``symmetric`` mode reflects about the half-sample point
+    (... 1 0 | 0 1 2 | 2 1 ...), also for pads wider than the array.
     """
     return np.pad(arr, pad, mode="symmetric")
 

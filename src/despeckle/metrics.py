@@ -14,9 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, check_real
-from .image import GrayImage, correlate1d_valid, gaussian_axis_weights, mirror_pad
+from .image import GrayImage, blur_array
 
 CSV_HEADER = "image_id,filter_name,psnr_db,ssim,epi"
+# SSIM's window sigma and stabilizer factors
+_SSIM_SIGMA = 1.5
+_SSIM_K1 = 0.01
+_SSIM_K2 = 0.03
 
 
 def _check_pair(reference: GrayImage, test: GrayImage) -> None:
@@ -40,59 +44,33 @@ def psnr(reference: GrayImage, test: GrayImage, peak: float = 255.0) -> float:
     return 10.0 * math.log10(peak ** 2 / mse)
 
 
-@dataclass(frozen=True)
-class SsimParams:
-    """Structural similarity constants.
-
-    The local window is the truncated, renormalized Gaussian of the
-    given sigma (11x11 at the default 1.5). Stabilizers are
-    C1 = (k1 L)^2 and C2 = (k2 L)^2 for dynamic range L.
-    """
-
-    window_sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
-    dynamic_range: float = 255.0
-
-    def __post_init__(self):
-        for name in ("window_sigma", "k1", "k2", "dynamic_range"):
-            object.__setattr__(self, name, check_real(getattr(self, name), name))
-
-    @property
-    def window_side(self) -> int:
-        return 2 * math.ceil(3.0 * self.window_sigma) + 1
-
-
-def _window_filter(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    r = taps.size // 2
-    padded = mirror_pad(arr, r)
-    return correlate1d_valid(correlate1d_valid(padded, taps, axis=0), taps, axis=1)
-
-
-def ssim(reference: GrayImage, test: GrayImage, params: SsimParams = SsimParams()) -> float:
+def ssim(reference: GrayImage, test: GrayImage, peak: float = 255.0) -> float:
     """Mean structural similarity over Gaussian-windowed local statistics.
 
-    Local means, variances, and covariance use mirror boundary, so the
-    score averages over the full image without border cropping.
-    Identical images score 1; the result lies in [-1, 1].
+    The window, 11x11 of sigma 1.5, and the stabilizers
+    C1 = (0.01 peak)^2 and C2 = (0.03 peak)^2 are those of Wang, Bovik,
+    Sheikh & Simoncelli (2004); ``peak`` is the dynamic range L. Local
+    means, variances, and covariance use mirror boundary, so the score
+    averages over the full image without border cropping. Identical
+    images score 1; the result lies in [-1, 1].
     """
     _check_pair(reference, test)
-    side = params.window_side
+    peak = check_real(peak, "peak")
+    side = 2 * math.ceil(3.0 * _SSIM_SIGMA) + 1
     if reference.height < side or reference.width < side:
         raise ParameterError(
             f"images must be at least {side}x{side} for window sigma "
-            f"{params.window_sigma}, got {reference.height}x{reference.width}"
+            f"{_SSIM_SIGMA}, got {reference.height}x{reference.width}"
         )
     x = reference.pixels
     y = test.pixels
-    taps = gaussian_axis_weights(params.window_sigma)
-    mu_x = _window_filter(x, taps)
-    mu_y = _window_filter(y, taps)
-    var_x = _window_filter(x * x, taps) - mu_x * mu_x
-    var_y = _window_filter(y * y, taps) - mu_y * mu_y
-    cov = _window_filter(x * y, taps) - mu_x * mu_y
-    c1 = (params.k1 * params.dynamic_range) ** 2
-    c2 = (params.k2 * params.dynamic_range) ** 2
+    mu_x = blur_array(x, _SSIM_SIGMA)
+    mu_y = blur_array(y, _SSIM_SIGMA)
+    var_x = blur_array(x * x, _SSIM_SIGMA) - mu_x * mu_x
+    var_y = blur_array(y * y, _SSIM_SIGMA) - mu_y * mu_y
+    cov = blur_array(x * y, _SSIM_SIGMA) - mu_x * mu_y
+    c1 = (_SSIM_K1 * peak) ** 2
+    c2 = (_SSIM_K2 * peak) ** 2
     score_map = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
         (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     )
@@ -154,12 +132,11 @@ class MetricReport:
         return f"{image_id},{filter_name},{fmt(self.psnr_db)},{fmt(self.ssim)},{fmt(self.epi)}"
 
 
-def evaluate(reference: GrayImage, test: GrayImage, peak: float = 255.0,
-             ssim_params: SsimParams | None = None) -> MetricReport:
-    """Compute all three metrics for one pair."""
-    params = ssim_params if ssim_params is not None else SsimParams()
+def evaluate(reference: GrayImage, test: GrayImage, peak: float = 255.0) -> MetricReport:
+    """Compute all three metrics for one pair; ``peak`` is the dynamic
+    range of both PSNR and SSIM."""
     return MetricReport(
         psnr_db=psnr(reference, test, peak=peak),
-        ssim=ssim(reference, test, params=params),
+        ssim=ssim(reference, test, peak=peak),
         epi=epi(reference, test),
     )

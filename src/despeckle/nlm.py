@@ -51,7 +51,6 @@ from .image import (
     correlate1d_into,
     correlate1d_valid,  # noqa: F401  (perfbench/tracing.py wraps this binding)
     gaussian_axis_weights,
-    mirror_indices,
     mirror_pad,
 )
 
@@ -60,40 +59,20 @@ SELF_WEIGHT_MODES = ("natural", "max_neighbor")
 _TILE_PIXELS = 32768
 
 
-@dataclass(frozen=True)
-class PatchKernel:
-    """Gaussian weighting of patch positions.
+def make_patch_kernel(radius: int, sigma_s: float) -> np.ndarray:
+    """The read-only (2 radius + 1)^2 Gaussian weighting of patch positions.
 
-    ``weights`` is the full (2 radius + 1)^2 grid, proportional to
+    It is the outer product of the engine's taps, proportional to
     exp(-(dx^2 + dy^2) / (2 sigma_s^2)) and normalized to sum 1. The
     unit sum is what makes patch distances commensurable across kernel
     sizes (and makes the additive-noise distance offset come out as
     exactly twice the noise variance).
     """
-
-    radius: int
-    sigma_s: float
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        side = 2 * self.radius + 1
-        if w.shape != (side, side):
-            raise ParameterError(f"kernel weights must be {side}x{side}, got {w.shape}")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ParameterError("kernel weights must sum to 1")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-
-def make_patch_kernel(radius: int, sigma_s: float) -> PatchKernel:
-    """Build the normalized Gaussian patch kernel of the given radius."""
-    radius = check_int(radius, "radius")
     taps = gaussian_axis_weights(sigma_s, radius)
     weights = np.outer(taps, taps)
     weights /= weights.sum()
-    return PatchKernel(radius=radius, sigma_s=float(sigma_s), weights=weights)
+    weights.setflags(write=False)
+    return weights
 
 
 @dataclass(frozen=True)
@@ -181,26 +160,32 @@ def _check_center(img: GrayImage, center: tuple[int, int], name: str) -> None:
         raise ParameterError(f"{name} {center} is outside a {img.height}x{img.width} image")
 
 
-def _mirrored_block(v: np.ndarray, center: tuple[int, int], radius: int) -> np.ndarray:
-    """The (2 radius + 1)^2 block around an in-bounds ``center`` of the
+def _mirrored_blocks(v: np.ndarray, radius: int, *centers: tuple[int, int]) -> list[np.ndarray]:
+    """The (2 radius + 1)^2 blocks around in-bounds ``centers`` of the
     mirror-extended surface."""
-    rows = mirror_indices(v.shape[0], radius)[center[0] : center[0] + 2 * radius + 1]
-    cols = mirror_indices(v.shape[1], radius)[center[1] : center[1] + 2 * radius + 1]
-    return v[np.ix_(rows, cols)]
+    rows, cols = (mirror_pad(np.arange(n), radius) for n in v.shape)
+    side = 2 * radius + 1
+    return [v[np.ix_(rows[y : y + side], cols[x : x + side])] for y, x in centers]
 
 
 def patch_distance(img: GrayImage, i: tuple[int, int], j: tuple[int, int],
-                   kernel: PatchKernel) -> float:
+                   kernel: np.ndarray) -> float:
     """Kernel-weighted squared distance between the patches around i and j.
 
-    Patch positions outside the image are read through mirror
+    ``kernel`` is a square 2-D array of odd side, as `make_patch_kernel`
+    returns. Patch positions outside the image are read through mirror
     reflection. Both centers must be in bounds.
     """
+    kernel = np.asarray(kernel, dtype=np.float64)
+    side = kernel.shape[0] if kernel.ndim == 2 else 0
+    if kernel.shape != (side, side) or side % 2 == 0:
+        raise ParameterError(
+            f"patch kernel must be a square 2-D array of odd side, got shape {kernel.shape}"
+        )
     _check_center(img, i, "i")
     _check_center(img, j, "j")
-    a = _mirrored_block(img.pixels, i, kernel.radius)
-    b = _mirrored_block(img.pixels, j, kernel.radius)
-    return float(np.sum(kernel.weights * (a - b) ** 2))
+    a, b = _mirrored_blocks(img.pixels, side // 2, i, j)
+    return float(np.sum(kernel * (a - b) ** 2))
 
 
 def _check_radii(img: GrayImage, params: NlmParams) -> None:
@@ -433,12 +418,12 @@ def compute_weight_field(img: GrayImage, center: tuple[int, int],
     _check_radii(img, base)
     kernel = make_patch_kernel(r, base.sigma_s)
     v = img.pixels
-    patches = sliding_window_view(_mirrored_block(v, center, big_r + r), kernel.weights.shape)
-    dist = np.sum(kernel.weights * (patches - patches[big_r, big_r]) ** 2, axis=(-2, -1))
+    patches = sliding_window_view(_mirrored_blocks(v, big_r + r, center)[0], kernel.shape)
+    dist = np.sum(kernel * (patches - patches[big_r, big_r]) ** 2, axis=(-2, -1))
     corr = _corruption_factor(v, params.h2, params.prefilter_sigma)
     hh1 = max(base.h * base.h, sys.float_info.min)  # mirror the engine's underflow guard
     with np.errstate(under="ignore"):
-        raw = np.exp(-dist / hh1) * _mirrored_block(corr, center, big_r)
+        raw = np.exp(-dist / hh1) * _mirrored_blocks(corr, big_r, center)[0]
     if base.self_weight == "max_neighbor":
         raw[big_r, big_r] = 0.0
         raw[big_r, big_r] = raw.max()

@@ -17,31 +17,17 @@ from .errors import ParameterError, PgmParseError
 from .image import GrayImage
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
-# a comment runs from "#" to the end of its line, as in `_skip_separators`
+# a comment runs from "#" to the end of its line
 _COMMENT = re.compile(rb"#[^\n\r]*")
-
-
-def _skip_separators(data: bytes, pos: int) -> int:
-    # Whitespace and '#' comments (to end of line) may separate header tokens.
-    n = len(data)
-    while pos < n:
-        b = data[pos : pos + 1]
-        if b in (b"#",):
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif b in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    return pos
+# whitespace and comments, which may separate any two tokens
+_SEPARATORS = re.compile(rb"(?:[" + re.escape(_WHITESPACE) + rb"]+|" + _COMMENT.pattern + rb")*")
+_DIGITS = re.compile(rb"[0-9]*")
 
 
 def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
     """Parse one ASCII unsigned integer token. Returns (value, token_start, next_pos)."""
-    pos = _skip_separators(data, pos)
-    start = pos
-    while pos < len(data) and data[pos : pos + 1].isdigit():
-        pos += 1
+    start = _SEPARATORS.match(data, pos).end()
+    pos = _DIGITS.match(data, start).end()
     if pos == start:
         raise PgmParseError(f"malformed header: expected integer {what}", start)
     try:
@@ -118,7 +104,7 @@ def load_pgm(path) -> GrayImage:
             # errors carry the offending sample's byte offset
             samples = np.empty(count, dtype=np.float64)
             for k in range(count):
-                pos = _skip_separators(data, pos)
+                pos = _SEPARATORS.match(data, pos).end()
                 if pos >= len(data):
                     raise PgmParseError(
                         f"truncated raster: expected {count} samples, got {k}", len(data)

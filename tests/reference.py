@@ -69,6 +69,30 @@ def naive_blur(arr, sigma):
     return conv2_full_mirror(arr, k / k.sum())
 
 
+def naive_ssim(x, y, peak):
+    """Mean SSIM of Wang, Bovik, Sheikh & Simoncelli (2004): local
+    statistics over the 11x11 Gaussian window of sigma 1.5 with mirrored
+    reads, stabilizers C1 = (0.01 peak)^2 and C2 = (0.03 peak)^2."""
+    k = naive_kernel(5, 1.5)
+    mu_x = conv2_full_mirror(x, k)
+    mu_y = conv2_full_mirror(y, k)
+    xx = conv2_full_mirror(x * x, k)
+    yy = conv2_full_mirror(y * y, k)
+    xy = conv2_full_mirror(x * y, k)
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
+    scores = []
+    for r in range(x.shape[0]):
+        for c in range(x.shape[1]):
+            mx, my = float(mu_x[r, c]), float(mu_y[r, c])
+            var_x = float(xx[r, c]) - mx * mx
+            var_y = float(yy[r, c]) - my * my
+            cov = float(xy[r, c]) - mx * my
+            scores.append((2.0 * mx * my + c1) * (2.0 * cov + c2)
+                          / ((mx * mx + my * my + c1) * (var_x + var_y + c2)))
+    return math.fsum(scores) / len(scores)
+
+
 def _padded(arr, pad):
     h, w = arr.shape
     rows = [reflect(i - pad, h) for i in range(h + 2 * pad)]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import as_img, make_phantom, rand_image
-from despeckle import GrayImage, load_pgm, save_pgm
+from despeckle import GrayImage, add_gaussian_noise, load_pgm, save_pgm, ssim
 from despeckle.cli import main
 
 FAST = ["--search-radius", "3", "--patch-radius", "1"]
@@ -234,6 +234,22 @@ class TestDenoise:
         assert rc == 2
         assert "DESPECKLE_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["--threads", "DESPECKLE_THREADS"])
+    def test_negative_threads_exits_2(self, tmp_path, capsys, monkeypatch, source):
+        src = tmp_path / "in.pgm"
+        dst = tmp_path / "out.pgm"
+        write_pgm(src, rand_image(84, 12, 12, lo=60, hi=200))
+        argv = ["denoise", str(src), str(dst), "--filter", "nlm", "--h", "20", *FAST]
+        if source == "--threads":
+            argv += ["--threads", "-1"]
+        else:
+            monkeypatch.setenv("DESPECKLE_THREADS", "-1")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and source in err and "-1" in err
+        assert ("DESPECKLE_THREADS" in err) == (source == "DESPECKLE_THREADS")
+        assert not dst.exists()
+
     def test_threads_flag_beats_env(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "in.pgm"
         dst = tmp_path / "out.pgm"
@@ -276,6 +292,17 @@ class TestEval:
         assert lines[0] == "image_id,filter_name,psnr_db,ssim,epi"
         assert len(lines) == 3
         assert lines[2].startswith("second,")
+
+    def test_peak_sets_ssim_range(self, tmp_path, capsys):
+        ref, test = tmp_path / "ref16.pgm", tmp_path / "test16.pgm"
+        clean = GrayImage.from_array(make_phantom(side=32) * 257.0)
+        write_pgm(ref, clean.pixels, maxval=65535)
+        write_pgm(test, add_gaussian_noise(clean, sigma=2000.0, seed=85).pixels, maxval=65535)
+        assert main(["eval", str(ref), str(test), "--peak", "65535"]) == 0
+        score = capsys.readouterr().out.strip().split(",")[3]
+        pair = load_pgm(ref), load_pgm(test)
+        assert score == f"{ssim(*pair, peak=65535.0):.6f}"
+        assert score != f"{ssim(*pair):.6f}"
 
     def test_shape_mismatch_exits_2(self, tmp_path, capsys):
         ref = tmp_path / "ref.pgm"

@@ -11,9 +11,8 @@ from despeckle import (
     ParameterError,
     gaussian_axis_weights,
     gaussian_blur,
-    mirror_index,
 )
-from despeckle.image import mirror_indices, mirror_pad
+from despeckle.image import mirror_pad
 from reference import conv2_full_mirror, naive_blur, reflect
 
 
@@ -52,39 +51,36 @@ class TestGrayImage:
             GrayImage.from_array(bad)
 
 
+def folded(n, pad):
+    """Where `mirror_pad` sends each index of an axis of length n padded
+    by ``pad``: entry k is the fold of k - pad."""
+    return mirror_pad(np.arange(n), pad).tolist()
+
+
 class TestMirror:
     def test_edge_cases(self):
-        assert mirror_index(-1, 5) == 0
-        assert mirror_index(5, 5) == 4
-        assert mirror_index(0, 5) == 0
-        assert mirror_index(4, 5) == 4
-        assert mirror_index(-2, 5) == 1
-        assert mirror_index(6, 5) == 3
-        assert mirror_index(7, 1) == 0
+        row = folded(5, 2)  # row[k + 2] is where index k folds to
+        assert (row[-1 + 2], row[5 + 2]) == (0, 4)  # -1 -> 0, n -> n - 1
+        assert row == [1, 0, 0, 1, 2, 3, 4, 4, 3]
+        assert folded(1, 7) == [0] * 15
+        # pads wider than 2n reflect over several periods
+        assert folded(2, 5) == [0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1]
+        assert folded(3, 7) == [0, 0, 1, 2, 2, 1, 0, 0, 1, 2, 2, 1, 0, 0, 1, 2, 2]
 
-    @given(st.integers(-200, 200), st.integers(1, 20))
-    def test_matches_fold_oracle_and_stays_in_range(self, i, n):
-        got = mirror_index(i, n)
-        assert 0 <= got < n
-        assert got == reflect(i, n)
-        # half-sample symmetry about the left edge
-        assert mirror_index(-1 - i, n) == mirror_index(i, n)
-
-    @given(st.integers(1, 20), st.integers(0, 60))
-    def test_vector_fold_matches_scalar_fold(self, n, pad):
-        got = mirror_indices(n, pad)
-        assert got.dtype == np.intp
-        assert got.tolist() == [mirror_index(i - pad, n) for i in range(n + 2 * pad)]
+    @given(st.integers(1, 20), st.integers(0, 200))
+    def test_matches_fold_oracle_and_stays_in_range(self, n, pad):
+        got = folded(n, pad)
+        assert all(0 <= i < n for i in got)
+        assert got == [reflect(k - pad, n) for k in range(n + 2 * pad)]
+        # half-sample symmetry about the left edge: -1 - i folds like i
+        assert got[:pad][::-1] == got[pad : 2 * pad]
 
     @given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 60))
     def test_pad_matches_index_fold(self, height, width, pad):
         arr = np.arange(height * width, dtype=np.float64).reshape(height, width)
-        want = arr[np.ix_(mirror_indices(height, pad), mirror_indices(width, pad))]
-        assert np.array_equal(mirror_pad(arr, pad), want)
-
-    def test_invalid_axis(self):
-        with pytest.raises(ParameterError):
-            mirror_index(0, 0)
+        rows = [reflect(k - pad, height) for k in range(height + 2 * pad)]
+        cols = [reflect(k - pad, width) for k in range(width + 2 * pad)]
+        assert np.array_equal(mirror_pad(arr, pad), arr[np.ix_(rows, cols)])
 
 
 class TestAxisWeights:

@@ -7,7 +7,6 @@ from conftest import as_img, make_phantom, make_step, rand_image
 from despeckle import (
     MetricReport,
     ParameterError,
-    SsimParams,
     add_gaussian_noise,
     epi,
     evaluate,
@@ -15,6 +14,7 @@ from despeckle import (
     psnr,
     ssim,
 )
+from reference import naive_ssim
 
 
 class TestPsnr:
@@ -91,16 +91,31 @@ class TestSsim:
             ssim(tiny, tiny)
 
     def test_window_side_derivation(self):
-        assert SsimParams().window_side == 11
-        assert SsimParams(window_sigma=1.0).window_side == 7
+        # the window of sigma 1.5 is 11x11: the smallest image it fits
+        img = as_img(rand_image(57, 11, 11))
+        assert ssim(img, img) == 1.0
+        narrow = as_img(np.zeros((11, 10)))
+        with pytest.raises(ParameterError, match="11x11"):
+            ssim(narrow, narrow)
 
     def test_params_validation(self):
-        with pytest.raises(ParameterError):
-            SsimParams(window_sigma=0.0)
-        with pytest.raises(ParameterError):
-            SsimParams(k1=-0.01)
-        with pytest.raises(ParameterError):
-            SsimParams(dynamic_range=0.0)
+        img = as_img(rand_image(58, 12, 12))
+        for peak in (0.0, -255.0, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="peak"):
+                ssim(img, img, peak=peak)
+
+    @pytest.mark.parametrize("peak", [255.0, 65535.0])
+    @pytest.mark.parametrize("seed, shape", [(0, (11, 11)), (1, (16, 23)), (2, (21, 14))])
+    def test_matches_naive_oracle(self, peak, seed, shape):
+        x = rand_image(seed, *shape, hi=peak)
+        noise = rand_image(seed + 100, *shape, lo=-0.2 * peak, hi=0.2 * peak)
+        y = np.clip(x + noise, 0.0, peak)
+        got = ssim(as_img(x), as_img(y), peak=peak)
+        assert abs(got - naive_ssim(x, y, peak)) <= 1e-12
+        # 8-bit data scored with a 16-bit range: only the stabilizers move
+        if peak == 65535.0:
+            small = ssim(as_img(x / 257.0), as_img(y / 257.0), peak=peak)
+            assert abs(small - naive_ssim(x / 257.0, y / 257.0, peak)) <= 1e-12
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ParameterError):
@@ -147,6 +162,14 @@ class TestReportAndEvaluate:
         assert report.psnr_db == psnr(ref, noisy)
         assert report.ssim == ssim(ref, noisy)
         assert report.epi == epi(ref, noisy)
+
+    def test_evaluate_passes_peak_to_psnr_and_ssim(self):
+        ref = as_img(make_phantom(side=32) * 257.0)
+        noisy = add_gaussian_noise(ref, sigma=2000.0, seed=62)
+        report = evaluate(ref, noisy, peak=65535.0)
+        assert report.psnr_db == psnr(ref, noisy, peak=65535.0)
+        assert report.ssim == ssim(ref, noisy, peak=65535.0)
+        assert report.ssim != ssim(ref, noisy)
 
     def test_csv_row_formatting(self):
         row = MetricReport(psnr_db=28.1234567, ssim=0.912345649, epi=0.5).csv_row(

@@ -50,17 +50,23 @@ class TestPatchKernel:
         for radius, sigma_s in ((1, 0.5), (2, 1.0), (3, 1.5), (4, 2.7)):
             kern = make_patch_kernel(radius, sigma_s)
             ref = naive_kernel(radius, sigma_s)
-            assert kern.weights.shape == (2 * radius + 1, 2 * radius + 1)
-            assert np.allclose(kern.weights, ref, rtol=0, atol=1e-14)
+            assert isinstance(kern, np.ndarray) and kern.dtype == np.float64
+            assert kern.shape == (2 * radius + 1, 2 * radius + 1)
+            assert np.allclose(kern, ref, rtol=0, atol=1e-14)
 
     def test_sums_to_one(self):
         kern = make_patch_kernel(3, 1.5)
-        assert math.isclose(float(kern.weights.sum()), 1.0, abs_tol=1e-12)
+        assert math.isclose(float(kern.sum()), 1.0, abs_tol=1e-12)
+
+    def test_is_read_only(self):
+        kern = make_patch_kernel(2, 1.0)
+        with pytest.raises(ValueError):
+            kern[0, 0] = 1.0
 
     def test_radius_zero_is_single_unit_weight(self):
         kern = make_patch_kernel(0, 1.0)
-        assert kern.weights.shape == (1, 1)
-        assert kern.weights[0, 0] == 1.0
+        assert kern.shape == (1, 1)
+        assert kern[0, 0] == 1.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ParameterError):
@@ -98,6 +104,12 @@ class TestPatchDistance:
         kern = make_patch_kernel(1, 0.5)
         with pytest.raises(ParameterError):
             patch_distance(img, (6, 0), (1, 1), kern)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (9,), (3, 3, 3)])
+    def test_rejects_kernel_not_square_of_odd_side(self, shape):
+        img = as_img(rand_image(4, 8, 8))
+        with pytest.raises(ParameterError, match="odd side"):
+            patch_distance(img, (2, 2), (5, 5), np.full(shape, 1.0 / math.prod(shape)))
 
 
 class TestClassicAgainstOracle:
