@@ -8,10 +8,10 @@ Exit codes: 0 success, 2 usage or parameter problems (including a
 missing input file), 1 runtime failures (parse errors, numeric
 blowups, I/O). Every run echoes its fully resolved configuration to
 standard error before doing any work, so logs capture the effective
-parameters. The default worker cap for the non-local filters comes
-from the DESPECKLE_THREADS environment variable when --threads is not
-given; 0 means one worker per CPU, and larger values are capped at the
-CPU count.
+parameters. The worker cap for the non-local filters comes from
+--threads, else from the DESPECKLE_THREADS environment variable; 0 means
+one worker per CPU. The echoed ``threads`` is the number of workers the
+engine starts: never more than the CPUs or the row tiles.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .baselines import FrostParams, LeeParams, SradParams, frost_filter, lee_fil
 from .errors import DomainError, NumericError, ParameterError, PgmParseError, check_int, check_real
 from .image import GrayImage
 from .metrics import CSV_HEADER, evaluate
-from .nlm import NlmParams, RobustNlmParams, nlm_denoise, robust_nlm_denoise
+from .nlm import NlmParams, RobustNlmParams, _plan_tiles, nlm_denoise, robust_nlm_denoise
 from .noise import SpeckleParams, add_multiplicative_speckle, estimate_noise_sigma, exp_expand, log_compress
 from .pgm import load_pgm, save_pgm
 
@@ -73,9 +73,10 @@ def _prepare_filter(args: argparse.Namespace, work: GrayImage, threads: int):
     echo: dict = {"filter": name}
 
     if name in ("nlm", "robust-nlm"):
-        if args.sigma_n is not None:
-            sigma_n = check_real(args.sigma_n, "--sigma-n", nonnegative=True)
-        else:
+        sigma_n = args.sigma_n  # stays None when no default needs it
+        if sigma_n is not None:
+            sigma_n = check_real(sigma_n, "--sigma-n", nonnegative=True)
+        elif args.h is None or (name == "robust-nlm" and args.h2 is None):
             sigma_n = estimate_noise_sigma(work).sigma_n
         h1 = float(args.h) if args.h is not None else max(9.0 * sigma_n, H1_FLOOR)
         self_weight = args.self_weight.replace("-", "_")
@@ -89,8 +90,8 @@ def _prepare_filter(args: argparse.Namespace, work: GrayImage, threads: int):
             "patch_window": f"{patch_side}x{patch_side}",
             "sigma_s": _fmt(base.sigma_s),
             "self_weight": base.self_weight,
-            "sigma_n": _fmt(sigma_n),
-            "threads": threads,
+            "sigma_n": "-" if sigma_n is None else _fmt(sigma_n),
+            "threads": _plan_tiles(threads, work.height, work.width)[1],
         })
         if name == "nlm":
             echo["h"] = _fmt(base.h)
@@ -135,8 +136,6 @@ def _prepare_filter(args: argparse.Namespace, work: GrayImage, threads: int):
                  "positivity_shift": _fmt(shift)})
 
     def run(image: GrayImage) -> GrayImage:
-        if shift == 0.0:
-            return srad(image, params)
         lifted = srad(GrayImage(image.pixels + shift), params)
         return GrayImage(lifted.pixels - shift)
 
@@ -148,7 +147,7 @@ def _load_and_prepare(args: argparse.Namespace, echo: dict):
     and echo the resolved configuration: the part `denoise` and `bench`
     share. ``echo`` holds the command's own fields.
 
-    Returns (working-domain image, filter run, domain, threads).
+    Returns (working-domain image, filter run, domain, worker count).
     """
     img = load_pgm(args.input)
     domain = args.domain or ("log" if args.filter == "robust-nlm" else "linear")
@@ -158,7 +157,7 @@ def _load_and_prepare(args: argparse.Namespace, echo: dict):
     run, filter_echo = _prepare_filter(args, work, threads)
     _echo({"command": args.command, "input": args.input, **echo, "domain": domain,
            "epsilon": _fmt(epsilon), **filter_echo})
-    return work, run, domain, threads
+    return work, run, domain, filter_echo.get("threads", 1)  # 1: lee, frost, srad
 
 
 def run_synth(args: argparse.Namespace) -> int:
@@ -242,28 +241,32 @@ def build_parser() -> argparse.ArgumentParser:
                              help="filtering domain; default log for robust-nlm, linear otherwise")
     filter_args.add_argument("--epsilon", type=float, default=1.0,
                              help="offset used by the log transform (default 1.0)")
-    filter_args.add_argument("--search-radius", type=int, default=10)
-    filter_args.add_argument("--patch-radius", type=int, default=3)
+    filter_args.add_argument("--search-radius", type=int, default=NlmParams.search_radius)
+    filter_args.add_argument("--patch-radius", type=int, default=NlmParams.patch_radius)
     filter_args.add_argument("--sigma-s", type=float, default=None,
                              help="patch kernel sigma; default patch_radius / 2")
     filter_args.add_argument("--h", type=float, default=None,
                              help="similarity decay (h1 for robust-nlm); default 9 * sigma_n")
     filter_args.add_argument("--h2", type=float, default=None,
                              help="corruption decay for robust-nlm; default 148 / sigma_n, capped at 1e12")
-    filter_args.add_argument("--prefilter-sigma", type=float, default=1.5)
+    filter_args.add_argument("--prefilter-sigma", type=float,
+                             default=RobustNlmParams.prefilter_sigma)
     filter_args.add_argument("--sigma-n", type=float, default=None,
                              help="noise level override; skips blind estimation")
     filter_args.add_argument("--self-weight", choices=("natural", "max-neighbor"),
-                             default="natural")
-    filter_args.add_argument("--window-radius", type=int, default=2,
+                             default=NlmParams.self_weight)
+    filter_args.add_argument("--window-radius", type=int, default=LeeParams.window_radius,
                              help="lee/frost window radius")
     filter_args.add_argument("--noise-sigma", type=float, default=None,
                              help="lee noise coefficient of variation; default sigma_n / mean")
-    filter_args.add_argument("--damping", type=float, default=1.0, help="frost damping K")
-    filter_args.add_argument("--iterations", type=int, default=100, help="srad iterations")
-    filter_args.add_argument("--dt", type=float, default=0.05, help="srad time step")
-    filter_args.add_argument("--q0", type=float, default=1.0, help="srad initial speckle scale")
-    filter_args.add_argument("--rho", type=float, default=1.0, help="srad q0 decay rate")
+    filter_args.add_argument("--damping", type=float, default=FrostParams.damping,
+                             help="frost damping K")
+    filter_args.add_argument("--iterations", type=int, default=SradParams.iterations,
+                             help="srad iterations")
+    filter_args.add_argument("--dt", type=float, default=SradParams.dt, help="srad time step")
+    filter_args.add_argument("--q0", type=float, default=SradParams.q0,
+                             help="srad initial speckle scale")
+    filter_args.add_argument("--rho", type=float, default=SradParams.rho, help="srad q0 decay rate")
     filter_args.add_argument("--threads", type=int, default=None,
                              help=f"worker cap for nlm filters, at most the CPU count; 0 = one per CPU; "
                                   f"default from {THREADS_ENV_VAR}")
@@ -316,10 +319,7 @@ def main(argv=None) -> int:
     except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PgmParseError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PgmParseError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

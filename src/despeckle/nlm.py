@@ -211,9 +211,8 @@ def _plan_tiles(threads, height: int, width: int) -> tuple[int, int]:
     return rows, min(cap, -(-height // rows))
 
 
-def _filter_engine(v: np.ndarray, search_radius: int, patch_radius: int,
-                   taps: np.ndarray, h: float, corr: np.ndarray | None,
-                   self_weight: str, threads: int) -> np.ndarray:
+def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
+                   threads: int) -> GrayImage:
     """Weighted mean over the search window, tile by tile.
 
     The input and the penalty are mirror-padded by R + r (R the search
@@ -237,7 +236,9 @@ def _filter_engine(v: np.ndarray, search_radius: int, patch_radius: int,
     values plus tile x S values each for ``acc``, ``norm`` and, for
     ``max_neighbor``, ``wmax``.
     """
-    big_r, r = search_radius, patch_radius
+    v = img.pixels
+    big_r, r = params.search_radius, params.patch_radius
+    taps = gaussian_axis_weights(params.sigma_s, r)
     height, width = v.shape
     pad = big_r + r
     stride = width + 2 * pad
@@ -245,11 +246,9 @@ def _filter_engine(v: np.ndarray, search_radius: int, patch_radius: int,
     corr_padded = mirror_pad(corr, pad).ravel() if corr is not None else None
     # Guard h*h against underflow to 0: -1/0 would be -inf and an
     # exact-zero distance (identical patches) would produce 0 * -inf = NaN.
-    inv_h = -1.0 / max(h * h, sys.float_info.min)
-    skip_self = self_weight == "max_neighbor"
+    inv_h = -1.0 / max(params.h * params.h, sys.float_info.min)
+    skip_self = params.self_weight == "max_neighbor"
     tile_rows, workers = _plan_tiles(threads, height, width)
-    half = list(range(1, big_r + 1))
-    half += [dy * stride + dx for dy in range(1, big_r + 1) for dx in range(-big_r, big_r + 1)]
     halo = r * stride + r  # from a patch centre to its first tap
     scratch_size = (tile_rows + big_r + 2 * r) * stride
     out = np.empty((height, width))
@@ -287,6 +286,8 @@ def _filter_engine(v: np.ndarray, search_radius: int, patch_radius: int,
         else:
             norm.fill(1.0)
             np.copyto(acc, center)
+        half = (dy * stride + dx for dy in range(big_r + 1)
+                for dx in range(-big_r if dy else 1, big_r + 1))
         for m in half:
             # E over [k0 - m, k0 + size), from squared differences grown
             # by the patch halo on each side
@@ -340,7 +341,8 @@ def _filter_engine(v: np.ndarray, search_radius: int, patch_radius: int,
         work(tiles)
         for fut in helpers:
             fut.result()
-    return out
+    del padded, corr_padded  # free them before GrayImage copies ``out``
+    return GrayImage(out)
 
 
 def nlm_denoise(img: GrayImage, params: NlmParams, threads: int = 1) -> GrayImage:
@@ -352,10 +354,7 @@ def nlm_denoise(img: GrayImage, params: NlmParams, threads: int = 1) -> GrayImag
     at most 2 max(H, W, 10).
     """
     _check_radii(img, params)
-    taps = gaussian_axis_weights(params.sigma_s, params.patch_radius)
-    out = _filter_engine(img.pixels, params.search_radius, params.patch_radius,
-                         taps, params.h, None, params.self_weight, threads)
-    return GrayImage(out)
+    return _filter_engine(img, params, None, threads)
 
 
 def _corruption_factor(v: np.ndarray, h2: float, sigma: float) -> np.ndarray:
@@ -390,13 +389,9 @@ def robust_nlm_denoise(img: GrayImage, params: RobustNlmParams, threads: int = 1
     average robust to outliers at no cost on ordinary speckle. Each
     radius may be at most 2 max(H, W, 10).
     """
-    v = img.pixels
     _check_radii(img, params.base)
-    corr = _corruption_factor(v, params.h2, params.prefilter_sigma)
-    taps = gaussian_axis_weights(params.base.sigma_s, params.base.patch_radius)
-    out = _filter_engine(v, params.base.search_radius, params.base.patch_radius,
-                         taps, params.base.h, corr, params.base.self_weight, threads)
-    return GrayImage(out)
+    corr = _corruption_factor(img.pixels, params.h2, params.prefilter_sigma)
+    return _filter_engine(img, params.base, corr, threads)
 
 
 def compute_weight_field(img: GrayImage, center: tuple[int, int],

@@ -4,14 +4,28 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import as_img, make_phantom, rand_image
-from despeckle import GrayImage, add_gaussian_noise, load_pgm, save_pgm, ssim
-from despeckle.cli import main
+from despeckle import (
+    FrostParams,
+    GrayImage,
+    LeeParams,
+    NlmParams,
+    RobustNlmParams,
+    SradParams,
+    add_gaussian_noise,
+    load_pgm,
+    nlm_denoise,
+    save_pgm,
+    ssim,
+)
+from despeckle.cli import build_parser, main
+from despeckle.nlm import _plan_tiles
 
 FAST = ["--search-radius", "3", "--patch-radius", "1"]
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -223,7 +237,43 @@ class TestDenoise:
         monkeypatch.setenv("DESPECKLE_THREADS", "2")
         rc = main(["denoise", str(src), str(dst), "--filter", "nlm", "--h", "20", *FAST])
         assert rc == 0
-        assert parse_echo(capsys.readouterr().err)["threads"] == "2"
+        assert parse_echo(capsys.readouterr().err)["threads"] == str(min(2, os.cpu_count()))
+
+    @pytest.mark.parametrize("side, threads", [(64, 0), (64, 64), (1, 64)])
+    def test_threads_echo_the_engine_worker_count(self, tmp_path, capsys, side, threads):
+        src = tmp_path / "in.pgm"
+        write_pgm(src, rand_image(86, side, side, lo=60, hi=200))
+        workers = _plan_tiles(threads, side, side)[1]
+        assert side > 1 or workers == 1
+        flags = ["--filter", "nlm", "--h", "20", "--threads", str(threads), *FAST]
+        assert main(["denoise", str(src), str(tmp_path / "out.pgm"), *flags]) == 0
+        assert parse_echo(capsys.readouterr().err)["threads"] == str(workers)
+        assert main(["bench", str(src), "--repeats", "1", *flags]) == 0
+        captured = capsys.readouterr()
+        assert parse_echo(captured.err)["threads"] == str(workers)
+        assert f" threads={workers} " in captured.out
+
+    def test_baseline_bench_reports_one_thread(self, tmp_path, capsys):
+        src = tmp_path / "in.pgm"
+        write_pgm(src, rand_image(87, 64, 64, lo=60, hi=200))
+        for name in ("lee", "frost", "srad"):
+            argv = ["bench", str(src), "--filter", name, "--repeats", "1", "--threads", "0"]
+            assert main([*argv, "--iterations", "1"]) == 0
+            assert f"bench: filter={name} repeats=1 threads=1 " in capsys.readouterr().out
+
+    def test_explicit_decays_need_no_noise_estimate(self, tmp_path, capsys):
+        # the blind estimate needs a 3x3 image; a 2x2 one filters when
+        # --h (and for robust-nlm --h2) leave it unused
+        src, dst, want = tmp_path / "in.pgm", tmp_path / "out.pgm", tmp_path / "want.pgm"
+        write_pgm(src, [[10, 200], [90, 40]])
+        assert main(["denoise", str(src), str(dst), "--filter", "nlm", "--h", "10"]) == 0
+        assert parse_echo(capsys.readouterr().err)["sigma_n"] == "-"
+        save_pgm(nlm_denoise(load_pgm(src), NlmParams(h=10.0)), want)
+        assert dst.read_bytes() == want.read_bytes()
+        assert main(["denoise", str(src), str(dst), "--h", "10", "--h2", "5"]) == 0
+        assert parse_echo(capsys.readouterr().err)["sigma_n"] == "-"
+        assert main(["denoise", str(src), str(dst), "--h", "10"]) == 2
+        assert "noise estimation needs at least a 3x3 image, got 2x2" in capsys.readouterr().err
 
     def test_bad_threads_env_exits_2(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "in.pgm"
@@ -350,6 +400,18 @@ class TestParsing:
 
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
+
+    def test_filter_defaults_come_from_the_parameter_classes(self):
+        args = build_parser().parse_args(["denoise", "in.pgm", "out.pgm"])
+        sources = {NlmParams: ("search_radius", "patch_radius", "self_weight"),
+                   RobustNlmParams: ("prefilter_sigma",), LeeParams: ("window_radius",),
+                   FrostParams: ("damping",), SradParams: ("iterations", "dt", "q0", "rho")}
+        for cls, names in sources.items():
+            defaults = {field.name: field.default for field in fields(cls)}
+            for name in names:
+                assert getattr(args, name) == defaults[name], (cls.__name__, name)
+        # --window-radius feeds both filters
+        assert LeeParams.window_radius == FrostParams.window_radius
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

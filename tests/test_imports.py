@@ -1,9 +1,11 @@
 """No module of the package imports a name that it neither uses nor
-exports in ``__all__``.
+exports in ``__all__``, and no module defines a private helper that
+the package never uses.
 
-The project depends on no linter, so this test stands in for the
-unused-import check. An import line marked ``# noqa`` is exempt: it
-keeps a binding that code outside the package reaches through the module.
+The project depends on no linter, so these tests stand in for the
+unused-import and dead-code checks. An import line marked ``# noqa`` is
+exempt: it keeps a binding that code outside the package reaches
+through the module.
 """
 
 import ast
@@ -60,3 +62,64 @@ def test_guard_flags_unused_and_spares_used_exported_and_noqa():
         "    return numpy.linalg.norm(osp)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 6: pi", "line 13: compile"]
+
+
+def dead_private_names(sources):
+    """``"module: name"`` for each module-level ``_name`` that ``sources``
+    (module name -> source) define but use nowhere outside its own
+    definition; a use is a load, an attribute read or an import."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    uses = []
+    for tree in trees.values():
+        for node in tree.body:
+            used = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    used.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    used.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    used.add(sub.name)
+            uses.append((node, used))
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if (name.startswith("_") and not name.startswith("__")
+                        and not any(name in used for other, used in uses if other is not node)):
+                    dead.append(f"{module}: {name}")
+    return dead
+
+
+def test_every_private_helper_is_used():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert dead_private_names(sources) == []
+
+
+def test_dead_name_guard_flags_unused_and_self_only_helpers():
+    sources = {
+        "a": ("_LIMIT = 3\n"
+              "_unused = 1\n"
+              "def _recurse(n):\n"
+              "    return _recurse(n - 1)\n"
+              "def _called():\n"
+              "    return _LIMIT\n"
+              "def public():\n"
+              "    return _called()\n"
+              "def _imported():\n"
+              "    pass\n"
+              "class _Reached:\n"
+              "    pass\n"
+              "__version__ = '1'\n"),
+        "b": ("from .a import _imported\n"
+              "import a\n"
+              "x = a._Reached\n"),
+    }
+    assert dead_private_names(sources) == ["a: _unused", "a: _recurse"]

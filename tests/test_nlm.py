@@ -322,7 +322,8 @@ class TestEngine:
     def test_peak_memory_grows_only_by_full_image_arrays(self):
         search_radius, patch_radius, width = 2, 1, 128
         tile = engine._TILE_PIXELS // width  # the same tile height at both image heights
-        taps = engine.gaussian_axis_weights(0.5, patch_radius)
+        params = NlmParams(h=40.0, search_radius=search_radius, patch_radius=patch_radius,
+                           self_weight="max_neighbor")
         pad = search_radius + patch_radius
 
         def full_image_bytes(height):
@@ -332,12 +333,11 @@ class TestEngine:
                         + height * width)
 
         def peak(height):
-            v = textured_image(height, height, width)
-            corr = np.full_like(v, 0.5)
+            img = as_img(textured_image(height, height, width))
+            corr = np.full_like(img.pixels, 0.5)
             tracemalloc.start()
             try:
-                engine._filter_engine(v, search_radius, patch_radius, taps, 40.0, corr,
-                                      "max_neighbor", 1)
+                engine._filter_engine(img, params, corr, 1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
