@@ -63,8 +63,9 @@ def _resolve_threads(flag: int | None) -> int:
     return check_int(requested, f"{THREADS_ENV_VAR} (0 = auto)")
 
 
-def _prepare_filter(args: argparse.Namespace, work: GrayImage, threads: int):
-    """Resolve filter parameters against the working-domain image.
+def _prepare_filter(args: argparse.Namespace, work: GrayImage):
+    """Resolve filter parameters against the working-domain image. Only
+    the non-local filters read the thread settings.
 
     Returns (run, echo) where run maps GrayImage -> GrayImage and echo
     is the dict of effective parameters for the stderr line.
@@ -73,6 +74,7 @@ def _prepare_filter(args: argparse.Namespace, work: GrayImage, threads: int):
     echo: dict = {"filter": name}
 
     if name in ("nlm", "robust-nlm"):
+        threads = _resolve_threads(args.threads)
         sigma_n = args.sigma_n  # stays None when no default needs it
         if sigma_n is not None:
             sigma_n = check_real(sigma_n, "--sigma-n", nonnegative=True)
@@ -143,9 +145,9 @@ def _prepare_filter(args: argparse.Namespace, work: GrayImage, threads: int):
 
 
 def _load_and_prepare(args: argparse.Namespace, echo: dict):
-    """Load, move to the filtering domain, resolve threads and the filter,
-    and echo the resolved configuration: the part `denoise` and `bench`
-    share. ``echo`` holds the command's own fields.
+    """Load, move to the filtering domain, resolve the filter and echo
+    the resolved configuration: the part `denoise` and `bench` share.
+    ``echo`` holds the command's own fields.
 
     Returns (working-domain image, filter run, domain, worker count).
     """
@@ -153,8 +155,7 @@ def _load_and_prepare(args: argparse.Namespace, echo: dict):
     domain = args.domain or ("log" if args.filter == "robust-nlm" else "linear")
     epsilon = check_real(args.epsilon, "--epsilon")
     work = log_compress(img, epsilon) if domain == "log" else img
-    threads = _resolve_threads(args.threads)
-    run, filter_echo = _prepare_filter(args, work, threads)
+    run, filter_echo = _prepare_filter(args, work)
     _echo({"command": args.command, "input": args.input, **echo, "domain": domain,
            "epsilon": _fmt(epsilon), **filter_echo})
     return work, run, domain, filter_echo.get("threads", 1)  # 1: lee, frost, srad

@@ -86,40 +86,46 @@ def gaussian_axis_weights(sigma: float, radius: int | None = None) -> np.ndarray
 
 
 def correlate1d_valid(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """Valid-mode 1-D correlation of a 2-D array along ``axis``.
-
-    Accumulates tap by tap in a fixed order, so results are
-    bit-identical regardless of how the caller slices the input into
-    bands. All taps used in this package are symmetric, making
-    correlation and convolution interchangeable.
-    """
+    """Valid-mode 1-D correlation (or convolution: the taps are symmetric)
+    of a 2-D array along ``axis``; see `correlate1d_into`."""
     shape = list(arr.shape)
     shape[axis] -= taps.size - 1
-    out = np.empty(shape)
-    return correlate1d_into(arr, taps, axis, out, np.empty_like(out))
+    return correlate1d_into(arr, taps, axis, np.empty(shape))
 
 
 def correlate1d_into(arr: np.ndarray, taps: np.ndarray, axis: int,
-                     out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """`correlate1d_valid` writing into ``out``, with ``tmp`` (same
-    shape) holding each tap's product; allocates nothing. With axis 0
-    it also takes 1-D arrays."""
-    n = out.shape[axis]
-    windows = (arr[t : t + n] if axis == 0 else arr[:, t : t + n] for t in range(taps.size))
-    np.multiply(next(windows), taps[0], out=out)
-    for tap, window in zip(taps[1:], windows):
-        np.multiply(window, tap, out=tmp)
-        out += tmp
+                     out: np.ndarray) -> np.ndarray:
+    """`correlate1d_valid` into ``out``, allocating no array; with axis 0
+    it also takes 1-D arrays.
+
+    The 2c + 1 taps t must be symmetric. Horner's rule sums the windows
+    x_k from the outside in, ((x_0 + x_2c) q_0 + x_1 + x_(2c-1)) q_1 ...
+    + x_c, times t_c, with q_k = t_k / t_(k+1) (0 where t_k is 0: taps
+    that underflowed give no 0/0): 3c + 1 passes, all but the first in
+    place. Every element gets the same operations, so bits do not depend
+    on how the caller slices the input.
+    """
+    n, t = out.shape[axis], taps.tolist()
+    c = len(t) // 2
+    x = [arr[k : k + n] if axis == 0 else arr[:, k : k + n] for k in range(2 * c + 1)]
+    if c:
+        np.add(x[0], x[2 * c], out=out)
+    else:
+        np.copyto(out, x[0])
+    for k in range(1, c + 1):
+        out *= t[k - 1] / t[k] if t[k - 1] else 0.0
+        out += x[k]
+        if k < c:
+            out += x[2 * c - k]
+    out *= t[c]
     return out
 
 
 def blur_array(arr: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian smoothing of a raw array with mirror boundary."""
     taps = gaussian_axis_weights(sigma)
-    r = taps.size // 2
-    padded = mirror_pad(arr, r)
-    tmp = correlate1d_valid(padded, taps, axis=0)
-    return correlate1d_valid(tmp, taps, axis=1)
+    padded = mirror_pad(arr, taps.size // 2)
+    return correlate1d_valid(correlate1d_valid(padded, taps, 0), taps, 1)
 
 
 def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:

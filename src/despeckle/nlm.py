@@ -20,15 +20,16 @@ reflected surface (the padded-array convention).
 The engine pads the input and the penalty by R + r (search plus patch
 radius) and flattens both, so that all its arrays share one row stride
 S = W + 2(R + r). A search offset (dy, dx) is then the flat step
-dy S + dx, and each pass over an offset (difference, column taps, row
-taps, exp, accumulation) reads and writes one contiguous slice. It
-works in row tiles of about `_TILE_PIXELS` pixels, pulled by a pool of
-at most one worker per CPU, each reading the shared padded arrays and
-writing its rows of the output. Patch distances are symmetric, so each
-offset o of the half window serves both candidates i + o and i - o.
-Every pixel adds its self term, then the +o and -o terms of each
-half-window offset in one fixed order, so output bits do not depend on
-the thread count or the tile height.
+dy S + dx, and each of its 31 passes at r = 3 (29 without a penalty:
+difference, column and row taps, exp, accumulation) reads and writes one
+contiguous slice, nearly all in place. It works in row tiles of about
+`_TILE_PIXELS` pixels, pulled by a pool of at most one worker per CPU,
+each reading the shared padded arrays and writing its rows of the
+output. Patch distances are symmetric, so each offset o of the half
+window serves both candidates i + o and i - o. Every pixel adds its
+self term, then the +o and -o terms of each half-window offset in one
+fixed order, so output bits do not depend on the thread count or the
+tile height.
 """
 
 from __future__ import annotations
@@ -225,14 +226,18 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
     Offsets o run over the half window {dy > 0} or {dy = 0, dx > 0}.
     Since d(i, i - o) = d(i - o, i), one patch-distance field E over
     [k0 - m, k0 + (n - 1) S + W) serves both candidates: E[i] weighs
-    i + o and E[i - o] weighs i - o. Every step of an offset (the
-    difference, the column and row taps, exp and the +o and -o
-    accumulation) reads and writes one contiguous slice. The self term
-    comes first, except under ``max_neighbor``, whose self weight is
-    known only after the last offset.
+    i + o and E[i - o] weighs i - o. An offset's 31 passes at r = 3 (29
+    without a penalty) each cover one contiguous slice of two scratch
+    buffers: the squared differences into a (2), the column taps into b
+    and the row taps, scaled by -1/h^2, back into a (3r + 1 each, by
+    Horner's rule), exp in place (1), then the +o candidate through b
+    and the -o candidate, the last reader of E, in place in a (4 each:
+    times the penalty, into ``norm``, times the pixels, into ``acc``).
+    ``max_neighbor`` adds a ``wmax`` pass per candidate and its self
+    term after the last offset; otherwise the self term comes first.
 
     Memory: besides the padded input, the padded penalty and the
-    output, each worker holds 3 x (tile + R + 2r) x S float64 scratch
+    output, each worker holds 2 x (tile + R + 2r) x S float64 scratch
     values plus tile x S values each for ``acc``, ``norm`` and, for
     ``max_neighbor``, ``wmax``.
     """
@@ -247,14 +252,14 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
     # Guard h*h against underflow to 0: -1/0 would be -inf and an
     # exact-zero distance (identical patches) would produce 0 * -inf = NaN.
     inv_h = -1.0 / max(params.h * params.h, sys.float_info.min)
+    row_taps = taps * inv_h  # the decay rides on the row pass
     skip_self = params.self_weight == "max_neighbor"
     tile_rows, workers = _plan_tiles(threads, height, width)
     halo = r * stride + r  # from a patch centre to its first tap
     scratch_size = (tile_rows + big_r + 2 * r) * stride
     out = np.empty((height, width))
 
-    def run_tile(y0: int, y1: int, bufs, acc_buf, norm_buf, wmax_buf) -> None:
-        a, b, c = bufs
+    def run_tile(y0: int, y1: int, a, b, acc_buf, norm_buf, wmax_buf) -> None:
         # Row t of this view of the differences in ``a`` starts t strides
         # in, so each column tap reads one contiguous slice.
         rows = sliding_window_view(a, a.size - 2 * r * stride)[::stride]
@@ -265,16 +270,15 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
         acc, norm = acc_buf[:size], norm_buf[:size]
         wmax = None if wmax_buf is None else wmax_buf[:size]
 
-        def add_candidate(w, k):
+        def add_candidate(w, k, term):
             # the candidates at flat indices k .. k + size, weighed by w
-            # before their penalty
+            # before their penalty; ``term`` (may be ``w``) gets the products
             if corr_padded is not None:
-                w = np.multiply(w, corr_padded[k : k + size], out=a[:size])
-            acc_term = np.multiply(w, padded[k : k + size], out=b[:size])
-            np.add(acc, acc_term, out=acc)
+                w = np.multiply(w, corr_padded[k : k + size], out=term)
             np.add(norm, w, out=norm)
             if wmax is not None:
                 np.maximum(wmax, w, out=wmax)
+            np.add(acc, np.multiply(w, padded[k : k + size], out=term), out=acc)
 
         if skip_self:
             acc.fill(0.0)
@@ -298,12 +302,12 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
                                out=a[: span + 2 * halo])
             np.multiply(diff, diff, out=diff)
             cols = correlate1d_into(rows[:, : span + 2 * r], taps, 0,
-                                    b[None, : span + 2 * r], c[None, : span + 2 * r])[0]
-            dist = correlate1d_into(cols, taps, 0, c[:span], a[:span])
-            dist *= inv_h
+                                    b[None, : span + 2 * r])[0]
+            dist = correlate1d_into(cols, row_taps, 0, a[:span])
             np.exp(dist, out=dist)
-            add_candidate(dist[m:], k0 + m)
-            add_candidate(dist[:size], k0 - m)
+            add_candidate(dist[m:], k0 + m, b[:size])
+            # the last read of dist: weigh the -o candidate in place
+            add_candidate(dist[:size], k0 - m, dist[:size])
         if wmax is not None:
             acc += np.multiply(wmax, center, out=b[:size])
             norm += wmax
@@ -318,7 +322,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
         np.divide(acc_px, norm_px, out=out[y0:y1])
 
     def work(tiles: queue.SimpleQueue) -> None:
-        bufs = [np.empty(scratch_size) for _ in range(3)]
+        a, b = np.empty(scratch_size), np.empty(scratch_size)
         acc, norm = np.empty(tile_rows * stride), np.empty(tile_rows * stride)
         wmax = np.empty(tile_rows * stride) if skip_self else None
         # For tiny h the scaled distances saturate to -inf and exp flushes
@@ -329,7 +333,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
                     y0 = tiles.get_nowait()
                 except queue.Empty:
                     return
-                run_tile(y0, min(y0 + tile_rows, height), bufs, acc, norm, wmax)
+                run_tile(y0, min(y0 + tile_rows, height), a, b, acc, norm, wmax)
 
     tiles = queue.SimpleQueue()
     for y0 in range(0, height, tile_rows):

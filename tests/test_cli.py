@@ -284,6 +284,23 @@ class TestDenoise:
         assert rc == 2
         assert "DESPECKLE_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["lee", "frost", "srad"])
+    def test_baselines_ignore_the_thread_settings(self, tmp_path, capsys, monkeypatch, name):
+        # lee, frost and srad start no worker, so a bad DESPECKLE_THREADS
+        # is never read for them
+        src = tmp_path / "in.pgm"
+        write_pgm(src, rand_image(88, 8, 8, lo=60, hi=200))
+        outputs = []
+        for env in ("", "abc"):
+            monkeypatch.setenv("DESPECKLE_THREADS", env)
+            dst = tmp_path / f"out{env}.pgm"
+            argv = ["--filter", name, "--iterations", "2"]
+            assert main(["denoise", str(src), str(dst), *argv]) == 0
+            assert main(["bench", str(src), "--repeats", "1", *argv]) == 0
+            assert f"bench: filter={name} repeats=1 threads=1 " in capsys.readouterr().out
+            outputs.append(dst.read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("source", ["--threads", "DESPECKLE_THREADS"])
     def test_negative_threads_exits_2(self, tmp_path, capsys, monkeypatch, source):
         src = tmp_path / "in.pgm"

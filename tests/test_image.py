@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from despeckle import (
     gaussian_axis_weights,
     gaussian_blur,
 )
-from despeckle.image import mirror_pad
+from despeckle.image import correlate1d_into, correlate1d_valid, mirror_pad
 from reference import conv2_full_mirror, naive_blur, reflect
 
 
@@ -98,6 +99,104 @@ class TestAxisWeights:
     def test_bad_sigma(self, sigma):
         with pytest.raises(ParameterError):
             gaussian_axis_weights(sigma)
+
+    def test_exactly_symmetric(self):
+        # the correlation's Horner form pairs tap k with tap 2c - k
+        for sigma in (0.01, 0.05, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.3, 5.0, 11.0):
+            for radius in (None, 0, 1, 2, 3, 4, 5, 6, 9):
+                w = gaussian_axis_weights(sigma, radius)
+                assert w.tobytes() == w[::-1].tobytes()
+
+
+def naive_correlate(arr, taps, axis):
+    """Valid-mode correlation summed tap by tap along ``axis``."""
+    moved = np.moveaxis(arr, axis, 0)
+    n = moved.shape[0] - taps.size + 1
+    total = sum(tap * moved[k : k + n] for k, tap in enumerate(taps.tolist()))
+    return np.moveaxis(total, 0, axis)
+
+
+@st.composite
+def correlation_cases(draw):
+    radius = draw(st.integers(0, 6))
+    # sigma 0.02 and 0.05 leave the taps from one and from two pixels
+    # out exactly 0
+    sigma = draw(st.sampled_from([0.02, 0.05]) | st.floats(0.2, 8.0))
+    factor = draw(st.sampled_from([1.0, -1.0, -3.7e-4, -2.5e3]))
+    taps = gaussian_axis_weights(sigma, radius) * factor
+    height = draw(st.integers(taps.size, taps.size + 12))
+    width = draw(st.integers(taps.size, taps.size + 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return rand_image(seed, height, width), taps
+
+
+class TestCorrelation:
+    @given(correlation_cases())
+    def test_matches_tap_by_tap_sum(self, case):
+        arr, taps = case
+        for axis in (0, 1):
+            got = correlate1d_valid(arr, taps, axis)
+            want = naive_correlate(arr, taps, axis)
+            scale = naive_correlate(np.abs(arr), np.abs(taps), axis)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        row = arr[0]
+        got = correlate1d_valid(row, taps, 0)
+        assert np.all(np.abs(got - naive_correlate(row, taps, 0))
+                      <= 1e-12 * naive_correlate(np.abs(row), np.abs(taps), 0))
+
+    def test_zero_outer_taps_give_no_nan(self):
+        taps = gaussian_axis_weights(0.02, 4)
+        assert taps[0] == taps[1] == 0.0
+        arr = rand_image(5, 12, 12)
+        for scale in (1.0, -0.0, -1e300):
+            got = correlate1d_valid(arr, taps * scale, 0)
+            assert np.array_equal(got, arr[4:-4] * (taps[4] * scale))
+
+    @given(correlation_cases(), st.data())
+    def test_bands_and_offset_slices_keep_bits(self, case, data):
+        arr, taps = case
+        c = taps.size // 2
+        full0 = correlate1d_valid(arr, taps, 0)
+        full1 = correlate1d_valid(arr, taps, 1)
+        y0 = data.draw(st.integers(0, full0.shape[0] - 1))
+        y1 = data.draw(st.integers(y0 + 1, full0.shape[0]))
+        x0 = data.draw(st.integers(0, full1.shape[1] - 1))
+        band = correlate1d_valid(arr[y0 : y1 + 2 * c], taps, 0)
+        assert band.tobytes() == full0[y0:y1].tobytes()
+        shifted = correlate1d_valid(arr[:, x0:], taps, 1)
+        assert shifted.tobytes() == full1[:, x0:].tobytes()
+        # into a strided output, one row of a 2-D band at a time
+        out = np.empty((full1.shape[0], 2 * full1.shape[1]))[:, ::2]
+        correlate1d_into(arr, taps, 1, out)
+        assert out.tobytes() == full1.tobytes()
+        for y in range(arr.shape[0]):
+            line = correlate1d_into(arr[y], taps, 0, np.empty(full1.shape[1]))
+            assert line.tobytes() == full1[y].tobytes()
+
+    def test_into_allocates_nothing(self):
+        taps = gaussian_axis_weights(1.5, 6)
+
+        def peak(arr, axis):
+            shape = list(arr.shape)
+            shape[axis] -= taps.size - 1
+            out = np.empty(shape)
+            correlate1d_into(arr, taps, axis, out)  # warm up
+            tracemalloc.start()
+            try:
+                correlate1d_into(arr, taps, axis, out)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        arr = rand_image(9, 600, 1000)  # each output is about 4.6 MiB
+        # a few small Python objects: the windows are views and every
+        # pass writes ``out``
+        assert peak(arr, 0) < 4096
+        assert peak(arr[0], 0) < 4096
+        # along rows NumPy's ufunc iterator may hold its fixed buffers of
+        # 8192 elements per operand, whatever the array size
+        assert peak(arr, 1) < 2 * 8192 * 8 + 4096
 
 
 class TestGaussianBlur:

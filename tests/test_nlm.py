@@ -308,6 +308,33 @@ class TestEngine:
                 for threads in (1, 2, 3):
                     assert run(threads).tobytes() == first.tobytes()
 
+    @pytest.mark.parametrize("robust", [False, True])
+    @pytest.mark.parametrize("self_weight", ["natural", "max_neighbor"])
+    @pytest.mark.parametrize("h, sigma_s", [(40.0, 0.05), (40.0, 0.02), (math.inf, 1.0)])
+    def test_oracle_at_zero_outer_taps_and_infinite_h(self, h, sigma_s, self_weight, robust):
+        # sigma_s 0.05 and 0.02 leave the outer patch taps exactly 0 (from
+        # two and from one pixel out); h = inf makes every weight 1, a box
+        # average over the search window
+        height, width = 9, 11
+        arr = textured_image(31, height, width)
+        base = NlmParams(h=h, search_radius=3, patch_radius=2, sigma_s=sigma_s,
+                         self_weight=self_weight)
+        if robust:
+            def run(threads):
+                return robust_nlm_denoise(as_img(arr), RobustNlmParams(base=base, h2=25.0),
+                                          threads=threads).pixels
+            want = naive_robust_nlm(arr, h, 25.0, 1.5, 3, 2, sigma_s, self_weight)
+        else:
+            def run(threads):
+                return nlm_denoise(as_img(arr), base, threads=threads).pixels
+            want = naive_nlm(arr, h, 3, 2, sigma_s, self_weight)
+        first = run(1)
+        assert np.max(np.abs(first - want)) < 1e-9
+        for tile_pixels in (1, 2 * width, engine._TILE_PIXELS):
+            with mock.patch.object(engine, "_TILE_PIXELS", tile_pixels):
+                for threads in (1, 2):
+                    assert run(threads).tobytes() == first.tobytes()
+
     def test_worker_count_is_capped_by_cpus_and_tiles(self):
         before = threading.active_count()
         cpus = os.cpu_count() or 1
@@ -342,7 +369,7 @@ class TestEngine:
             finally:
                 tracemalloc.stop()
 
-        scratch = 8 * (3 * (tile + search_radius + 2 * patch_radius)
+        scratch = 8 * (2 * (tile + search_radius + 2 * patch_radius)
                        * (width + search_radius + 2 * patch_radius) + 3 * tile * width)
         slack = 256 * 1024  # fixed costs: index vectors, ufunc buffers, interpreter objects
         small, tall = peak(256), peak(1024)
