@@ -4,14 +4,14 @@ Subcommands: ``synth`` corrupts a clean PGM with synthetic speckle,
 ``denoise`` runs one filter over a PGM, ``eval`` scores a denoised
 image against its reference, and ``bench`` times a filter.
 
-Exit codes: 0 success, 2 usage or parameter problems (including a
-missing input file), 1 runtime failures (parse errors, numeric
-blowups, I/O). Every run echoes its fully resolved configuration to
-standard error before doing any work, so logs capture the effective
-parameters. The worker cap for the non-local filters comes from
---threads, else from the DESPECKLE_THREADS environment variable; 0 means
-one worker per CPU. The echoed ``threads`` is the number of workers the
-engine starts: never more than the CPUs or the row tiles.
+Exit codes: 0 success, 2 usage or parameter problems (including a missing
+input file), 1 runtime failures (parse errors, numeric blowups, a failed
+engine worker process, I/O, running out of memory). Every run echoes its
+fully resolved configuration to standard error before doing any work, so
+logs capture the effective parameters. The worker cap for the non-local
+filters comes from --threads, else from the DESPECKLE_THREADS environment
+variable; 0 means one worker per CPU. The echoed ``threads`` is the number
+of workers the engine starts: never more than the CPUs or the row tiles.
 """
 
 from __future__ import annotations
@@ -320,8 +320,8 @@ def main(argv=None) -> int:
     except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PgmParseError, NumericError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PgmParseError, NumericError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

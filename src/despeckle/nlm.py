@@ -23,29 +23,30 @@ S = W + 2(R + r). A search offset (dy, dx) is then the flat step
 dy S + dx, and each of its 31 passes at r = 3 (29 without a penalty:
 difference, column and row taps, exp, accumulation) reads and writes one
 contiguous slice, nearly all in place. It works in row tiles of about
-`_TILE_PIXELS` pixels, pulled by a pool of at most one worker per CPU,
-each reading the shared padded arrays and writing its rows of the
-output. Patch distances are symmetric, so each offset o of the half
-window serves both candidates i + o and i - o. Every pixel adds its
-self term, then the +o and -o terms of each half-window offset in one
-fixed order, so output bits do not depend on the thread count or the
-tile height.
+`_TILE_PIXELS` pixels, dealt in turn to at most one process per CPU:
+the caller and forked children, which read the padded arrays and write
+their rows of the output into a shared anonymous mapping. Patch
+distances are symmetric, so each offset o of the half window serves
+both candidates i + o and i - o. Every pixel adds its self term, then
+the +o and -o terms of each half-window offset in one fixed order, so
+output bits do not depend on the worker count or the tile height.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import mmap
 import os
-import queue
+import signal
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParameterError, check_int, check_real
+from .errors import NumericError, ParameterError, check_int, check_real
 from .image import (
     GrayImage,
     blur_array,
@@ -236,10 +237,10 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
     ``max_neighbor`` adds a ``wmax`` pass per candidate and its self
     term after the last offset; otherwise the self term comes first.
 
-    Memory: besides the padded input, the padded penalty and the
-    output, each worker holds 2 x (tile + R + 2r) x S float64 scratch
-    values plus tile x S values each for ``acc``, ``norm`` and, for
-    ``max_neighbor``, ``wmax``.
+    Memory: besides the padded input, the padded penalty and the output
+    (shared by forked workers), each worker process holds its own
+    2 x (tile + R + 2r) x S float64 scratch values plus tile x S values
+    each for ``acc``, ``norm`` and, for ``max_neighbor``, ``wmax``.
     """
     v = img.pixels
     big_r, r = params.search_radius, params.patch_radius
@@ -257,7 +258,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
     tile_rows, workers = _plan_tiles(threads, height, width)
     halo = r * stride + r  # from a patch centre to its first tap
     scratch_size = (tile_rows + big_r + 2 * r) * stride
-    out = np.empty((height, width))
+    out = np.empty(v.shape) if workers == 1 else np.ndarray(v.shape, buffer=mmap.mmap(-1, v.nbytes))
 
     def run_tile(y0: int, y1: int, a, b, acc_buf, norm_buf, wmax_buf) -> None:
         # Row t of this view of the differences in ``a`` starts t strides
@@ -321,32 +322,56 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
             acc_px[zero] = v[y0:y1][zero]
         np.divide(acc_px, norm_px, out=out[y0:y1])
 
-    def work(tiles: queue.SimpleQueue) -> None:
+    def work(starts: range) -> None:
         a, b = np.empty(scratch_size), np.empty(scratch_size)
         acc, norm = np.empty(tile_rows * stride), np.empty(tile_rows * stride)
         wmax = np.empty(tile_rows * stride) if skip_self else None
         # For tiny h the scaled distances saturate to -inf and exp flushes
         # them to the intended weight 0, so the overflow is not an error.
         with np.errstate(over="ignore"):
-            while True:
-                try:
-                    y0 = tiles.get_nowait()
-                except queue.Empty:
-                    return
+            for y0 in starts:
                 run_tile(y0, min(y0 + tile_rows, height), a, b, acc, norm, wmax)
 
-    tiles = queue.SimpleQueue()
-    for y0 in range(0, height, tile_rows):
-        tiles.put(y0)
-    # The calling thread is one of the workers. The others start while it
-    # runs, so the scheduler puts them on other CPUs rather than beside it.
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        helpers = [pool.submit(work, tiles) for _ in range(workers - 1)]
-        work(tiles)
-        for fut in helpers:
-            fut.result()
+    _run_workers(work, range(0, height, tile_rows), workers)
     del padded, corr_padded  # free them before GrayImage copies ``out``
     return GrayImage(out)
+
+
+def _run_workers(work, starts: range, workers: int) -> None:
+    """Run ``work(starts[k::workers])`` for each worker k: k = 0 here, the
+    rest in forked children, which write results only to shared mappings.
+    A child that raises exits 1 with one line on a pipe, and this raises
+    `NumericError`; if this share raises, the children are killed. All
+    are reaped first. Without ``os.fork``, or beside other threads (whose
+    locks a child would inherit held), all of ``starts`` runs here.
+    """
+    if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return work(starts)
+    read_fd, write_fd = os.pipe()
+    pids = []
+    try:
+        for k in range(1, workers):
+            if (pid := os.fork()) == 0:  # the child
+                try:
+                    work(starts[k::workers])
+                    os._exit(0)
+                except BaseException as exc:
+                    os.write(write_fd, f"{type(exc).__name__}: {exc}\n".encode()[:512])
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+        work(starts[::workers])
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(write_fd)
+        with open(read_fd, "rb") as pipe:  # EOF once every child has exited
+            report = pipe.read().decode(errors="replace").strip()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes):
+        raise NumericError(f"an NLM worker process failed: {report or f'exit codes {codes}'}")
 
 
 def nlm_denoise(img: GrayImage, params: NlmParams, threads: int = 1) -> GrayImage:

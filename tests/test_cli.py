@@ -210,6 +210,16 @@ class TestDenoise:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "width" in err and "byte offset 3" in err
 
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 477. GiB for an array"])
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, message):
+        def load_pgm(path):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr("despeckle.cli.load_pgm", load_pgm)
+        assert main(["denoise", str(tmp_path / "in.pgm"), str(tmp_path / "out.pgm")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message or 'out of memory'}\n"
+
     @pytest.mark.parametrize("flag", ["--search-radius", "--patch-radius"])
     def test_oversized_radius_exits_2_fast(self, tmp_path, capsys, flag):
         src = tmp_path / "in.pgm"

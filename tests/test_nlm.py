@@ -15,6 +15,7 @@ from despeckle import nlm as engine
 from despeckle import (
     GrayImage,
     NlmParams,
+    NumericError,
     ParameterError,
     RobustNlmParams,
     SpeckleParams,
@@ -27,7 +28,9 @@ from despeckle import (
     patch_distance,
     psnr,
     robust_nlm_denoise,
+    save_pgm,
 )
+from despeckle.cli import main as cli_main
 from reference import naive_kernel, naive_nlm, naive_patch_distance, naive_robust_nlm
 
 SMALL = NlmParams(h=40.0, search_radius=3, patch_radius=1)
@@ -243,6 +246,17 @@ class TestFilterInvariants:
         assert nlm_denoise(as_img(arr), SMALL, threads=5).pixels.tobytes() == one
         r1 = robust_nlm_denoise(as_img(arr), SMALL_ROBUST, threads=1).pixels.tobytes()
         assert robust_nlm_denoise(as_img(arr), SMALL_ROBUST, threads=3).pixels.tobytes() == r1
+        # Past this machine's CPU cap: 3 and 4 workers over five 5-row
+        # tiles (the last of 3 rows), so the workers' tile counts differ.
+        with mock.patch.object(os, "cpu_count", return_value=4), \
+                mock.patch.object(engine, "_TILE_PIXELS", 5 * 19), \
+                mock.patch.object(os, "fork", side_effect=os.fork) as fork:
+            for threads in (3, 4):
+                assert engine._plan_tiles(threads, 23, 19) == (5, threads)
+                assert nlm_denoise(as_img(arr), SMALL, threads=threads).pixels.tobytes() == one
+                robust = robust_nlm_denoise(as_img(arr), SMALL_ROBUST, threads=threads)
+                assert robust.pixels.tobytes() == r1
+        assert fork.call_count == 2 * (2 + 3)  # two calls each at 3 and at 4 workers
 
     def test_thread_count_validation(self):
         img = as_img(rand_image(18, 8, 8))
@@ -302,11 +316,13 @@ class TestEngine:
             want = naive_nlm(arr, 40.0, search_radius, patch_radius, base.sigma_s, self_weight)
         first = run(1)
         assert np.max(np.abs(first - want)) < 1e-6
-        # tile heights 1, 2 and the default
-        for tile_pixels in (1, 2 * width, engine._TILE_PIXELS):
-            with mock.patch.object(engine, "_TILE_PIXELS", tile_pixels):
-                for threads in (1, 2, 3):
-                    assert run(threads).tobytes() == first.tobytes()
+        # tile heights 1, 2 and the default; four CPUs let 3 and 4 workers
+        # run on a smaller machine too
+        with mock.patch.object(os, "cpu_count", return_value=4):
+            for tile_pixels in (1, 2 * width, engine._TILE_PIXELS):
+                with mock.patch.object(engine, "_TILE_PIXELS", tile_pixels):
+                    for threads in (1, 2, 3, 4):
+                        assert run(threads).tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("robust", [False, True])
     @pytest.mark.parametrize("self_weight", ["natural", "max_neighbor"])
@@ -375,6 +391,90 @@ class TestEngine:
         small, tall = peak(256), peak(1024)
         assert small <= full_image_bytes(256) + scratch + slack
         assert tall - small <= full_image_bytes(1024) - full_image_bytes(256) + slack
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the engine forks its workers")
+class TestForkedWorkers:
+    @staticmethod
+    def _patch_kernel(monkeypatch, caller_action, child_action):
+        """Run ``caller_action`` or ``child_action`` before each of the
+        engine's correlations, by the process that makes it."""
+        caller, real = os.getpid(), engine.correlate1d_into
+
+        def kernel(*args):
+            (caller_action if os.getpid() == caller else child_action)()
+            return real(*args)
+
+        monkeypatch.setattr(engine, "correlate1d_into", kernel)
+
+    @staticmethod
+    def _fail():
+        raise RuntimeError("injected failure")
+
+    @staticmethod
+    def _open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    def _assert_no_children(self):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_failure_raises_numeric_error_and_leaks_nothing(self, monkeypatch, tmp_path,
+                                                                  capsys):
+        arr = rand_image(41, 24, 16)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert engine._plan_tiles(2, 24, 16)[1] == 2
+        self._patch_kernel(monkeypatch, lambda: None, self._fail)
+        fds = self._open_fds()
+        with pytest.raises(NumericError, match="worker process failed: RuntimeError: injected"):
+            nlm_denoise(as_img(arr), SMALL, threads=2)
+        self._assert_no_children()
+        assert self._open_fds() == fds
+        save_pgm(as_img(arr), tmp_path / "in.pgm")
+        assert cli_main(["denoise", str(tmp_path / "in.pgm"), str(tmp_path / "out.pgm"),
+                         "--search-radius", "3", "--patch-radius", "1", "--threads", "2"]) == 1
+        assert "error: an NLM worker process failed: RuntimeError" in capsys.readouterr().err
+        self._assert_no_children()
+
+    def test_caller_failure_kills_and_reaps_the_children(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        stalled = []
+
+        def stall():  # once per child, so the call returns in time only if it kills them
+            if not stalled:
+                stalled.append(True)
+                time.sleep(20)
+
+        self._patch_kernel(monkeypatch, self._fail, stall)
+        fds = self._open_fds()
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="injected failure"):
+            nlm_denoise(as_img(rand_image(42, 40, 16)), SMALL, threads=4)
+        assert time.monotonic() - start < 10
+        self._assert_no_children()
+        assert self._open_fds() == fds
+
+    def test_runs_serially_beside_other_threads_or_without_fork(self, monkeypatch):
+        arr = textured_image(43, 24, 16)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        one = nlm_denoise(as_img(arr), SMALL, threads=1).pixels.tobytes()
+        fork = mock.Mock(side_effect=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait, args=(30,))
+        helper.start()
+        try:
+            assert nlm_denoise(as_img(arr), SMALL, threads=2).pixels.tobytes() == one
+        finally:
+            release.set()
+            helper.join(timeout=30)
+        assert not helper.is_alive()
+        assert fork.call_count == 0
+        # with the helper gone, the same call forks its one child
+        assert nlm_denoise(as_img(arr), SMALL, threads=2).pixels.tobytes() == one
+        assert fork.call_count == 1
+        monkeypatch.delattr(os, "fork")
+        assert nlm_denoise(as_img(arr), SMALL, threads=2).pixels.tobytes() == one
 
 
 class TestWeightField:
