@@ -19,16 +19,17 @@ reflected surface (the padded-array convention).
 
 The engine pads the input and the penalty by R + r (search plus patch
 radius) and flattens both, so that all its arrays share one row stride
-S = W + 2(R + r). A search offset (dy, dx) is then the flat step
-dy S + dx, and each of its 31 passes at r = 3 (29 without a penalty:
-difference, column and row taps, exp, accumulation) reads and writes one
-contiguous slice, nearly all in place. It works in row tiles of about
-`_TILE_PIXELS` pixels, dealt in turn to at most one process per CPU:
-the caller and forked children, which read the padded arrays and write
-their rows of the output into a shared anonymous mapping. Patch
-distances are symmetric, so each offset o of the half window serves
-both candidates i + o and i - o. Every pixel adds its self term, then
-the +o and -o terms of each half-window offset in one fixed order, so
+S and a search offset (dy, dx) is the flat step dy S + dx. Its 13 steps
+per offset (11 without a penalty) are the squared differences, the
+column and row taps of the patch kernel as two banded matrix products
+through NumPy's BLAS, exp, and the accumulation. It works in row tiles
+of about `_TILE_PIXELS` pixels, dealt in turn to at most one process
+per CPU: the caller and forked children, which read the padded arrays
+and write their rows of the output into a shared anonymous mapping.
+Patch distances are symmetric, so each offset o of the half window
+serves both candidates i + o and i - o. Every pixel adds its self term,
+then the +o and -o terms of each half-window offset in one fixed order,
+and the products are blocked at fixed padded rows and columns, so
 output bits do not depend on the worker count or the tile height.
 """
 
@@ -44,13 +45,12 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import NumericError, ParameterError, check_int, check_real
 from .image import (
     GrayImage,
     blur_array,
-    correlate1d_into,
     correlate1d_valid,  # noqa: F401  (perfbench/tracing.py wraps this binding)
     gaussian_axis_weights,
     mirror_pad,
@@ -59,6 +59,10 @@ from .image import (
 SELF_WEIGHT_MODES = ("natural", "max_neighbor")
 # Pixels per row tile: 256 KiB per tile-sized float64 array.
 _TILE_PIXELS = 32768
+# Rows, and columns, of patch distances per block of a banded product.
+_BAND = 8
+# OpenBLAS runs a product of at most this many multiply-adds on one thread.
+_BLAS_SERIAL = 4 * 65536
 
 
 def make_patch_kernel(radius: int, sigma_s: float) -> np.ndarray:
@@ -218,58 +222,81 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
     """Weighted mean over the search window, tile by tile.
 
     The input and the penalty are mirror-padded by R + r (R the search
-    radius, r the patch radius) and flattened, so every array shares one
-    row stride S = W + 2(R + r) and an offset (dy, dx) is the flat step
-    m = dy S + dx. A tile of n rows whose first pixel sits at flat index
-    k0 covers [k0, k0 + (n - 1) S + W); the margin columns in between
-    are computed but never read.
+    radius, r the patch radius), a few rows more at the bottom, and
+    flattened, so every array shares one row stride S (W + 2(R + r)
+    rounded up to equal column chunks, each a multiple of B = `_BAND`)
+    and an offset (dy, dx) is the flat step m = dy S + dx. A tile of n
+    rows whose first pixel sits at flat index k0 covers
+    [k0, k0 + (n - 1) S + W); the margin columns are never read.
 
     Offsets o run over the half window {dy > 0} or {dy = 0, dx > 0}.
     Since d(i, i - o) = d(i - o, i), one patch-distance field E over
     [k0 - m, k0 + (n - 1) S + W) serves both candidates: E[i] weighs
-    i + o and E[i - o] weighs i - o. An offset's 31 passes at r = 3 (29
-    without a penalty) each cover one contiguous slice of two scratch
-    buffers: the squared differences into a (2), the column taps into b
-    and the row taps, scaled by -1/h^2, back into a (3r + 1 each, by
-    Horner's rule), exp in place (1), then the +o candidate through b
-    and the -o candidate, the last reader of E, in place in a (4 each:
+    i + o and E[i - m] weighs i - o. E is made in whole blocks of B rows
+    from padded row r on: the squared differences of those rows and r
+    more on each side (2 passes, into a), the column taps as a
+    B x (B + 2r) band times each block of B + 2r rows of them, chunk by
+    chunk (into b), and the row taps, scaled by -1/h^2, as each block of
+    B columns of that, r more on each side, times a (B + 2r) x B band
+    (back into a). Then exp (1 pass), the +o candidate through b and the
+    -o candidate, the last reader of E, in place in a (4 passes each:
     times the penalty, into ``norm``, times the pixels, into ``acc``).
     ``max_neighbor`` adds a ``wmax`` pass per candidate and its self
     term after the last offset; otherwise the self term comes first.
 
-    Memory: besides the padded input, the padded penalty and the output
-    (shared by forked workers), each worker process holds its own
-    2 x (tile + R + 2r) x S float64 scratch values plus tile x S values
-    each for ``acc``, ``norm`` and, for ``max_neighbor``, ``wmax``.
+    Blocks and chunks sit at fixed padded rows and columns, so a
+    distance comes from the same place of a product of the same shape
+    whatever the tiling; only a row product's row count varies, and
+    OpenBLAS sums a row alike at any count of 2 or more (the bit tests
+    over tiles and row crops hold it to that). For r < 2044 no product
+    exceeds `_BLAS_SERIAL` multiply-adds, so none runs on BLAS threads.
+
+    Memory: besides the padded input and penalty and the output (shared
+    by forked workers), each worker holds 2 x (tile + R + 2B + 2r) x S
+    float64 scratch values at most, plus tile x S for each of ``acc``,
+    ``norm`` and, for ``max_neighbor``, ``wmax``.
     """
     v = img.pixels
     big_r, r = params.search_radius, params.patch_radius
     taps = gaussian_axis_weights(params.sigma_s, r)
     height, width = v.shape
-    pad = big_r + r
-    stride = width + 2 * pad
-    padded = mirror_pad(v, pad).ravel()
-    corr_padded = mirror_pad(corr, pad).ravel() if corr is not None else None
+    pad, inner = big_r + r, _BAND + 2 * r  # inner: the inner length of both products
+    most = _BAND * max(1, _BLAS_SERIAL // (_BAND * _BAND * inner))  # rows or columns per product
+    chunks = -(-(width + 2 * pad) // most)
+    chunk = _BAND * -(-(width + 2 * pad) // (chunks * _BAND))
+    stride = chunks * chunk
+    # the rows and columns past the padding feed only distances never read
+    spec = ((pad, -(-(height + big_r) // _BAND) * _BAND - height + r + 1),
+            (pad, stride - width - pad))
+    padded = mirror_pad(v, spec).ravel()
+    corr_padded = mirror_pad(corr, spec).ravel() if corr is not None else None
     # Guard h*h against underflow to 0: -1/0 would be -inf and an
     # exact-zero distance (identical patches) would produce 0 * -inf = NaN.
     inv_h = -1.0 / max(params.h * params.h, sys.float_info.min)
-    row_taps = taps * inv_h  # the decay rides on the row pass
+    col_band = sum(t * np.eye(_BAND, inner, j) for j, t in enumerate(taps))
+    row_band = np.ascontiguousarray(col_band.T * inv_h)  # the decay rides on the row taps
+    # Squared differences are clamped at 1e300 (only reached where |v|
+    # exceeds 5e149): an inf times a band's zero would be NaN.
+    clamp = max(v.max(), -v.min()) > 5e149
     skip_self = params.self_weight == "max_neighbor"
     tile_rows, workers = _plan_tiles(threads, height, width)
-    halo = r * stride + r  # from a patch centre to its first tap
-    scratch_size = (tile_rows + big_r + 2 * r) * stride
+    tile_blocks = (tile_rows + big_r + _BAND - 2) // _BAND + 1
     out = np.empty(v.shape) if workers == 1 else np.ndarray(v.shape, buffer=mmap.mmap(-1, v.nbytes))
 
     def run_tile(y0: int, y1: int, a, b, acc_buf, norm_buf, wmax_buf) -> None:
-        # Row t of this view of the differences in ``a`` starts t strides
-        # in, so each column tap reads one contiguous slice.
-        rows = sliding_window_view(a, a.size - 2 * r * stride)[::stride]
         n = y1 - y0
         k0 = (y0 + pad) * stride + pad
         size = (n - 1) * stride + width
         center = padded[k0 : k0 + size]
         acc, norm = acc_buf[:size], norm_buf[:size]
         wmax = None if wmax_buf is None else wmax_buf[:size]
+        # row blocks of a make those of b; column blocks of b, r wider, those of a
+        blocks = [a.itemsize * s for s in (_BAND * stride, chunk, stride, 1)]
+        columns = [a.itemsize * s for s in (_BAND, stride, 1)]
+        d_blocks = as_strided(a, (tile_blocks, chunks, inner, chunk), blocks)
+        c_blocks = as_strided(b[r:], (tile_blocks, chunks, _BAND, chunk), blocks)
+        c_rows = as_strided(b, (stride // _BAND, tile_blocks * _BAND, inner), columns)
+        e_rows = as_strided(a, (stride // _BAND, tile_blocks * _BAND, _BAND), columns)
 
         def add_candidate(w, k, term):
             # the candidates at flat indices k .. k + size, weighed by w
@@ -291,24 +318,27 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
         else:
             norm.fill(1.0)
             np.copyto(acc, center)
-        half = (dy * stride + dx for dy in range(big_r + 1)
-                for dx in range(-big_r if dy else 1, big_r + 1))
-        for m in half:
-            # E over [k0 - m, k0 + size), from squared differences grown
-            # by the patch halo on each side
-            span = size + m
-            lo = k0 - m - halo
-            diff = np.subtract(padded[lo : lo + span + 2 * halo],
-                               padded[lo + m : lo + m + span + 2 * halo],
-                               out=a[: span + 2 * halo])
-            np.multiply(diff, diff, out=diff)
-            cols = correlate1d_into(rows[:, : span + 2 * r], taps, 0,
-                                    b[None, : span + 2 * r])[0]
-            dist = correlate1d_into(cols, row_taps, 0, a[:span])
-            np.exp(dist, out=dist)
-            add_candidate(dist[m:], k0 + m, b[:size])
-            # the last read of dist: weigh the -o candidate in place
-            add_candidate(dist[:size], k0 - m, dist[:size])
+        for dy in range(big_r + 1):
+            for dx in range(-big_r if dy else 1, big_r + 1):
+                # E over [k0 - m, k0 + size), in the blocks j0 .. j0 + nblk - 1
+                m = dy * stride + dx
+                j0 = (y0 + big_r - dy) // _BAND
+                nblk = (y1 - 1 + big_r) // _BAND + 1 - j0
+                lo, span = j0 * _BAND * stride, (nblk * _BAND + 2 * r) * stride
+                diff = np.subtract(padded[lo : lo + span], padded[lo + m : lo + m + span],
+                                   out=a[:span])
+                np.multiply(diff, diff, out=diff)
+                if clamp:
+                    np.minimum(diff, 1e300, out=diff)
+                np.matmul(col_band, d_blocks[:nblk], out=c_blocks[:nblk])
+                c, e = c_rows[:, : nblk * _BAND], e_rows[:, : nblk * _BAND]
+                for y in range(0, nblk * _BAND, most):
+                    np.matmul(c[:, y : y + most], row_band, out=e[:, y : y + most])
+                first = k0 - m - (j0 * _BAND + r) * stride
+                dist = np.exp(a[first : first + size + m], out=a[first : first + size + m])
+                add_candidate(dist[m:], k0 + m, b[:size])
+                # the last read of dist: weigh the -o candidate in place
+                add_candidate(dist[:size], k0 - m, dist[:size])
         if wmax is not None:
             acc += np.multiply(wmax, center, out=b[:size])
             norm += wmax
@@ -322,8 +352,9 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
             acc_px[zero] = v[y0:y1][zero]
         np.divide(acc_px, norm_px, out=out[y0:y1])
 
-    def work(starts: range) -> None:
-        a, b = np.empty(scratch_size), np.empty(scratch_size)
+    def work(starts) -> None:
+        a = np.empty((tile_blocks * _BAND + 2 * r) * stride)
+        b = np.zeros(tile_blocks * _BAND * stride + 2 * r)  # its r values at either end stay finite
         acc, norm = np.empty(tile_rows * stride), np.empty(tile_rows * stride)
         wmax = np.empty(tile_rows * stride) if skip_self else None
         # For tiny h the scaled distances saturate to -inf and exp flushes
@@ -338,22 +369,31 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
 
 
 def _run_workers(work, starts: range, workers: int) -> None:
-    """Run ``work(starts[k::workers])`` for each worker k: k = 0 here, the
-    rest in forked children, which write results only to shared mappings.
-    A child that raises exits 1 with one line on a pipe, and this raises
-    `NumericError`; if this share raises, the children are killed. All
-    are reaped first. Without ``os.fork``, or beside other threads (whose
-    locks a child would inherit held), all of ``starts`` runs here.
+    """Run ``work`` over ``starts[k::workers]`` for each worker k: k = 0
+    here, the rest in forked children, which write results only to shared
+    mappings. A child that raises exits 1 with one line on a pipe, and
+    this raises `NumericError`; if this share raises, the children are
+    killed. All are reaped first. A child whose caller has died exits 1
+    before its next tile. Without ``os.fork``, or beside other threads
+    (whose locks a child would inherit held), all of ``starts`` runs here.
     """
     if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         return work(starts)
+    caller = os.getpid()
+
+    def share(k):  # a child stops before its next tile once the caller is gone
+        for y0 in starts[k::workers]:
+            if os.getppid() != caller:
+                os._exit(1)
+            yield y0
+
     read_fd, write_fd = os.pipe()
     pids = []
     try:
         for k in range(1, workers):
             if (pid := os.fork()) == 0:  # the child
                 try:
-                    work(starts[k::workers])
+                    work(share(k))
                     os._exit(0)
                 except BaseException as exc:
                     os.write(write_fd, f"{type(exc).__name__}: {exc}\n".encode()[:512])

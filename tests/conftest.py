@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 
 from despeckle import GrayImage
@@ -45,3 +48,13 @@ def make_step(height=32, width=32, low=60.0, high=190.0):
 
 def as_img(arr):
     return GrayImage.from_array(arr)
+
+
+def child_env(**changes):
+    """The environment for a child interpreter that imports the package
+    from this checkout's ``src``, installed or not; a change to None
+    removes that variable."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src, **changes}
+    return {name: value for name, value in env.items() if value is not None}

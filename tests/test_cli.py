@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import as_img, make_phantom, rand_image
+from conftest import as_img, child_env, make_phantom, rand_image
 from despeckle import (
     FrostParams,
     GrayImage,
@@ -29,14 +29,6 @@ from despeckle.nlm import _plan_tiles
 
 FAST = ["--search-radius", "3", "--patch-radius", "1"]
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
-
-
-def child_env():
-    """The environment for a child interpreter that imports the package
-    from this checkout's ``src``, installed or not."""
-    src = str(PYPROJECT.parent / "src")
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 def write_pgm(path, arr, maxval=255):

@@ -1,5 +1,10 @@
+import hashlib
 import math
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -10,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import as_img, make_phantom, rand_image, textured_image
+from conftest import as_img, child_env, make_phantom, rand_image, textured_image
 from despeckle import nlm as engine
 from despeckle import (
     GrayImage,
@@ -46,6 +51,21 @@ def with_impulses(arr, seed, rate):
     out[hit & salt] = 255.0
     out[hit & ~salt] = 0.0
     return out
+
+
+class EngineNumpy:
+    """Stands in for the engine module's ``np``; ``hook(x, y)`` runs
+    before each of its matrix products x @ y."""
+
+    def __init__(self, hook):
+        self._hook = hook
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, x, y, **kwargs):
+        self._hook(x, y)
+        return np.matmul(x, y, **kwargs)
 
 
 class TestPatchKernel:
@@ -239,6 +259,23 @@ class TestFilterInvariants:
         out = nlm_denoise(as_img(arr), NlmParams(h=1e-300, search_radius=3, patch_radius=1))
         assert np.array_equal(out.pixels, arr)
 
+    def test_extreme_finite_inputs_match_the_oracles(self):
+        # The squared differences at these pixels overflow to inf, which
+        # weighs the candidate 0; the engine must not make NaN of them.
+        arr = textured_image(44, 14, 13)
+        arr[2, 3], arr[7, 9], arr[11, 1] = 1e200, -1e200, 1e180
+        robust = RobustNlmParams(base=SMALL, h2=25.0)
+        runs = ((lambda threads: nlm_denoise(as_img(arr), SMALL, threads=threads),
+                 naive_nlm(arr, 40.0, 3, 1, SMALL.sigma_s)),
+                (lambda threads: robust_nlm_denoise(as_img(arr), robust, threads=threads),
+                 naive_robust_nlm(arr, 40.0, 25.0, 1.5, 3, 1, SMALL.sigma_s, "natural")))
+        with mock.patch.object(os, "cpu_count", return_value=2):
+            assert engine._plan_tiles(2, 14, 13)[1] == 2
+            for run, want in runs:
+                got = run(1).pixels
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+                assert run(2).pixels.tobytes() == got.tobytes()
+
     def test_threads_do_not_change_bits(self):
         arr = textured_image(17, 23, 19)
         one = nlm_denoise(as_img(arr), SMALL, threads=1).pixels.tobytes()
@@ -362,18 +399,59 @@ class TestEngine:
         assert engine._plan_tiles(1, 4, 10 * engine._TILE_PIXELS) == (1, 1)
         assert threading.active_count() == before
 
+    def test_blas_threads_do_not_change_bits(self):
+        # Rows this wide would make a column product of more than
+        # _BLAS_SERIAL multiply-adds, which OpenBLAS splits over threads.
+        height, width, search_radius, patch_radius = 24, 2600, 2, 3
+        script = textwrap.dedent(f"""
+            import hashlib, os
+            import numpy as np
+            from despeckle import GrayImage, NlmParams, RobustNlmParams, nlm_denoise, robust_nlm_denoise
+            os.cpu_count = lambda: 2
+            arr = np.random.Generator(np.random.Philox(45)).uniform(0, 255, ({height}, {width}))
+            base = NlmParams(h=40.0, search_radius={search_radius}, patch_radius={patch_radius})
+            for threads in (1, 2):
+                for out in (nlm_denoise(GrayImage(arr), base, threads=threads),
+                            robust_nlm_denoise(GrayImage(arr), RobustNlmParams(base=base, h2=25.0),
+                                               threads=threads)):
+                    print(hashlib.sha256(out.pixels.tobytes()).hexdigest())
+        """)
+        digests = []
+        for blas_threads in ("1", None):
+            env = child_env(OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=None,
+                            GOTO_NUM_THREADS=None)
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.split())
+        assert digests[0] == digests[1]
+        assert digests[0][0] == digests[0][2] and digests[0][1] == digests[0][3]
+        # and each product, m n k multiply-adds, stays within the size
+        # OpenBLAS runs on one thread; one unchunked row would not
+        sizes = []
+        arr = np.random.Generator(np.random.Philox(45)).uniform(0, 255, (height, width))
+        base = NlmParams(h=40.0, search_radius=search_radius, patch_radius=patch_radius)
+        record = EngineNumpy(lambda x, y: sizes.append(x.shape[-2] * x.shape[-1] * y.shape[-1]))
+        with mock.patch.object(engine, "np", record):
+            out = nlm_denoise(as_img(arr), base)
+        assert hashlib.sha256(out.pixels.tobytes()).hexdigest() == digests[0][0]
+        assert sizes and max(sizes) <= engine._BLAS_SERIAL
+        band, padded_width = engine._BAND, width + 2 * (search_radius + patch_radius)
+        assert band * (band + 2 * patch_radius) * padded_width > engine._BLAS_SERIAL
+
     def test_peak_memory_grows_only_by_full_image_arrays(self):
         search_radius, patch_radius, width = 2, 1, 128
         tile = engine._TILE_PIXELS // width  # the same tile height at both image heights
         params = NlmParams(h=40.0, search_radius=search_radius, patch_radius=patch_radius,
                            self_weight="max_neighbor")
-        pad = search_radius + patch_radius
+        pad, band = search_radius + patch_radius, engine._BAND
+        stride = -(-(width + 2 * pad) // band) * band  # one column chunk at this width
 
         def full_image_bytes(height):
-            # padded input, padded penalty and output
-            return 8 * ((height + 2 * pad) * (width + 2 * pad)
-                        + (height + 2 * search_radius) * (width + 2 * search_radius)
-                        + height * width)
+            # padded input and padded penalty, down to the rows under the
+            # last block of distances, and the output
+            rows = -(-(height + search_radius) // band) * band + 2 * patch_radius + search_radius + 1
+            return 8 * (2 * rows * stride + height * width)
 
         def peak(height):
             img = as_img(textured_image(height, height, width))
@@ -385,8 +463,11 @@ class TestEngine:
             finally:
                 tracemalloc.stop()
 
-        scratch = 8 * (2 * (tile + search_radius + 2 * patch_radius)
-                       * (width + search_radius + 2 * patch_radius) + 3 * tile * width)
+        # per tile: differences then distances, column products, and the
+        # acc, norm and wmax rows
+        blocks = (tile + search_radius + band - 2) // band + 1
+        scratch = 8 * ((2 * blocks * band + 2 * patch_radius) * stride + 2 * patch_radius
+                       + 3 * tile * stride)
         slack = 256 * 1024  # fixed costs: index vectors, ufunc buffers, interpreter objects
         small, tall = peak(256), peak(1024)
         assert small <= full_image_bytes(256) + scratch + slack
@@ -398,14 +479,10 @@ class TestForkedWorkers:
     @staticmethod
     def _patch_kernel(monkeypatch, caller_action, child_action):
         """Run ``caller_action`` or ``child_action`` before each of the
-        engine's correlations, by the process that makes it."""
-        caller, real = os.getpid(), engine.correlate1d_into
-
-        def kernel(*args):
-            (caller_action if os.getpid() == caller else child_action)()
-            return real(*args)
-
-        monkeypatch.setattr(engine, "correlate1d_into", kernel)
+        engine's matrix products, by the process that makes it."""
+        caller = os.getpid()
+        monkeypatch.setattr(engine, "np", EngineNumpy(
+            lambda x, y: (caller_action if os.getpid() == caller else child_action)()))
 
     @staticmethod
     def _fail():
@@ -476,6 +553,58 @@ class TestForkedWorkers:
         monkeypatch.delattr(os, "fork")
         assert nlm_denoise(as_img(arr), SMALL, threads=2).pixels.tobytes() == one
 
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states")
+    def test_children_of_a_killed_caller_stop(self):
+        # A caller killed outright cannot kill its children; each must
+        # notice that it was reparented and stop before its next tile.
+        script = textwrap.dedent("""
+            import os
+            import numpy as np
+            from despeckle import GrayImage, NlmParams, RobustNlmParams, robust_nlm_denoise
+            from despeckle import nlm
+            fork = os.fork
+
+            def reporting_fork():
+                pid = fork()
+                if pid:
+                    print(pid, flush=True)
+                return pid
+
+            os.fork, os.cpu_count = reporting_fork, lambda: 2
+            nlm._TILE_PIXELS = 8 * 256  # tiles of about 0.1 s, some 5 s for the child
+            arr = np.random.Generator(np.random.Philox(46)).uniform(0, 255, (1024, 256))
+            params = RobustNlmParams(base=NlmParams(h=40.0, search_radius=40), h2=25.0)
+            robust_nlm_denoise(GrayImage(arr), params, threads=2)
+        """)
+        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                                env=child_env())
+        pids = []
+        try:
+            pids.append(int(proc.stdout.readline()))
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 2
+
+            def stopped(pid):
+                try:
+                    with open(f"/proc/{pid}/stat") as stat:
+                        return stat.read().rpartition(")")[2].split()[0] == "Z"
+                except FileNotFoundError:
+                    return True
+
+            while not stopped(pids[0]) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert stopped(pids[0])
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 class TestWeightField:
     def _field(self, arr, center, h1=50.0, h2=20.0):
