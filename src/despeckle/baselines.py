@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, check_int, check_real
-from .image import GrayImage, mirror_pad
+from .image import GrayImage, check_radii, mirror_pad
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,10 @@ def lee_filter(img: GrayImage, params: LeeParams) -> GrayImage:
     out = m + k (v - m) with gain
     k = max(0, (s^2 - m^2 sigma^2) / (s^2 (1 + sigma^2))) clamped to
     [0, 1], where m and s^2 are the window mean and population variance.
-    Flat windows (s^2 = 0) get k = 0 and return the local mean.
+    Flat windows (s^2 = 0) get k = 0 and return the local mean. The
+    window radius may be at most 2 max(H, W, 10).
     """
+    check_radii(img, window_radius=params.window_radius)
     v = img.pixels
     m, s2 = _window_stats(mirror_pad(v, params.window_radius), params.window_radius)
     sig2 = params.noise_sigma ** 2
@@ -131,12 +133,14 @@ def frost_filter(img: GrayImage, params: FrostParams) -> GrayImage:
     Euclidean offset distance and the local squared coefficient of
     variation Cv^2 = s^2 / m^2 (taken as 0 when m = 0). Flat windows
     yield the plain window mean; large K on textured windows collapses
-    the weight onto the center pixel.
+    the weight onto the center pixel. The window radius may be at most
+    2 max(H, W, 10).
 
     The offsets are taken one distance at a time: the samples at one
     distance are summed, then weighed by that distance's exp, so each
     exp is computed once and no array is kept per offset or distance.
     """
+    check_radii(img, window_radius=params.window_radius)
     v = img.pixels
     radius = params.window_radius
     height, width = v.shape

@@ -5,7 +5,7 @@ half-sample mirror reflection: index -1 maps back to 0, index ``width``
 maps back to ``width - 1``. The fold is defined once, by `mirror_pad`,
 which is NumPy's ``symmetric`` pad; patch reads fold their indices by
 padding ``np.arange(n)`` with it, so all modules agree about boundary
-values.
+values, and `check_radii` bounds the filters' window radii by its period.
 """
 
 from __future__ import annotations
@@ -51,14 +51,6 @@ class GrayImage:
     def width(self) -> int:
         return int(self.pixels.shape[1])
 
-    @classmethod
-    def from_array(cls, arr) -> "GrayImage":
-        return cls(np.asarray(arr, dtype=np.float64))
-
-    def to_array(self) -> np.ndarray:
-        """Writable copy of the pixel array."""
-        return self.pixels.copy()
-
 
 def mirror_pad(arr: np.ndarray, pad: int) -> np.ndarray:
     """Pad an array on all sides by half-sample mirror reflection.
@@ -67,6 +59,19 @@ def mirror_pad(arr: np.ndarray, pad: int) -> np.ndarray:
     (... 1 0 | 0 1 2 | 2 1 ...), also for pads wider than the array.
     """
     return np.pad(arr, pad, mode="symmetric")
+
+
+def check_radii(img: GrayImage, **radii: int) -> None:
+    """Reject each radius (given as name=value) outside [1, 2 max(H, W, 10)]
+    for ``img``, before anything is sized by it.
+
+    `mirror_pad` extends an image with period 2H by 2W, so a wider
+    window only revisits its samples; the floor of 10 keeps the default
+    radii valid on the smallest images.
+    """
+    bound = 2 * max(img.height, img.width, 10)
+    for name, radius in radii.items():
+        check_int(radius, f"{name} for a {img.height}x{img.width} image", 1, bound)
 
 
 def gaussian_axis_weights(sigma: float, radius: int | None = None) -> np.ndarray:
@@ -81,22 +86,15 @@ def gaussian_axis_weights(sigma: float, radius: int | None = None) -> np.ndarray
     sigma = check_real(sigma, "sigma")
     radius = math.ceil(3.0 * sigma) if radius is None else check_int(radius, "radius")
     k = np.arange(-radius, radius + 1, dtype=np.float64)
+    if sigma < 0.02:  # every tap but the center underflows: the unit impulse, the limit
+        return (k == 0).astype(np.float64)
     w = np.exp(-(k * k) / (2.0 * sigma ** 2))
     return w / w.sum()
 
 
 def correlate1d_valid(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     """Valid-mode 1-D correlation (or convolution: the taps are symmetric)
-    of a 2-D array along ``axis``; see `correlate1d_into`."""
-    shape = list(arr.shape)
-    shape[axis] -= taps.size - 1
-    return correlate1d_into(arr, taps, axis, np.empty(shape))
-
-
-def correlate1d_into(arr: np.ndarray, taps: np.ndarray, axis: int,
-                     out: np.ndarray) -> np.ndarray:
-    """`correlate1d_valid` into ``out``, allocating no array; with axis 0
-    it also takes 1-D arrays.
+    of a 2-D array along ``axis``, into one new array.
 
     The 2c + 1 taps t must be symmetric. Horner's rule sums the windows
     x_k from the outside in, ((x_0 + x_2c) q_0 + x_1 + x_(2c-1)) q_1 ...
@@ -105,13 +103,10 @@ def correlate1d_into(arr: np.ndarray, taps: np.ndarray, axis: int,
     place. Every element gets the same operations, so bits do not depend
     on how the caller slices the input.
     """
-    n, t = out.shape[axis], taps.tolist()
+    n, t = arr.shape[axis] - taps.size + 1, taps.tolist()
     c = len(t) // 2
     x = [arr[k : k + n] if axis == 0 else arr[:, k : k + n] for k in range(2 * c + 1)]
-    if c:
-        np.add(x[0], x[2 * c], out=out)
-    else:
-        np.copyto(out, x[0])
+    out = np.add(x[0], x[2 * c]) if c else x[0].copy()
     for k in range(1, c + 1):
         out *= t[k - 1] / t[k] if t[k - 1] else 0.0
         out += x[k]

@@ -47,7 +47,7 @@ def make_step(height=32, width=32, low=60.0, high=190.0):
 
 
 def as_img(arr):
-    return GrayImage.from_array(arr)
+    return GrayImage(arr)
 
 
 def child_env(**changes):

@@ -363,7 +363,7 @@ def test_criterion_09_round_trips(tmp_path):
     for maxval in (255, 65535):
         first = tmp_path / f"a{maxval}.pgm"
         second = tmp_path / f"b{maxval}.pgm"
-        save_pgm(GrayImage.from_array(arr), first, maxval=maxval)
+        save_pgm(GrayImage(arr), first, maxval=maxval)
         save_pgm(load_pgm(first), second, maxval=maxval)
         worst_cases.append(first.read_bytes() == second.read_bytes())
         worst_cases.append(np.array_equal(load_pgm(first).pixels, load_pgm(second).pixels))

@@ -188,6 +188,18 @@ class TestProperties:
         frost = frost_filter(as_img(arr), FrostParams(window_radius=radius, damping=damping))
         assert np.max(np.abs(frost.pixels - naive_frost(arr, radius, damping))) < 1e-8
 
+    def test_window_radius_is_bounded_by_the_mirror_period(self):
+        # 2 max(3, 12, 10) = 24: the last radius that meets new samples
+        arr = rand_image(37, 3, 12)
+        lee = lee_filter(as_img(arr), LeeParams(window_radius=24, noise_sigma=0.2))
+        assert np.max(np.abs(lee.pixels - naive_lee(arr, 24, 0.2))) < 1e-8
+        frost = frost_filter(as_img(arr), FrostParams(window_radius=24, damping=1.0))
+        assert np.max(np.abs(frost.pixels - naive_frost(arr, 24, 1.0))) < 1e-8
+        with pytest.raises(ParameterError, match="^window_radius for a 3x12 image"):
+            lee_filter(as_img(arr), LeeParams(window_radius=25))
+        with pytest.raises(ParameterError, match="^window_radius for a 3x12 image"):
+            frost_filter(as_img(arr), FrostParams(window_radius=25))
+
     @settings(max_examples=25, deadline=None)
     @given(shape=SHAPES, value=st.integers(0, 65535), radius=st.integers(1, 3))
     def test_integer_constants_come_back_exactly(self, shape, value, radius):

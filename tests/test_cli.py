@@ -32,7 +32,7 @@ PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def write_pgm(path, arr, maxval=255):
-    save_pgm(GrayImage.from_array(np.asarray(arr, dtype=float)), path, maxval=maxval)
+    save_pgm(GrayImage(np.asarray(arr, dtype=float)), path, maxval=maxval)
 
 
 def parse_echo(err):
@@ -212,11 +212,16 @@ class TestDenoise:
         err = capsys.readouterr().err
         assert err == f"error: {message or 'out of memory'}\n"
 
-    @pytest.mark.parametrize("flag", ["--search-radius", "--patch-radius"])
-    def test_oversized_radius_exits_2_fast(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--search-radius"], id="--search-radius"),
+        pytest.param(["--patch-radius"], id="--patch-radius"),
+        pytest.param(["--filter", "lee", "--window-radius"], id="lee--window-radius"),
+        pytest.param(["--filter", "frost", "--window-radius"], id="frost--window-radius"),
+    ])
+    def test_oversized_radius_exits_2_fast(self, tmp_path, capsys, flags):
         src = tmp_path / "in.pgm"
         write_pgm(src, rand_image(83, 8, 8, lo=60, hi=200))
-        argv = ["denoise", str(src), str(tmp_path / "out.pgm"), flag, str(10**6)]
+        argv = ["denoise", str(src), str(tmp_path / "out.pgm"), *flags, str(10**6)]
         main(argv)  # lazy imports on first use are not the rejection's cost
         capsys.readouterr()
         tracemalloc.start()
@@ -228,9 +233,23 @@ class TestDenoise:
         finally:
             tracemalloc.stop()
         assert rc == 2
-        assert "8x8 image" in capsys.readouterr().err
+        name = flags[-1][2:].replace("-", "_")
+        assert f"error: {name} for a 8x8 image" in capsys.readouterr().err
         assert elapsed < 0.5
         assert peak < 2**20
+
+    def test_tiny_sigmas_run_as_the_unit_impulse(self, tmp_path, capsys):
+        # Gaussian taps at sigma 1e-300 are those at 0.01, with no warning
+        src = tmp_path / "in.pgm"
+        write_pgm(src, rand_image(87, 16, 16, lo=60, hi=200))
+        outputs = []
+        for flags in (["--sigma-s", "1e-300"], ["--sigma-s", "0.01"],
+                      ["--prefilter-sigma", "1e-300"]):
+            dst = tmp_path / "out.pgm"
+            assert main(["denoise", str(src), str(dst), *FAST, *flags]) == 0
+            outputs.append(dst.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert "error" not in capsys.readouterr().err
 
     def test_threads_env_var(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "in.pgm"
@@ -364,7 +383,7 @@ class TestEval:
 
     def test_peak_sets_ssim_range(self, tmp_path, capsys):
         ref, test = tmp_path / "ref16.pgm", tmp_path / "test16.pgm"
-        clean = GrayImage.from_array(make_phantom(side=32) * 257.0)
+        clean = GrayImage(make_phantom(side=32) * 257.0)
         write_pgm(ref, clean.pixels, maxval=65535)
         write_pgm(test, add_gaussian_noise(clean, sigma=2000.0, seed=85).pixels, maxval=65535)
         assert main(["eval", str(ref), str(test), "--peak", "65535"]) == 0

@@ -13,32 +13,26 @@ from despeckle import (
     gaussian_axis_weights,
     gaussian_blur,
 )
-from despeckle.image import correlate1d_into, correlate1d_valid, mirror_pad
+from despeckle.image import correlate1d_valid, mirror_pad
 from reference import conv2_full_mirror, naive_blur, reflect
 
 
 class TestGrayImage:
     def test_shape_and_accessors(self):
-        img = GrayImage.from_array(np.arange(12.0).reshape(3, 4))
+        img = GrayImage(np.arange(12.0).reshape(3, 4))
         assert img.height == 3
         assert img.width == 4
         assert img.pixels.dtype == np.float64
 
     def test_pixels_are_read_only(self):
-        img = GrayImage.from_array(np.zeros((2, 2)))
+        img = GrayImage(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1.0
 
     def test_from_array_copies(self):
         src = np.zeros((2, 2))
-        img = GrayImage.from_array(src)
+        img = GrayImage(src)
         src[0, 0] = 99.0
-        assert img.pixels[0, 0] == 0.0
-
-    def test_to_array_is_writable_copy(self):
-        img = GrayImage.from_array(np.zeros((2, 2)))
-        out = img.to_array()
-        out[0, 0] = 5.0
         assert img.pixels[0, 0] == 0.0
 
     @pytest.mark.parametrize("bad", [
@@ -49,7 +43,7 @@ class TestGrayImage:
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ParameterError):
-            GrayImage.from_array(bad)
+            GrayImage(bad)
 
 
 def folded(n, pad):
@@ -100,6 +94,16 @@ class TestAxisWeights:
         with pytest.raises(ParameterError):
             gaussian_axis_weights(sigma)
 
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-300, 5e-324])
+    def test_tiny_sigma_gives_the_unit_impulse(self, sigma):
+        # 2 sigma^2 overflows the division or underflows to 0 here; the
+        # taps are still the limit, as at sigma = 0.01, with no warning
+        for radius in (None, 0, 1, 3):
+            w = gaussian_axis_weights(sigma, radius)
+            c = w.size // 2
+            assert w.tolist() == [0.0] * c + [1.0] + [0.0] * c
+            assert w.tobytes() == gaussian_axis_weights(0.01, radius).tobytes()
+
     def test_exactly_symmetric(self):
         # the correlation's Horner form pairs tap k with tap 2c - k
         for sigma in (0.01, 0.05, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.3, 5.0, 11.0):
@@ -140,10 +144,6 @@ class TestCorrelation:
             scale = naive_correlate(np.abs(arr), np.abs(taps), axis)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
-        row = arr[0]
-        got = correlate1d_valid(row, taps, 0)
-        assert np.all(np.abs(got - naive_correlate(row, taps, 0))
-                      <= 1e-12 * naive_correlate(np.abs(row), np.abs(taps), 0))
 
     def test_zero_outer_taps_give_no_nan(self):
         taps = gaussian_axis_weights(0.02, 4)
@@ -166,34 +166,23 @@ class TestCorrelation:
         assert band.tobytes() == full0[y0:y1].tobytes()
         shifted = correlate1d_valid(arr[:, x0:], taps, 1)
         assert shifted.tobytes() == full1[:, x0:].tobytes()
-        # into a strided output, one row of a 2-D band at a time
-        out = np.empty((full1.shape[0], 2 * full1.shape[1]))[:, ::2]
-        correlate1d_into(arr, taps, 1, out)
-        assert out.tobytes() == full1.tobytes()
-        for y in range(arr.shape[0]):
-            line = correlate1d_into(arr[y], taps, 0, np.empty(full1.shape[1]))
-            assert line.tobytes() == full1[y].tobytes()
 
-    def test_into_allocates_nothing(self):
+    def test_allocates_only_its_output(self):
         taps = gaussian_axis_weights(1.5, 6)
 
         def peak(arr, axis):
-            shape = list(arr.shape)
-            shape[axis] -= taps.size - 1
-            out = np.empty(shape)
-            correlate1d_into(arr, taps, axis, out)  # warm up
+            correlate1d_valid(arr, taps, axis)  # warm up
             tracemalloc.start()
             try:
-                correlate1d_into(arr, taps, axis, out)
-                return tracemalloc.get_traced_memory()[1]
+                out = correlate1d_valid(arr, taps, axis)
+                return tracemalloc.get_traced_memory()[1] - out.nbytes
             finally:
                 tracemalloc.stop()
 
         arr = rand_image(9, 600, 1000)  # each output is about 4.6 MiB
         # a few small Python objects: the windows are views and every
-        # pass writes ``out``
+        # pass but the first writes the output in place
         assert peak(arr, 0) < 4096
-        assert peak(arr[0], 0) < 4096
         # along rows NumPy's ufunc iterator may hold its fixed buffers of
         # 8192 elements per operand, whatever the array size
         assert peak(arr, 1) < 2 * 8192 * 8 + 4096
@@ -205,42 +194,42 @@ class TestGaussianBlur:
         # center weight is the squared normalized 1-D center tap.
         arr = np.zeros((9, 9))
         arr[4, 4] = 1.0
-        out = gaussian_blur(GrayImage.from_array(arr), 1.0).pixels
+        out = gaussian_blur(GrayImage(arr), 1.0).pixels
         taps = np.exp(-np.arange(-3, 4, dtype=float) ** 2 / 2.0)
         center = (1.0 / taps.sum()) ** 2
         assert abs(out[4, 4] - center) < 1e-12
 
     def test_matches_bruteforce_2d_convolution(self):
         arr = rand_image(42, 16, 16)
-        out = gaussian_blur(GrayImage.from_array(arr), 1.2).pixels
+        out = gaussian_blur(GrayImage(arr), 1.2).pixels
         assert np.max(np.abs(out - naive_blur(arr, 1.2))) < 1e-12
 
     def test_against_generic_kernel_oracle(self):
         arr = rand_image(7, 12, 10)
         taps = gaussian_axis_weights(0.8)
         kernel = np.outer(taps, taps)
-        out = gaussian_blur(GrayImage.from_array(arr), 0.8).pixels
+        out = gaussian_blur(GrayImage(arr), 0.8).pixels
         assert np.max(np.abs(out - conv2_full_mirror(arr, kernel))) < 1e-12
 
     def test_preserves_global_mean(self):
         arr = rand_image(3, 17, 23)
-        out = gaussian_blur(GrayImage.from_array(arr), 2.0).pixels
+        out = gaussian_blur(GrayImage(arr), 2.0).pixels
         assert abs(out.mean() - arr.mean()) / arr.mean() < 1e-6
 
     def test_preserves_constants(self):
-        img = GrayImage.from_array(np.full((8, 8), 77.0))
+        img = GrayImage(np.full((8, 8), 77.0))
         out = gaussian_blur(img, 3.0).pixels
         assert np.max(np.abs(out - 77.0)) < 1e-9
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_output_within_input_range(self, seed):
         arr = rand_image(seed, 14, 14)
-        out = gaussian_blur(GrayImage.from_array(arr), 1.5).pixels
+        out = gaussian_blur(GrayImage(arr), 1.5).pixels
         assert out.min() >= arr.min() - 1e-9
         assert out.max() <= arr.max() + 1e-9
 
     def test_small_images(self):
         # pad exceeds the image on a 2x3; multi-period reflection must hold
         arr = np.array([[1.0, 5.0, 9.0], [2.0, 4.0, 8.0]])
-        out = gaussian_blur(GrayImage.from_array(arr), 2.0).pixels
+        out = gaussian_blur(GrayImage(arr), 2.0).pixels
         assert np.max(np.abs(out - naive_blur(arr, 2.0))) < 1e-12

@@ -12,6 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -90,6 +91,11 @@ class TestPatchKernel:
         kern = make_patch_kernel(0, 1.0)
         assert kern.shape == (1, 1)
         assert kern[0, 0] == 1.0
+
+    def test_tiny_sigma_gives_the_center_weight(self):
+        kern = make_patch_kernel(3, 1e-300)
+        assert kern.tobytes() == make_patch_kernel(3, 0.01).tobytes()
+        assert kern[3, 3] == 1.0 and kern.sum() == 1.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ParameterError):
@@ -439,6 +445,40 @@ class TestEngine:
         band, padded_width = engine._BAND, width + 2 * (search_radius + patch_radius)
         assert band * (band + 2 * patch_radius) * padded_width > engine._BLAS_SERIAL
 
+    @pytest.mark.parametrize("patch_radius", [1, 2, 3])
+    def test_blas_rows_do_not_depend_on_the_row_count(self, patch_radius):
+        # Tiles change only how many blocks of rows a product spans and
+        # where a row sits in it; the engine's bits rest on BLAS giving a
+        # row, or a block, the same bits whatever that count and place.
+        blame = ("OpenBLAS chose a GEMM kernel whose rows depend on the row count, so the "
+                 "engine's bits depend on its tiling on this CPU; the engine is not at fault")
+        bands = {}
+
+        def grab(x, y):  # the column band is the left factor, the row band the right one
+            bands.update({"col": x} if x.ndim == 2 else {"row": y})
+
+        params = NlmParams(h=40.0, search_radius=1, patch_radius=patch_radius)
+        with mock.patch.object(engine, "np", EngineNumpy(grab)):
+            nlm_denoise(as_img(rand_image(46, 8, 8)), params)
+        col_band, row_band = bands["col"].copy(), bands["row"].copy()
+        band, inner = engine._BAND, col_band.shape[1]
+        most = band * (engine._BLAS_SERIAL // (band * band * inner))  # rows of the largest
+        rng = np.random.Generator(np.random.Philox(patch_radius))
+        rows = (rng.uniform(0.0, 255.0, (most, 3 * inner)) ** 2)[:, :inner]
+        want = np.matmul(rows, row_band)
+        for count in range(band, most + 1, band):
+            for y0 in {0, (most - count) // (2 * band) * band, most - count}:
+                got = np.matmul(rows[y0 : y0 + count], row_band)
+                assert got.tobytes() == want[y0 : y0 + count].tobytes(), blame
+        nblk = 6
+        flat = rng.uniform(0.0, 255.0, (nblk * band + 2 * patch_radius) * most) ** 2
+        blocks = as_strided(flat, (nblk, inner, most), (8 * band * most, 8 * most, 8))
+        want = np.matmul(col_band, blocks)
+        for count in range(1, nblk + 1):
+            for j0 in range(nblk - count + 1):
+                got = np.matmul(col_band, blocks[j0 : j0 + count])
+                assert got.tobytes() == want[j0 : j0 + count].tobytes(), blame
+
     def test_peak_memory_grows_only_by_full_image_arrays(self):
         search_radius, patch_radius, width = 2, 1, 128
         tile = engine._TILE_PIXELS // width  # the same tile height at both image heights
@@ -706,6 +746,7 @@ class TestParams:
         img = as_img(rand_image(25, 8, 8))
         base = NlmParams(h=40.0, search_radius=search_radius, patch_radius=patch_radius)
         robust = RobustNlmParams(base=base, h2=25.0)
+        name = "search_radius" if search_radius > 1 else "patch_radius"
         for call in (lambda: nlm_denoise(img, base), lambda: robust_nlm_denoise(img, robust),
                      lambda: compute_weight_field(img, (3, 3), robust)):
             with pytest.raises(ParameterError):
@@ -713,7 +754,7 @@ class TestParams:
             tracemalloc.start()
             start = time.perf_counter()
             try:
-                with pytest.raises(ParameterError, match="8x8 image"):
+                with pytest.raises(ParameterError, match=f"^{name} for a 8x8 image"):
                     call()
                 elapsed = time.perf_counter() - start
                 peak = tracemalloc.get_traced_memory()[1]

@@ -14,7 +14,7 @@ from despeckle import pgm
 def test_roundtrip_8bit(tmp_path):
     arr = rand_image(5, 7, 9)
     path = tmp_path / "img.pgm"
-    save_pgm(GrayImage.from_array(arr), path)
+    save_pgm(GrayImage(arr), path)
     back = load_pgm(path)
     expected = np.clip(np.floor(arr + 0.5), 0, 255)
     assert np.array_equal(back.pixels, expected)
@@ -24,7 +24,7 @@ def test_roundtrip_is_idempotent(tmp_path):
     arr = rand_image(6, 5, 5)
     first = tmp_path / "a.pgm"
     second = tmp_path / "b.pgm"
-    save_pgm(GrayImage.from_array(arr), first)
+    save_pgm(GrayImage(arr), first)
     save_pgm(load_pgm(first), second)
     assert first.read_bytes()[first.read_bytes().index(b"\n") :] == \
         second.read_bytes()[second.read_bytes().index(b"\n") :]
@@ -34,14 +34,14 @@ def test_roundtrip_is_idempotent(tmp_path):
 def test_rounding_half_away_from_zero_and_clamping(tmp_path):
     arr = np.array([[0.5, 1.5, -0.4, -3.2, 254.5, 300.0, 12.6, 2.4]])
     path = tmp_path / "round.pgm"
-    save_pgm(GrayImage.from_array(arr), path)
+    save_pgm(GrayImage(arr), path)
     assert load_pgm(path).pixels.tolist() == [[1.0, 2.0, 0.0, 0.0, 255.0, 255.0, 13.0, 2.0]]
 
 
 def test_16bit_roundtrip_and_big_endian(tmp_path):
     arr = np.array([[0.0, 256.0], [65535.0, 513.2]])
     path = tmp_path / "deep.pgm"
-    save_pgm(GrayImage.from_array(arr), path, maxval=65535)
+    save_pgm(GrayImage(arr), path, maxval=65535)
     raw = path.read_bytes()
     header = b"P5\n2 2\n65535\n"
     assert raw.startswith(header)
@@ -52,7 +52,7 @@ def test_16bit_roundtrip_and_big_endian(tmp_path):
 
 
 def test_save_rejects_other_maxval(tmp_path):
-    img = GrayImage.from_array(np.zeros((2, 2)))
+    img = GrayImage(np.zeros((2, 2)))
     with pytest.raises(ParameterError):
         save_pgm(img, tmp_path / "x.pgm", maxval=1023)
 
