@@ -7,9 +7,10 @@ repeated runs are bit-identical.
 They work plane by plane on a few preallocated image-sized arrays, so
 their memory does not grow with the window. Lee and Frost take the
 window mean and variance as fixed-order sums over the shifted planes
-of the mirror-padded input. SRAD keeps every per-iteration quantity in
-buffers it writes in place; its output bits are those of the plain
-four-difference formulation.
+of the mirror-padded input. SRAD sweeps each iteration in row strips
+over buffers it writes in place, so that a strip's passes stay in
+cache; its output bits are those of the plain four-difference
+formulation.
 """
 
 from __future__ import annotations
@@ -17,11 +18,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DomainError, NumericError, check_int, check_real
-from .image import GrayImage, check_radii, mirror_pad
+from .image import GrayImage, cache_aligned, check_radii, mirror_pad
+
+# Values per row strip of `srad`: 128 KiB per strip-sized float64 array.
+_STRIP_VALUES = 16384
 
 
 @dataclass(frozen=True)
@@ -181,18 +186,26 @@ def srad(img: GrayImage, params: SradParams) -> GrayImage:
     c = 1 / (1 + (q^2 - q0(t)^2) / (q0(t)^2 (1 + q0(t)^2))) is clamped
     to [0, 1]; the image steps by (dt / 4) * div(c grad v). Pixels must
     be strictly positive (shift the image first if needed); positivity
-    is preserved by the scheme for dt <= 0.25.
+    is preserved by the scheme for dt <= 0.25. An iteration that leaves
+    a pixel non-finite raises `NumericError`.
 
-    The image is mirror-padded by one pixel and flattened, and every
-    quantity is kept in a buffer on the same row stride S = W + 2,
-    allocated once. A neighbour is then a flat step (S south, 1 east)
-    and every pass is one contiguous slice; what the passes write into
-    the margins is dropped when each step restores the mirror. The
-    south and east differences are stored once: a pixel's north and
+    The image is mirror-padded by one pixel and flattened, and the
+    south and east differences and c are kept on the same row stride
+    S = W + 2, so a neighbour is a flat step (S south, 1 east) and every
+    pass is one contiguous slice; what the passes write into the margins
+    is dropped when each step restores the mirror. A pixel's north and
     west differences are the negated south and east ones of the pixel
     above and to its left, and since x + (-y) == x - y and
     (-y)^2 == y^2 exactly, each pixel sees the same IEEE operations in
-    the same order as with four difference arrays.
+    the same order as with four difference arrays. Likewise c dN and
+    c dW are the negated products c_S dS and c_E dE of the pixel above
+    and to its left, so two product arrays serve all four terms.
+
+    Each iteration sweeps the image in row strips of about
+    `_STRIP_VALUES` values, so that a strip's passes stay in cache: the
+    differences and c of strip k, then the step of strip k - 1, whose
+    last row needs c of the row below. Only the padded image, the
+    differences and c are image-sized; the other scratch is 5 strips.
     """
     v = img.pixels
     if np.any(v <= 0):
@@ -204,69 +217,97 @@ def srad(img: GrayImage, params: SradParams) -> GrayImage:
     height, width = v.shape
     stride = width + 2
     dt, q0, rho = params.dt, params.q0, params.rho
-    grid = mirror_pad(v, 1)
-    flat = grid.ravel()
-    # pixel rows, margin columns included, start at flat index `stride`
-    size = height * stride
-    px = flat[stride : stride + size]
-    # south[k] = flat[k + S] - flat[k] from the top margin row down;
-    # east[k] = flat[k + 1] - flat[k] from the margin left of pixel (0, 0)
-    south, east = np.empty(size + stride), np.empty(size + 1)
-    south_sq, east_sq = np.empty_like(south), np.empty_like(east)
-    d_s, neg_d_n = south[stride:], south[:-stride]
-    d_e, neg_d_w = east[1:], east[:-1]
-    # c on the padded layout, so that c_south and c_east are flat steps
-    c_grid = np.zeros_like(grid)
-    c_flat = c_grid.ravel()
-    c, c_south, c_east = (c_flat[k : k + size] for k in (stride, 2 * stride, stride + 1))
-    a, b, tmp = np.empty(size), np.empty(size), np.empty(size)
+    flat = cache_aligned((height + 2) * stride)
+    grid = flat.reshape(height + 2, stride)
+    grid[...] = mirror_pad(v, 1)
+    # south[k] = flat[k + S] - flat[k] and east[k] = flat[k + 1] - flat[k].
+    # Only pixel rows, margin columns included, are written: the top margin
+    # row's south differences and the east difference just before pixel
+    # (0, 0) keep their initial 0, the first by the mirror, the second
+    # read only for the margin. c keeps its bottom margin row at 0.
+    south, east, c_flat = (cache_aligned(flat.size) for _ in range(3))
+    c_grid = c_flat.reshape(grid.shape)
+    strip_rows = max(1, _STRIP_VALUES // stride)
+    sq, esq = cache_aligned((strip_rows + 1) * stride), cache_aligned(strip_rows * stride + 1)
+    a, b, tmp = (cache_aligned(strip_rows * stride) for _ in range(3))
+    strips = []
+    for y0 in range(0, height, strip_rows):
+        y1 = min(y0 + strip_rows, height)
+        lo, hi = (y0 + 1) * stride, (y1 + 1) * stride  # the flat span of pixel rows y0..y1-1
+        n = hi - lo
+        s_span, e_span = south[lo - stride : hi], east[lo - 1 : hi]
+        sq_span, esq_span = sq[: n + stride], esq[: n + 1]
+        strips.append(SimpleNamespace(
+            px=flat[lo:hi], below=flat[lo + stride : hi + stride], right=flat[lo + 1 : hi + 1],
+            s_span=s_span, d_s=s_span[stride:], neg_d_n=s_span[:n],
+            e_span=e_span, d_e=e_span[1:], neg_d_w=e_span[:n],
+            c=c_flat[lo:hi], c_s=c_flat[lo : hi + stride], c_e=c_flat[lo : hi + 1],
+            c_right=c_grid[y0 + 1 : y1 + 1, -1], rows=grid[y0 + 1 : y1 + 1],
+            bottom=grid[-2:] if y1 == height else None,
+            # squares, then the products: index j is flat index lo - S + j
+            # (sq) and lo - 1 + j (esq)
+            sq=sq_span, sq_n=sq_span[:n], sq_s=sq_span[stride:],
+            esq=esq_span, esq_w=esq_span[:n], esq_e=esq_span[1:],
+            a=a[:n], b=b[:n], tmp=tmp[:n]))
     for t in range(1, params.iterations + 1):
-        np.subtract(flat[stride:], flat[:-stride], out=south)
-        np.subtract(flat[stride : stride + size + 1], flat[stride - 1 : stride + size],
-                    out=east)
-        np.multiply(south, south, out=south_sq)
-        np.multiply(east, east, out=east_sq)
-        # grad2 = (dN^2 + dS^2 + dW^2 + dE^2) / v^2
-        grad2 = np.add(south_sq[:-stride], south_sq[stride:], out=a)
-        grad2 += east_sq[:-1]
-        grad2 += east_sq[1:]
-        grad2 /= np.multiply(px, px, out=tmp)
-        # lap = (dN + dS + dW + dE) / v
-        lap = np.subtract(d_s, neg_d_n, out=b)
-        lap -= neg_d_w
-        lap += d_e
-        lap /= px
-        # q2 = (0.5 grad2 - lap^2 / 16) / (1 + lap / 4)^2
-        q2 = grad2
-        q2 *= 0.5
-        q2 -= np.multiply(np.multiply(lap, lap, out=tmp), 1.0 / 16.0, out=tmp)
-        np.multiply(lap, 0.25, out=tmp)
-        tmp += 1.0
-        q2 /= np.multiply(tmp, tmp, out=tmp)
         q0_t = q0 * math.exp(-rho * t * dt)
         q0_sq = q0_t * q0_t
-        q2 -= q0_sq
-        q2 /= q0_sq * (1.0 + q0_sq)
-        q2 += 1.0
-        np.divide(1.0, q2, out=c)
-        np.clip(c, 0.0, 1.0, out=c)
-        # The bottom row and the right column meet only the zero south and
-        # east differences of the mirror, so they need only be finite: the
-        # row stays 0, and the column, just computed from margin values, is
-        # reset to 0 before 0 * c there can turn into NaN.
-        c_grid[1:-1, -1] = 0.0
-        # div = c dN + c_south dS + c dW + c_east dE
-        div = np.multiply(c_south, d_s, out=a)
-        div -= np.multiply(c, neg_d_n, out=b)
-        div -= np.multiply(c, neg_d_w, out=b)
-        div += np.multiply(c_east, d_e, out=b)
-        div *= dt / 4.0
-        px += div
-        # restore the mirror margins the step wrote over
-        grid[1:-1, 0] = grid[1:-1, 1]
-        grid[1:-1, -1] = grid[1:-1, -2]
-        grid[0] = grid[1]
-        grid[-1] = grid[-2]
-        if not np.all(np.isfinite(grid)):
-            raise NumericError(f"diffusion diverged to non-finite values at iteration {t}")
+        for k, s in enumerate(strips):
+            np.subtract(s.below, s.px, out=s.d_s)
+            np.subtract(s.right, s.px, out=s.d_e)
+            np.multiply(s.s_span, s.s_span, out=s.sq)
+            np.multiply(s.e_span, s.e_span, out=s.esq)
+            # grad2 = (dN^2 + dS^2 + dW^2 + dE^2) / v^2
+            grad2 = np.add(s.sq_n, s.sq_s, out=s.a)
+            grad2 += s.esq_w
+            grad2 += s.esq_e
+            grad2 /= np.multiply(s.px, s.px, out=s.tmp)
+            # lap = (dN + dS + dW + dE) / v
+            lap = np.subtract(s.d_s, s.neg_d_n, out=s.b)
+            lap -= s.neg_d_w
+            lap += s.d_e
+            lap /= s.px
+            # q2 = (0.5 grad2 - lap^2 / 16) / (1 + lap / 4)^2
+            q2 = grad2
+            q2 *= 0.5
+            q2 -= np.multiply(np.multiply(lap, lap, out=s.tmp), 1.0 / 16.0, out=s.tmp)
+            np.multiply(lap, 0.25, out=s.tmp)
+            s.tmp += 1.0
+            q2 /= np.multiply(s.tmp, s.tmp, out=s.tmp)
+            q2 -= q0_sq
+            q2 /= q0_sq * (1.0 + q0_sq)
+            q2 += 1.0
+            np.divide(1.0, q2, out=s.c)
+            np.clip(s.c, 0.0, 1.0, out=s.c)
+            # The bottom row and the right column meet only the zero south
+            # and east differences of the mirror, so they need only be
+            # finite: the row stays 0, and the column, just computed from
+            # margin values, is reset to 0 before 0 * c there can turn into
+            # NaN.
+            s.c_right[...] = 0.0
+            if k:
+                _srad_step(strips[k - 1], dt, t)
+        _srad_step(strips[-1], dt, t)
     return GrayImage(grid[1:-1, 1:-1])
+
+
+def _srad_step(s: SimpleNamespace, dt: float, t: int) -> None:
+    """Step one strip of `srad` by (dt / 4) div(c grad v), restore its
+    mirror margins, and raise `NumericError` if a pixel is not finite."""
+    # div = c dN + c_S dS + c dW + c_E dE. sq gets c_S dS from the row
+    # above the strip on, esq c_E dE from the value left of it on; their
+    # entries one row up and one value left are -c dN and -c dW.
+    np.multiply(s.c_s, s.s_span, out=s.sq)
+    np.multiply(s.c_e, s.e_span, out=s.esq)
+    div = np.subtract(s.sq_s, s.sq_n, out=s.a)
+    div -= s.esq_w
+    div += s.esq_e
+    div *= dt / 4.0
+    s.px += div
+    # restore the mirror margins the step wrote over
+    s.rows[:, 0] = s.rows[:, 1]
+    s.rows[:, -1] = s.rows[:, -2]
+    if s.bottom is not None:
+        s.bottom[1] = s.bottom[0]
+    if not np.isfinite(s.px).all():
+        raise NumericError(f"diffusion diverged to non-finite values at iteration {t}")

@@ -51,7 +51,9 @@ from .errors import NumericError, ParameterError, check_int, check_real
 from .image import (
     GrayImage,
     blur_array,
+    cache_aligned,
     check_radii,
+    check_sigmas,
     correlate1d_valid,  # noqa: F401  (perfbench/tracing.py wraps this binding)
     gaussian_axis_weights,
     mirror_pad,
@@ -193,6 +195,14 @@ def patch_distance(img: GrayImage, i: tuple[int, int], j: tuple[int, int],
     _check_center(img, j, "j")
     a, b = _mirrored_blocks(img.pixels, side // 2, i, j)
     return float(np.sum(kernel * (a - b) ** 2))
+
+
+def _check_extent(img: GrayImage, base: NlmParams, prefilter_sigma: float | None = None) -> None:
+    """The mirror-period bound on every radius and sigma of the filter."""
+    check_radii(img, search_radius=base.search_radius, patch_radius=base.patch_radius)
+    check_sigmas(img, 1.0, sigma_s=base.sigma_s)
+    if prefilter_sigma is not None:
+        check_sigmas(img, 3.0, prefilter_sigma=prefilter_sigma)
 
 
 def _plan_tiles(threads, height: int, width: int) -> tuple[int, int]:
@@ -343,10 +353,10 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
         np.divide(acc_px, norm_px, out=out[y0:y1])
 
     def work(starts) -> None:
-        a = _cache_aligned((tile_blocks * _BAND + 2 * r) * stride)
-        b = _cache_aligned(tile_blocks * _BAND * stride + 2 * r)  # the r values at each end stay 0
-        acc, norm = _cache_aligned(tile_rows * stride), _cache_aligned(tile_rows * stride)
-        wmax = _cache_aligned(tile_rows * stride) if skip_self else None
+        a = cache_aligned((tile_blocks * _BAND + 2 * r) * stride)
+        b = cache_aligned(tile_blocks * _BAND * stride + 2 * r)  # the r values at each end stay 0
+        acc, norm = cache_aligned(tile_rows * stride), cache_aligned(tile_rows * stride)
+        wmax = cache_aligned(tile_rows * stride) if skip_self else None
         # For tiny h the scaled distances saturate to -inf and exp flushes
         # them to the intended weight 0, so the overflow is not an error.
         with np.errstate(over="ignore"):
@@ -356,14 +366,6 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
     _run_workers(work, range(0, height, tile_rows), workers)
     del padded, corr_padded  # free them before GrayImage copies ``out``
     return GrayImage(out)
-
-
-def _cache_aligned(size: int) -> np.ndarray:
-    """``size`` zeros from a 64-byte boundary on, so that blocks every 8
-    values start cache lines (the allocator's placement of the scratch
-    buffers moved the engine's time by 10-20%)."""
-    raw = np.zeros(size + 7)
-    return raw[-raw.ctypes.data // 8 % 8 :][:size]
 
 
 def _run_workers(work, starts: range, workers: int) -> None:
@@ -417,10 +419,10 @@ def nlm_denoise(img: GrayImage, params: NlmParams, threads: int = 1) -> GrayImag
 
     Each output pixel is the weighted mean of the search-window pixels,
     with weights exp(-d(i, j) / h^2) for the kernel-weighted squared
-    patch distance d. Output size equals input size. Each radius may be
-    at most 2 max(H, W, 10).
+    patch distance d. Output size equals input size. Each radius, and
+    sigma_s, may be at most 2 max(H, W, 10).
     """
-    check_radii(img, search_radius=params.search_radius, patch_radius=params.patch_radius)
+    _check_extent(img, params)
     return _filter_engine(img, params, None, threads)
 
 
@@ -454,9 +456,10 @@ def robust_nlm_denoise(img: GrayImage, params: RobustNlmParams, threads: int = 1
     sigma. Only candidates that deviate from their own smoothed
     neighborhood by more than that band are discounted, which makes the
     average robust to outliers at no cost on ordinary speckle. Each
-    radius may be at most 2 max(H, W, 10).
+    radius, sigma_s and the prefilter's blur radius
+    ceil(3 prefilter_sigma) may be at most 2 max(H, W, 10).
     """
-    check_radii(img, search_radius=params.base.search_radius, patch_radius=params.base.patch_radius)
+    _check_extent(img, params.base, params.prefilter_sigma)
     corr = _corruption_factor(img.pixels, params.h2, params.prefilter_sigma)
     return _filter_engine(img, params.base, corr, threads)
 
@@ -477,7 +480,7 @@ def compute_weight_field(img: GrayImage, center: tuple[int, int],
     _check_center(img, center, "center")
     base = params.base
     big_r, r = base.search_radius, base.patch_radius
-    check_radii(img, search_radius=big_r, patch_radius=r)
+    _check_extent(img, base, params.prefilter_sigma)
     kernel = make_patch_kernel(r, base.sigma_s)
     v = img.pixels
     patches = sliding_window_view(_mirrored_blocks(v, big_r + r, center)[0], kernel.shape)

@@ -6,10 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import as_img, make_step, rand_image, textured_image
+from despeckle import baselines
 from despeckle import (
     DomainError,
     FrostParams,
     LeeParams,
+    NumericError,
     ParameterError,
     SradParams,
     frost_filter,
@@ -145,6 +147,35 @@ class TestSrad:
         got = srad(as_img(arr), SradParams(iterations=2, dt=0.25)).pixels
         assert np.array_equal(got, srad_reference(arr, 2, 0.25, 1.0, 1.0))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_strip_height_does_not_change_the_bits(self, monkeypatch):
+        # the margin input of the test above, single pixels, rows and
+        # columns, and shapes that the default strip height splits
+        inputs = [np.tile(1e150 * 1e-10 ** np.arange(31.0), (3, 1))]
+        for seed, shape in enumerate([(1, 1), (1, 23), (23, 1), (37, 16), (70, 300)]):
+            inputs.append(rand_image(seed, *shape, lo=1.0, hi=255.0))
+        params = SradParams(iterations=3, dt=0.25)
+        for arr in inputs:
+            height, stride = arr.shape[0], arr.shape[1] + 2
+            monkeypatch.setattr(baselines, "_STRIP_VALUES", height * stride)  # one strip
+            want = srad(as_img(arr), params).pixels
+            # strips of 1 and 2 rows, 5 rows with a short last strip, the default
+            for values in (1, 2 * stride, 5 * stride, 16384):
+                monkeypatch.setattr(baselines, "_STRIP_VALUES", values)
+                assert np.array_equal(srad(as_img(arr), params).pixels, want)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("strip_values", [1, 16384])
+    def test_divergence_raises_in_its_iteration(self, monkeypatch, strip_values):
+        # the squared differences overflow, and the first step leaves
+        # pixels non-finite however the strips split the image
+        monkeypatch.setattr(baselines, "_STRIP_VALUES", strip_values)
+        for arr in ([[1.0, 1e308]], [[1.0, 1.0], [1.0, 1e308]]):
+            with pytest.raises(NumericError, match="non-finite values at iteration 1$"):
+                srad(as_img(np.array(arr)), SradParams(iterations=3))
+
     def test_smooths_speckle(self):
         rng = np.random.Generator(np.random.Philox(44))
         arr = 100.0 * (1.0 + 0.2 * rng.standard_normal((32, 32)))
@@ -225,7 +256,9 @@ class TestProperties:
 class TestMemory:
     # Each filter holds a fixed handful of image-sized buffers, whatever
     # the window radius or the iteration count; per-pixel window copies
-    # would take 28 (Lee) to 105 (Frost, radius 3) image sizes.
+    # would take 28 (Lee) to 105 (Frost, radius 3) image sizes. SRAD
+    # keeps four padded images, its output and five row strips: 6.35
+    # image sizes at 256x256.
     @pytest.mark.parametrize("name, run", [
         ("lee", lambda img: lee_filter(img, LeeParams(window_radius=2))),
         ("frost-2", lambda img: frost_filter(img, FrostParams(window_radius=2))),
@@ -240,4 +273,5 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * img.pixels.nbytes, f"{name}: {peak / img.pixels.nbytes:.1f} images"
+        images = 7 if name == "srad" else 12
+        assert peak < images * img.pixels.nbytes, f"{name}: {peak / img.pixels.nbytes:.1f} images"

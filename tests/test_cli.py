@@ -238,6 +238,41 @@ class TestDenoise:
         assert elapsed < 0.5
         assert peak < 2**20
 
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--sigma-s", "1e200"], id="--sigma-s-1e200"),
+        pytest.param(["--filter", "nlm", "--sigma-s", "65"], id="nlm--sigma-s-65"),
+        pytest.param(["--prefilter-sigma", "1e200"], id="--prefilter-sigma-1e200"),
+        pytest.param(["--prefilter-sigma", "300"], id="--prefilter-sigma-300"),
+    ])
+    def test_oversized_sigma_exits_2_fast(self, tmp_path, capsys, flags):
+        # on 32x32 sigma_s may be at most 64 and prefilter_sigma 64 / 3,
+        # where the blur radius ceil(3 sigma) reaches 64
+        src = tmp_path / "in.pgm"
+        write_pgm(src, rand_image(88, 32, 32, lo=60, hi=200))
+        argv = ["denoise", str(src), str(tmp_path / "out.pgm"), *flags]
+        main(argv)  # lazy imports on first use are not the rejection's cost
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if not line.startswith("resolved-config:")]
+        name = flags[-2][2:].replace("-", "_")
+        bound = 64 if name == "sigma_s" else 64 / 3
+        assert errors == [f"error: {name} for a 32x32 image must be a positive finite real "
+                          f"<= {bound:g}, got {float(flags[-1])!r}"]
+        assert peak < 2**20
+
+    def test_sigmas_at_the_bound_run(self, tmp_path):
+        src = tmp_path / "in.pgm"
+        write_pgm(src, rand_image(89, 32, 32, lo=60, hi=200))
+        for flags in (["--sigma-s", "64"], ["--prefilter-sigma", str(64 / 3)]):
+            assert main(["denoise", str(src), str(tmp_path / "out.pgm"), *FAST, *flags]) == 0
+
     def test_tiny_sigmas_run_as_the_unit_impulse(self, tmp_path, capsys):
         # Gaussian taps at sigma 1e-300 are those at 0.01, with no warning
         src = tmp_path / "in.pgm"

@@ -199,6 +199,14 @@ class TestGaussianBlur:
         center = (1.0 / taps.sum()) ** 2
         assert abs(out[4, 4] - center) < 1e-12
 
+    def test_sigma_reach_is_bounded_by_the_mirror_period(self):
+        # 2 max(3, 12, 10) = 24 bounds the blur radius ceil(3 sigma)
+        img = GrayImage(rand_image(43, 3, 12))
+        assert gaussian_blur(img, 8.0).pixels.shape == (3, 12)
+        for sigma in (8.01, 1e200):
+            with pytest.raises(ParameterError, match="^sigma for a 3x12 image must be a positive finite real <= 8,"):
+                gaussian_blur(img, sigma)
+
     def test_matches_bruteforce_2d_convolution(self):
         arr = rand_image(42, 16, 16)
         out = gaussian_blur(GrayImage(arr), 1.2).pixels

@@ -777,6 +777,28 @@ class TestParams:
         with pytest.raises(ParameterError):
             nlm_denoise(one, NlmParams(h=40.0, search_radius=21))
 
+    def test_sigmas_are_bounded_by_the_mirror_period(self):
+        # 2 max(3, 12, 10) = 24 bounds sigma_s and the prefilter's blur
+        # radius ceil(3 prefilter_sigma)
+        tall = as_img(textured_image(26, 3, 12))
+        base = NlmParams(h=40.0, search_radius=2, patch_radius=1, sigma_s=24.0)
+        at_bound = RobustNlmParams(base=base, h2=25.0, prefilter_sigma=8.0)
+        nlm_denoise(tall, base)
+        robust_nlm_denoise(tall, at_bound)
+        compute_weight_field(tall, (1, 5), at_bound)
+        wide = NlmParams(h=40.0, search_radius=2, patch_radius=1, sigma_s=1e200)
+        for run in (lambda: nlm_denoise(tall, wide),
+                    lambda: robust_nlm_denoise(tall, RobustNlmParams(base=wide, h2=25.0)),
+                    lambda: compute_weight_field(tall, (1, 5), RobustNlmParams(base=wide, h2=25.0))):
+            with pytest.raises(ParameterError, match="^sigma_s for a 3x12 image must be a positive finite real <= 24,"):
+                run()
+        past = RobustNlmParams(base=base, h2=25.0, prefilter_sigma=8.01)
+        for run in (lambda: robust_nlm_denoise(tall, past),
+                    lambda: compute_weight_field(tall, (1, 5), past)):
+            with pytest.raises(ParameterError,
+                               match="^prefilter_sigma for a 3x12 image must be a .* <= 8,"):
+                run()
+
     def test_h2_validation(self):
         with pytest.raises(ParameterError):
             RobustNlmParams(base=NlmParams(h=10.0), h2=0.0)
