@@ -9,9 +9,11 @@ input file), 1 runtime failures (parse errors, numeric blowups, a failed
 engine worker process, I/O, running out of memory). Every run echoes its
 fully resolved configuration to standard error before doing any work, so
 logs capture the effective parameters. The worker cap for the non-local
-filters comes from --threads, else from the DESPECKLE_THREADS environment
-variable; 0 means one worker per CPU. The echoed ``threads`` is the number
-of workers the engine starts: never more than the CPUs or the row tiles.
+filters and SRAD comes from --threads, else from the DESPECKLE_THREADS
+environment variable; 0 means one worker per CPU. The echoed ``threads``
+is the number of workers the filter starts: never more than the CPUs,
+the engine's row tiles or SRAD's full row strips. Lee and Frost run on
+the calling thread and read neither setting.
 """
 
 from __future__ import annotations
@@ -25,7 +27,15 @@ import sys
 import time
 from pathlib import Path
 
-from .baselines import FrostParams, LeeParams, SradParams, frost_filter, lee_filter, srad
+from .baselines import (
+    FrostParams,
+    LeeParams,
+    SradParams,
+    _plan_strips,
+    frost_filter,
+    lee_filter,
+    srad,
+)
 from .errors import DomainError, NumericError, ParameterError, PgmParseError, check_int, check_real
 from .image import GrayImage
 from .metrics import CSV_HEADER, evaluate
@@ -64,8 +74,9 @@ def _resolve_threads(flag: int | None) -> int:
 
 
 def _prepare_filter(args: argparse.Namespace, work: GrayImage):
-    """Resolve filter parameters against the working-domain image. Only
-    the non-local filters read the thread settings.
+    """Resolve filter parameters against the working-domain image. The
+    non-local filters and SRAD read the thread settings; Lee and Frost
+    do not.
 
     Returns (run, echo) where run maps GrayImage -> GrayImage and echo
     is the dict of effective parameters for the stderr line.
@@ -131,14 +142,16 @@ def _prepare_filter(args: argparse.Namespace, work: GrayImage):
     # contain zeros, so shift up before and back down after.
     params = SradParams(iterations=args.iterations, dt=args.dt,
                         q0=args.q0, rho=args.rho)
+    threads = _resolve_threads(args.threads)
     lo = float(work.pixels.min())
     shift = (1e-6 - lo) if lo <= 0.0 else 0.0
     echo.update({"iterations": params.iterations, "dt": _fmt(params.dt),
                  "q0": _fmt(params.q0), "rho": _fmt(params.rho),
-                 "positivity_shift": _fmt(shift)})
+                 "positivity_shift": _fmt(shift),
+                 "threads": _plan_strips(threads, work.height, work.width)[1]})
 
     def run(image: GrayImage) -> GrayImage:
-        lifted = srad(GrayImage(image.pixels + shift), params)
+        lifted = srad(GrayImage(image.pixels + shift), params, threads=threads)
         return GrayImage(lifted.pixels - shift)
 
     return run, echo
@@ -158,7 +171,7 @@ def _load_and_prepare(args: argparse.Namespace, echo: dict):
     run, filter_echo = _prepare_filter(args, work)
     _echo({"command": args.command, "input": args.input, **echo, "domain": domain,
            "epsilon": _fmt(epsilon), **filter_echo})
-    return work, run, domain, filter_echo.get("threads", 1)  # 1: lee, frost, srad
+    return work, run, domain, filter_echo.get("threads", 1)  # 1: lee, frost
 
 
 def run_synth(args: argparse.Namespace) -> int:
@@ -269,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="srad initial speckle scale")
     filter_args.add_argument("--rho", type=float, default=SradParams.rho, help="srad q0 decay rate")
     filter_args.add_argument("--threads", type=int, default=None,
-                             help=f"worker cap for nlm filters, at most the CPU count; 0 = one per CPU; "
-                                  f"default from {THREADS_ENV_VAR}")
+                             help=f"worker cap for nlm filters and srad, at most the CPU count; "
+                                  f"0 = one per CPU; default from {THREADS_ENV_VAR}")
 
     synth = sub.add_parser("synth", help="corrupt a clean PGM with synthetic speckle")
     synth.add_argument("input")

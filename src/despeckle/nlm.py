@@ -24,8 +24,9 @@ per offset (11 without a penalty) are the squared differences, the
 column and row taps of the patch kernel as two banded matrix products
 through NumPy's BLAS, exp, and the accumulation. It works in row tiles
 of about `_TILE_PIXELS` pixels, dealt in turn to at most one process
-per CPU: the caller and forked children, which read the padded arrays
-and write their rows of the output into a shared anonymous mapping.
+per CPU: the caller and forked children (`workers.run_workers`), which
+read the padded arrays and write their rows of the output into a shared
+anonymous mapping.
 Patch distances are symmetric, so each offset o of the half window
 serves both candidates i + o and i - o. Every pixel adds its self term,
 then the +o and -o terms of each half-window offset in one fixed order,
@@ -37,17 +38,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import mmap
-import os
-import signal
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .errors import NumericError, ParameterError, check_int, check_real
+from .errors import ParameterError, check_int, check_real
 from .image import (
     GrayImage,
     blur_array,
@@ -58,6 +55,7 @@ from .image import (
     gaussian_axis_weights,
     mirror_pad,
 )
+from .workers import run_workers, shared_array, worker_cap
 
 SELF_WEIGHT_MODES = ("natural", "max_neighbor")
 # Pixels per row tile: 256 KiB per tile-sized float64 array.
@@ -209,10 +207,9 @@ def _plan_tiles(threads, height: int, width: int) -> tuple[int, int]:
     """Tile height and worker count for the engine; starts nothing.
 
     ``threads`` = 0 asks for one worker per CPU. Whatever is asked for,
-    workers never outnumber the CPUs or the tiles.
+    workers never outnumber the CPUs (see `worker_cap`) or the tiles.
     """
-    cpus = os.cpu_count() or 1
-    cap = min(check_int(threads, "threads (0 = auto)") or cpus, cpus)
+    cap = worker_cap(threads)
     rows = max(1, min(_TILE_PIXELS // width, -(-height // cap)))
     return rows, min(cap, -(-height // rows))
 
@@ -281,7 +278,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
     skip_self = params.self_weight == "max_neighbor"
     tile_rows, workers = _plan_tiles(threads, height, width)
     tile_blocks = (tile_rows + big_r + _BAND - 2) // _BAND + 1
-    out = np.empty(v.shape) if workers == 1 else np.ndarray(v.shape, buffer=mmap.mmap(-1, v.nbytes))
+    out = np.empty(v.shape) if workers == 1 else shared_array(v.size).reshape(v.shape)
 
     def run_tile(y0: int, y1: int, a, b, acc_buf, norm_buf, wmax_buf) -> None:
         n = y1 - y0
@@ -352,7 +349,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
             acc_px[zero] = v[y0:y1][zero]
         np.divide(acc_px, norm_px, out=out[y0:y1])
 
-    def work(starts) -> None:
+    def work(k, link) -> None:
         a = cache_aligned((tile_blocks * _BAND + 2 * r) * stride)
         b = cache_aligned(tile_blocks * _BAND * stride + 2 * r)  # the r values at each end stay 0
         acc, norm = cache_aligned(tile_rows * stride), cache_aligned(tile_rows * stride)
@@ -360,58 +357,13 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
         # For tiny h the scaled distances saturate to -inf and exp flushes
         # them to the intended weight 0, so the overflow is not an error.
         with np.errstate(over="ignore"):
-            for y0 in starts:
+            for y0 in range(k * tile_rows, height, workers * tile_rows):
+                link.check()
                 run_tile(y0, min(y0 + tile_rows, height), a, b, acc, norm, wmax)
 
-    _run_workers(work, range(0, height, tile_rows), workers)
+    run_workers(work, workers, "NLM")
     del padded, corr_padded  # free them before GrayImage copies ``out``
     return GrayImage(out)
-
-
-def _run_workers(work, starts: range, workers: int) -> None:
-    """Run ``work`` over ``starts[k::workers]`` for each worker k: k = 0
-    here, the rest in forked children, which write results only to shared
-    mappings. A child that raises exits 1 with one line on a pipe, and
-    this raises `NumericError`; if this share raises, the children are
-    killed. All are reaped first. A child whose caller has died exits 1
-    before its next tile. Without ``os.fork``, or beside other threads
-    (whose locks a child would inherit held), all of ``starts`` runs here.
-    """
-    if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return work(starts)
-    caller = os.getpid()
-
-    def share(k):  # a child stops before its next tile once the caller is gone
-        for y0 in starts[k::workers]:
-            if os.getppid() != caller:
-                os._exit(1)
-            yield y0
-
-    read_fd, write_fd = os.pipe()
-    pids = []
-    try:
-        for k in range(1, workers):
-            if (pid := os.fork()) == 0:  # the child
-                try:
-                    work(share(k))
-                    os._exit(0)
-                except BaseException as exc:
-                    os.write(write_fd, f"{type(exc).__name__}: {exc}\n".encode()[:512])
-                finally:
-                    os._exit(1)
-            pids.append(pid)
-        work(starts[::workers])
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(write_fd)
-        with open(read_fd, "rb") as pipe:  # EOF once every child has exited
-            report = pipe.read().decode(errors="replace").strip()
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    if any(codes):
-        raise NumericError(f"an NLM worker process failed: {report or f'exit codes {codes}'}")
 
 
 def nlm_denoise(img: GrayImage, params: NlmParams, threads: int = 1) -> GrayImage:

@@ -57,7 +57,7 @@ def load_pgm(path) -> GrayImage:
     """Load a P5 or P2 graymap as a float64 image.
 
     Sample values are taken verbatim (no rescaling by maxval) and raster
-    order is preserved. An ASCII sample above maxval is a parse error.
+    order is preserved. A sample above maxval is a parse error.
     """
     data = Path(path).read_bytes()
     magic = data[:2]
@@ -89,7 +89,11 @@ def load_pgm(path) -> GrayImage:
             )
         raw = data[pos : pos + needed]
         dtype = np.dtype(">u2") if per_sample == 2 else np.dtype("u1")
-        samples = np.frombuffer(raw, dtype=dtype).astype(np.float64)
+        samples = np.frombuffer(raw, dtype=dtype)
+        if samples.max() > maxval:
+            k = int(np.argmax(samples > maxval))
+            raise PgmParseError(f"sample {k} exceeds maxval {maxval}", pos + k * per_sample)
+        samples = samples.astype(np.float64)
     else:
         # every sample but the last needs a digit and a separator
         if count > (len(data) - pos + 1) // 2:

@@ -1,7 +1,13 @@
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from despeckle import GrayImage
 
@@ -58,3 +64,63 @@ def child_env(**changes):
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src, **changes}
     return {name: value for name, value in env.items() if value is not None}
+
+
+def fail():
+    raise RuntimeError("injected failure")
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_children_of_a_killed_caller_stop(script):
+    """Run ``script`` in a child interpreter that sees two CPUs, kill that
+    interpreter outright once it has forked its first worker, and assert
+    that the worker stops within 2 s. A caller killed outright cannot
+    kill its children, so each must notice that the caller is gone."""
+    prelude = textwrap.dedent("""
+        import os
+        fork = os.fork
+
+        def reporting_fork():
+            pid = fork()
+            if pid:
+                print(pid, flush=True)
+            return pid
+
+        os.fork, os.cpu_count = reporting_fork, lambda: 2
+    """)
+    proc = subprocess.Popen([sys.executable, "-c", prelude + textwrap.dedent(script)],
+                            stdout=subprocess.PIPE, text=True, env=child_env())
+    pids = []
+    try:
+        pids.append(int(proc.stdout.readline()))
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 2
+
+        def stopped(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rpartition(")")[2].split()[0] == "Z"
+            except FileNotFoundError:
+                return True
+
+        while not stopped(pids[0]) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert stopped(pids[0])
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

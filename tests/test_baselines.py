@@ -1,11 +1,24 @@
+import os
+import threading
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import as_img, make_step, rand_image, textured_image
+from conftest import (
+    as_img,
+    assert_children_of_a_killed_caller_stop,
+    assert_no_children,
+    fail,
+    make_step,
+    open_fds,
+    rand_image,
+    textured_image,
+)
 from despeckle import baselines
 from despeckle import (
     DomainError,
@@ -197,6 +210,119 @@ class TestSrad:
         SradParams(rho=0.0)  # a frozen threshold is allowed
 
 
+# the margin input of TestSrad, single pixels, rows and columns, and
+# shapes that split into uneven blocks of strips
+WORKER_INPUTS = [np.tile(1e150 * 1e-10 ** np.arange(31.0), (3, 1))] + [
+    rand_image(seed, *shape, lo=1.0, hi=255.0)
+    for seed, shape in enumerate([(1, 1), (1, 23), (23, 1), (37, 16), (70, 300)])]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="srad forks its workers")
+class TestSradWorkers:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_worker_count_does_not_change_the_bits(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        fork = mock.Mock(side_effect=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        params = SradParams(iterations=3, dt=0.25)
+        for arr in WORKER_INPUTS:
+            want = srad(as_img(arr), params, threads=1).pixels
+            height, stride = arr.shape[0], arr.shape[1] + 2
+            # strips of 1 and 2 rows, and 5 rows with a short last strip
+            for values in (1, 2 * stride, 5 * stride):
+                monkeypatch.setattr(baselines, "_STRIP_VALUES", values)
+                for threads in (1, 2, 3):
+                    workers = baselines._plan_strips(threads, *arr.shape)[1]
+                    assert workers == min(threads, max(1, height // max(1, values // stride)))
+                    forks = fork.call_count
+                    assert np.array_equal(srad(as_img(arr), params, threads=threads).pixels, want)
+                    assert fork.call_count - forks == workers - 1
+
+    def test_a_second_worker_needs_two_full_strips(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        rows = baselines._STRIP_VALUES // 98
+        assert baselines._plan_strips(0, 96, 96) == (rows, 1)
+        assert baselines._plan_strips(0, 2 * rows - 1, 96) == (rows, 1)
+        assert baselines._plan_strips(0, 2 * rows, 96) == (rows, 2)
+        assert baselines._plan_strips(1, 2 * rows, 96) == (rows, 1)
+        assert baselines._plan_strips(0, 1000, 10**6) == (1, 8)  # rows wider than a strip
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_child_divergence_raises_numeric_error_and_leaks_nothing(self, monkeypatch):
+        # one-row strips: the caller steps rows 0-2, the child rows 3-5,
+        # whose squared differences overflow
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(baselines, "_STRIP_VALUES", 1)
+        arr = np.ones((6, 2))
+        arr[5, 1] = 1e308
+        fds = open_fds()
+        with pytest.raises(NumericError, match="an SRAD worker process failed: NumericError: "
+                                               "diffusion diverged to non-finite values "
+                                               "at iteration 1$"):
+            srad(as_img(arr), SradParams(iterations=3), threads=2)
+        assert_no_children()
+        assert open_fds() == fds
+
+    def test_caller_failure_kills_and_reaps_the_children(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(baselines, "_STRIP_VALUES", 1)
+        caller, form = os.getpid(), baselines._srad_form
+        stalled = []
+
+        def stall_or_fail(*args):  # the call returns in time only if it kills the children
+            if os.getpid() == caller:
+                fail()
+            if not stalled:
+                stalled.append(True)
+                time.sleep(20)
+            form(*args)
+
+        monkeypatch.setattr(baselines, "_srad_form", stall_or_fail)
+        fds = open_fds()
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="injected failure"):
+            srad(as_img(rand_image(45, 9, 4, lo=1.0)), SradParams(iterations=3), threads=3)
+        assert time.monotonic() - start < 10
+        assert_no_children()
+        assert open_fds() == fds
+
+    def test_runs_serially_beside_other_threads_or_without_fork(self, monkeypatch):
+        arr = rand_image(47, 24, 16, lo=1.0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(baselines, "_STRIP_VALUES", 18)
+        params = SradParams(iterations=5)
+        one = srad(as_img(arr), params, threads=1).pixels.tobytes()
+        fork = mock.Mock(side_effect=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait, args=(30,))
+        helper.start()
+        try:
+            assert srad(as_img(arr), params).pixels.tobytes() == one
+        finally:
+            release.set()
+            helper.join(timeout=30)
+        assert not helper.is_alive()
+        assert fork.call_count == 0
+        # with the helper gone, the same call forks its one child
+        assert srad(as_img(arr), params).pixels.tobytes() == one
+        assert fork.call_count == 1
+        monkeypatch.delattr(os, "fork")
+        assert srad(as_img(arr), params).pixels.tobytes() == one
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states")
+    def test_children_of_a_killed_caller_stop(self):
+        # the child stops at its next barrier
+        assert_children_of_a_killed_caller_stop("""
+            import numpy as np
+            from despeckle import GrayImage, SradParams, srad
+            arr = np.random.Generator(np.random.Philox(48)).uniform(1, 255, (512, 512))
+            srad(GrayImage(arr), SradParams(iterations=5000))  # some 20 s
+        """)
+
+
 # 1x1 to 24x24, single rows and columns among them
 SHAPES = st.one_of(st.tuples(st.integers(1, 24), st.integers(1, 24)),
                    st.tuples(st.just(1), st.integers(1, 24)),
@@ -263,7 +389,7 @@ class TestMemory:
         ("lee", lambda img: lee_filter(img, LeeParams(window_radius=2))),
         ("frost-2", lambda img: frost_filter(img, FrostParams(window_radius=2))),
         ("frost-3", lambda img: frost_filter(img, FrostParams(window_radius=3))),
-        ("srad", lambda img: srad(img, SradParams(iterations=3))),
+        ("srad", lambda img: srad(img, SradParams(iterations=3), threads=1)),
     ])
     def test_peak_stays_under_twelve_images(self, name, run):
         img = as_img(np.abs(textured_image(40, 256, 256)) + 1.0)
@@ -275,3 +401,27 @@ class TestMemory:
             tracemalloc.stop()
         images = 7 if name == "srad" else 12
         assert peak < images * img.pixels.nbytes, f"{name}: {peak / img.pixels.nbytes:.1f} images"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="srad forks its workers")
+    def test_srad_on_two_workers_stays_under_seven_images(self, monkeypatch):
+        # tracemalloc does not see the shared mappings, so their bytes
+        # are added to the caller's traced peak
+        img = as_img(np.abs(textured_image(40, 256, 256)) + 1.0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert baselines._plan_strips(0, 256, 256)[1] == 2
+        mapped, allocate = [], baselines.shared_array
+
+        def shared_array(size):
+            mapped.append(8 * size)
+            return allocate(size)
+
+        monkeypatch.setattr(baselines, "shared_array", shared_array)
+        tracemalloc.start()
+        try:
+            srad(img, SradParams(iterations=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(mapped) == 4
+        images = (peak + sum(mapped)) / img.pixels.nbytes
+        assert images < 7, f"srad on 2 workers: {images:.1f} images"

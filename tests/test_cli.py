@@ -24,6 +24,7 @@ from despeckle import (
     save_pgm,
     ssim,
 )
+from despeckle.baselines import _plan_strips
 from despeckle.cli import build_parser, main
 from despeckle.nlm import _plan_tiles
 
@@ -340,10 +341,10 @@ class TestDenoise:
         assert rc == 2
         assert "DESPECKLE_THREADS" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["lee", "frost", "srad"])
+    @pytest.mark.parametrize("name", ["lee", "frost"])
     def test_baselines_ignore_the_thread_settings(self, tmp_path, capsys, monkeypatch, name):
-        # lee, frost and srad start no worker, so a bad DESPECKLE_THREADS
-        # is never read for them
+        # lee and frost start no worker, so a bad DESPECKLE_THREADS is
+        # never read for them
         src = tmp_path / "in.pgm"
         write_pgm(src, rand_image(88, 8, 8, lo=60, hi=200))
         outputs = []
@@ -356,6 +357,35 @@ class TestDenoise:
             assert f"bench: filter={name} repeats=1 threads=1 " in capsys.readouterr().out
             outputs.append(dst.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_srad_reads_a_bad_threads_env(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "in.pgm"
+        write_pgm(src, rand_image(88, 8, 8, lo=60, hi=200))
+        monkeypatch.setenv("DESPECKLE_THREADS", "abc")
+        for command in (["denoise", str(src), str(tmp_path / "out.pgm")], ["bench", str(src)]):
+            assert main([*command, "--filter", "srad", "--iterations", "2"]) == 2
+            assert "DESPECKLE_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side, threads", [(64, 0), (256, 0), (256, 1), (256, 64)])
+    def test_srad_threads_echo_the_planned_worker_count(self, tmp_path, capsys, monkeypatch,
+                                                        side, threads):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        src = tmp_path / "in.pgm"
+        write_pgm(src, rand_image(89, side, side, lo=60, hi=200))
+        workers = _plan_strips(threads, side, side)[1]
+        assert workers == (2 if side == 256 and threads != 1 else 1)
+        flags = ["--filter", "srad", "--iterations", "2", "--threads", str(threads)]
+        dst = tmp_path / "out.pgm"
+        assert main(["denoise", str(src), str(dst), *flags]) == 0
+        assert parse_echo(capsys.readouterr().err)["threads"] == str(workers)
+        want = tmp_path / "want.pgm"
+        assert main(["denoise", str(src), str(want), *flags[:-1], "1"]) == 0
+        assert dst.read_bytes() == want.read_bytes()
+        capsys.readouterr()
+        assert main(["bench", str(src), "--repeats", "1", *flags]) == 0
+        captured = capsys.readouterr()
+        assert parse_echo(captured.err)["threads"] == str(workers)
+        assert f" threads={workers} " in captured.out
 
     @pytest.mark.parametrize("source", ["--threads", "DESPECKLE_THREADS"])
     def test_negative_threads_exits_2(self, tmp_path, capsys, monkeypatch, source):

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import os
-import signal
 import subprocess
 import sys
 import textwrap
@@ -16,7 +15,17 @@ from numpy.lib.stride_tricks import as_strided
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import as_img, child_env, make_phantom, rand_image, textured_image
+from conftest import (
+    as_img,
+    assert_children_of_a_killed_caller_stop,
+    assert_no_children,
+    child_env,
+    fail,
+    make_phantom,
+    open_fds,
+    rand_image,
+    textured_image,
+)
 from despeckle import nlm as engine
 from despeckle import (
     GrayImage,
@@ -524,34 +533,22 @@ class TestForkedWorkers:
         monkeypatch.setattr(engine, "np", EngineNumpy(
             lambda x, y: (caller_action if os.getpid() == caller else child_action)()))
 
-    @staticmethod
-    def _fail():
-        raise RuntimeError("injected failure")
-
-    @staticmethod
-    def _open_fds():
-        return len(os.listdir("/proc/self/fd"))
-
-    def _assert_no_children(self):
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     def test_child_failure_raises_numeric_error_and_leaks_nothing(self, monkeypatch, tmp_path,
                                                                   capsys):
         arr = rand_image(41, 24, 16)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         assert engine._plan_tiles(2, 24, 16)[1] == 2
-        self._patch_kernel(monkeypatch, lambda: None, self._fail)
-        fds = self._open_fds()
+        self._patch_kernel(monkeypatch, lambda: None, fail)
+        fds = open_fds()
         with pytest.raises(NumericError, match="worker process failed: RuntimeError: injected"):
             nlm_denoise(as_img(arr), SMALL, threads=2)
-        self._assert_no_children()
-        assert self._open_fds() == fds
+        assert_no_children()
+        assert open_fds() == fds
         save_pgm(as_img(arr), tmp_path / "in.pgm")
         assert cli_main(["denoise", str(tmp_path / "in.pgm"), str(tmp_path / "out.pgm"),
                          "--search-radius", "3", "--patch-radius", "1", "--threads", "2"]) == 1
         assert "error: an NLM worker process failed: RuntimeError" in capsys.readouterr().err
-        self._assert_no_children()
+        assert_no_children()
 
     def test_caller_failure_kills_and_reaps_the_children(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -562,14 +559,14 @@ class TestForkedWorkers:
                 stalled.append(True)
                 time.sleep(20)
 
-        self._patch_kernel(monkeypatch, self._fail, stall)
-        fds = self._open_fds()
+        self._patch_kernel(monkeypatch, fail, stall)
+        fds = open_fds()
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="injected failure"):
             nlm_denoise(as_img(rand_image(42, 40, 16)), SMALL, threads=4)
         assert time.monotonic() - start < 10
-        self._assert_no_children()
-        assert self._open_fds() == fds
+        assert_no_children()
+        assert open_fds() == fds
 
     def test_runs_serially_beside_other_threads_or_without_fork(self, monkeypatch):
         arr = textured_image(43, 24, 16)
@@ -596,55 +593,17 @@ class TestForkedWorkers:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states")
     def test_children_of_a_killed_caller_stop(self):
-        # A caller killed outright cannot kill its children; each must
-        # notice that it was reparented and stop before its next tile.
-        script = textwrap.dedent("""
-            import os
+        # each child stops before its next tile
+        assert_children_of_a_killed_caller_stop("""
             import numpy as np
             from despeckle import GrayImage, NlmParams, RobustNlmParams, robust_nlm_denoise
             from despeckle import nlm
-            fork = os.fork
-
-            def reporting_fork():
-                pid = fork()
-                if pid:
-                    print(pid, flush=True)
-                return pid
-
-            os.fork, os.cpu_count = reporting_fork, lambda: 2
             nlm._TILE_PIXELS = 8 * 256  # tiles of about 0.1 s, some 5 s for the child
             arr = np.random.Generator(np.random.Philox(46)).uniform(0, 255, (1024, 256))
             params = RobustNlmParams(base=NlmParams(h=40.0, search_radius=40), h2=25.0)
             robust_nlm_denoise(GrayImage(arr), params, threads=2)
         """)
-        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
-                                env=child_env())
-        pids = []
-        try:
-            pids.append(int(proc.stdout.readline()))
-            proc.send_signal(signal.SIGKILL)
-            proc.wait(timeout=30)
-            deadline = time.monotonic() + 2
 
-            def stopped(pid):
-                try:
-                    with open(f"/proc/{pid}/stat") as stat:
-                        return stat.read().rpartition(")")[2].split()[0] == "Z"
-                except FileNotFoundError:
-                    return True
-
-            while not stopped(pids[0]) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert stopped(pids[0])
-        finally:
-            proc.kill()
-            proc.wait(timeout=30)
-            proc.stdout.close()
-            for pid in pids:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
 
 class TestWeightField:
     def _field(self, arr, center, h1=50.0, h2=20.0):

@@ -147,8 +147,10 @@ class TestParseErrors:
         ("sample 1", b"P2 2 1 255 7 " + b"9" * 5000 + b"\n", 13),
         ("sample 1", b"P2 2 1 255 7 256\n", 13),
         ("sample 1", b"P2 2 1 255 7 " + b"0" * 5000 + b"1\n", 13),
+        ("sample 1", b"P5 2 1 100\n" + bytes([50, 200]), 12),
+        ("sample 2", b"P5 3 1 1000\n" + bytes([3, 232, 0, 7, 255, 255]), 16),
     ], ids=["long-width", "long-height", "long-maxval", "long-sample", "sample-above-maxval",
-            "long-zero-padded-sample"])
+            "long-zero-padded-sample", "p5-sample-above-maxval", "p5-16-bit-sample-above-maxval"])
     def test_bad_integer_token(self, tmp_path, what, payload, offset):
         # "long": beyond the interpreter's int-string digit limit
         err = self._err(tmp_path, payload)
