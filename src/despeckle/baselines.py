@@ -7,10 +7,12 @@ repeated runs are bit-identical.
 They work plane by plane on a few preallocated image-sized arrays, so
 their memory does not grow with the window. Lee and Frost take the
 window mean and variance as fixed-order sums over the shifted planes
-of the mirror-padded input. SRAD sweeps each iteration in row strips
-over buffers it writes in place, so that a strip's passes stay in
-cache, and splits the strips of a large enough image among forked
-workers; its output bits are those of the plain four-difference
+of the mirror-padded input. SRAD reads one padded image and writes
+another each iteration, as the scalar scheme does, sweeping in row
+strips so that a strip's passes stay in cache; its only image-sized
+arrays are the two padded images. It splits the strips of a large
+enough image among forked workers, which meet once between
+iterations; its output bits are those of the plain four-difference
 formulation at any strip height and worker count.
 """
 
@@ -205,33 +207,32 @@ def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
     processes as for `nlm_denoise`; here 0, one per CPU, is the default.
 
     The image is mirror-padded by one pixel and flattened, and the
-    south and east differences and c are kept on the same row stride
-    S = W + 2, so a neighbour is a flat step (S south, 1 east) and every
-    pass is one contiguous slice; what the passes write into the margins
-    is dropped when the iteration restores the mirror. A pixel's north
-    and west differences are the negated south and east ones of the
-    pixel above and to its left, and since x + (-y) == x - y and
-    (-y)^2 == y^2 exactly, each pixel sees the same IEEE operations in
-    the same order as with four difference arrays. Likewise c dN and
-    c dW are the negated products c_S dS and c_E dE of the pixel above
-    and to its left, so two product arrays serve all four terms. c is
-    never negative, since q^2 >= 0 (lap^2 <= 4 grad2 by Cauchy-Schwarz)
-    keeps the denominator above 0; the exceptions, -0.0 and NaN, clamp
-    to themselves, so only the upper bound is applied.
+    differences and c are kept on the same row stride S = W + 2, so a
+    neighbour is a flat step (S south, 1 east) and every pass is one
+    contiguous slice; what the passes write into the margins is dropped
+    when the iteration restores the mirror. A pixel's north and west
+    differences are the negated south and east ones of the pixel above
+    and to its left, and since x + (-y) == x - y and (-y)^2 == y^2
+    exactly, each pixel sees the same IEEE operations in the same order
+    as with four difference arrays. Likewise c dN and c dW are the
+    negated products c_S dS and c_E dE of the pixel above and to its
+    left, so two product arrays serve all four terms. c is never
+    negative, since q^2 >= 0 (lap^2 <= 4 grad2 by Cauchy-Schwarz) keeps
+    the denominator above 0; the exceptions, -0.0 and NaN, clamp to
+    themselves, so only the upper bound is applied.
 
-    Each iteration sweeps the image in row strips of about
-    `_STRIP_VALUES` values, so that a strip's passes stay in cache:
-    strip k forms its differences and c (keeping its own copies of the
-    south differences of the row above it and the east difference of
-    the value before it), then strip k - 1, whose last row needs c of
-    the row below, steps. Workers (`_plan_strips`) take blocks of
-    consecutive strips; a strip next to another worker's block steps
-    only after every worker has formed its c, and the next iteration
-    forms only after every worker has stepped, restored its mirror
-    margins and checked its pixels. No strip is formed from stepped
-    pixels, so the bits do not depend on the worker count or the strip
-    height. The padded image, the differences and c are image-sized
-    (shared with the workers); each worker's other scratch is 5 strips.
+    Like the scalar scheme, each iteration reads one padded grid and
+    writes the other, and the two swap. It sweeps in row strips of
+    about `_STRIP_VALUES` values, so that a strip's passes stay in
+    cache: a strip forms its differences and c in strip-sized scratch,
+    for one halo row more (the row below it, whose c its last row
+    reads, and which the next strip forms the same way), and steps.
+    Workers (`_plan_strips`) take blocks of consecutive strips and meet
+    at one barrier between iterations. No strip reads what another
+    writes in the same iteration, so the bits do not depend on the
+    worker count or the strip height. The two padded grids are the only
+    image-sized arrays (shared with the workers); each worker's scratch
+    is eight arrays of a strip and two rows.
     """
     v = img.pixels
     if np.any(v <= 0):
@@ -245,100 +246,78 @@ def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
     dt, q0, rho = params.dt, params.q0, params.rho
     strip_rows, workers = _plan_strips(threads, height, width)
     alloc = shared_array if workers > 1 else cache_aligned
-    flat = alloc((height + 2) * stride)
-    grid = flat.reshape(height + 2, stride)
-    grid[...] = mirror_pad(v, 1)
-    # c keeps its top and bottom margin rows at 0
-    c_flat = alloc(flat.size)
-    c_grid = c_flat.reshape(grid.shape)
+    flats = [alloc((height + 2) * stride) for _ in range(2)]
+    grids = [flat.reshape(height + 2, stride) for flat in flats]
+    grids[0][...] = mirror_pad(v, 1)
     ys = [*range(0, height, strip_rows), height]
     count = len(ys) - 1
-    # Strip k's south differences, from the row above it on, and east
-    # differences, from the value before it on: south[k] = flat[k + S] -
-    # flat[k] and east[k] = flat[k + 1] - flat[k]. The first strip's
-    # row above (the top margin) and value before (read only for the
-    # margin) keep their initial 0, the first by the mirror.
-    south = alloc(height * stride + count * stride)
-    east = alloc(height * stride + count)
 
-    def strip(k, sq, esq, a, b, tmp) -> SimpleNamespace:
-        y0, y1 = ys[k], ys[k + 1]
-        lo, hi = (y0 + 1) * stride, (y1 + 1) * stride  # the flat span of pixel rows y0..y1-1
+    def strip(k, src, dst, s, e, sq, esq, a, b, tmp, c) -> SimpleNamespace:
+        lo, hi = (ys[k] + 1) * stride, (ys[k + 1] + 1) * stride  # the flat span of the strip's rows
         n = hi - lo
-        s_at, e_at = lo + (k - 1) * stride, lo - stride + k
-        s_span, e_span = south[s_at : s_at + n + stride], east[e_at : e_at + n + 1]
-        sq_span, esq_span = sq[: n + stride], esq[: n + 1]
-        s_skip, e_skip = (0, 0) if k else (stride, 1)
+        # c is formed for the row below too, unless that is the bottom margin
+        m = n + stride if k < count - 1 else n
+        # s[j] and sq[j] belong to flat index lo - S + j, e[j] and esq[j]
+        # to lo - 1 + j, c[j] to lo + j
+        s, e, sq, esq = s[: m + stride], e[: m + 1], sq[: m + stride], esq[: m + 1]
+        cs, ce = sq[: n + stride], esq[: n + 1]
         return SimpleNamespace(
-            px=flat[lo:hi],
-            # the differences a strip forms: s_new = s_hi - s_lo, e_new = e_hi - e_lo
-            s_new=s_span[s_skip:], s_hi=flat[lo + s_skip : hi + stride],
-            s_lo=flat[lo - stride + s_skip : hi],
-            e_new=e_span[e_skip:], e_hi=flat[lo + e_skip : hi + 1], e_lo=flat[lo - 1 + e_skip : hi],
-            s_span=s_span, d_s=s_span[stride:], neg_d_n=s_span[:n],
-            e_span=e_span, d_e=e_span[1:], neg_d_w=e_span[:n],
-            c=c_flat[lo:hi], c_s=c_flat[lo : hi + stride], c_e=c_flat[lo : hi + 1],
-            c_right=c_grid[y0 + 1 : y1 + 1, -1],
-            # squares, then the products: index j is flat index lo - S + j
-            # (sq) and lo - 1 + j (esq)
-            sq=sq_span, sq_n=sq_span[:n], sq_s=sq_span[stride:],
-            esq=esq_span, esq_w=esq_span[:n], esq_e=esq_span[1:],
-            a=a[:n], b=b[:n], tmp=tmp[:n])
+            v=src[lo : lo + m], px=src[lo:hi], out=dst[lo:hi],
+            s=s, s_hi=src[lo : lo + m + stride], s_lo=src[lo - stride : lo + m],
+            e=e, e_hi=src[lo : lo + m + 1], e_lo=src[lo - 1 : lo + m],
+            d_s=s[stride:], neg_d_n=s[:m], d_e=e[1:], neg_d_w=e[:m],
+            sq=sq, sq_n=sq[:m], sq_s=sq[stride:], esq=esq, esq_w=esq[:m], esq_e=esq[1:],
+            a=a[:m], b=b[:m], tmp=tmp[:m], c=c[:m], div=a[:n],
+            c_right=c[: n + stride].reshape(-1, stride)[:, -1], c_below=c[m : n + stride],
+            # the products: c_S dS, then c_E dE, from the row above and the value before on
+            c_s=c[: n + stride], s_span=s[: n + stride], cs=cs, cs_s=cs[stride:], neg_cn=cs[:n],
+            c_e=c[: n + 1], e_span=e[: n + 1], ce=ce, ce_e=ce[1:], neg_cw=ce[:n])
 
     def work(w, link) -> None:
         first, last = count * w // workers, count * (w + 1) // workers
-        scratch = (cache_aligned((strip_rows + 1) * stride), cache_aligned(strip_rows * stride + 1),
-                   *(cache_aligned(strip_rows * stride) for _ in range(3)))
-        strips = {k: strip(k, *scratch) for k in range(first, last)}
-        # A strip steps right after the one below it forms, and the
-        # image's last strip right after its own forming, unless a
-        # neighbour is another worker's: then it steps after the barrier.
-        early = {k for k in strips
-                 if (k > first or k == 0) and (k < last - 1 or k == count - 1)}
-        late = [k for k in strips if k not in early]
-        rows = grid[ys[first] + 1 : ys[last] + 1]
-        block = flat[(ys[first] + 1) * stride : (ys[last] + 1) * stride]
+        scratch = [cache_aligned((strip_rows + 2) * stride) for _ in range(8)]
+        sweeps = [[strip(k, flats[p], flats[1 - p], *scratch) for k in range(first, last)]
+                  for p in (0, 1)]
+        blocks = [grid[ys[first] + 1 : ys[last] + 1] for grid in grids]
         for t in range(1, params.iterations + 1):
             q0_t = q0 * math.exp(-rho * t * dt)
             q0_sq = q0_t * q0_t
             if t > 1:
-                link.barrier()  # every strip has stepped
-            for k in range(first, last + 1):
-                if k < last:
-                    _srad_form(strips[k], q0_sq)
-                if k - 1 in early:
-                    _srad_step(strips[k - 1], dt)
-            link.barrier()  # every strip has formed
-            for k in late:
-                _srad_step(strips[k], dt)
-            # restore the mirror margins the steps wrote over
+                link.barrier()  # every worker has written the grid this one reads
+            for s in sweeps[(t - 1) % 2]:
+                _srad_form(s, q0_sq)
+                _srad_step(s, dt)
+            # restore the mirror margins the steps wrote over or left out
+            grid, rows = grids[t % 2], blocks[t % 2]
             rows[:, 0] = rows[:, 1]
             rows[:, -1] = rows[:, -2]
+            if first == 0:
+                grid[0] = grid[1]
             if last == count:
                 grid[-1] = grid[-2]
-            if not np.isfinite(block).all():
+            if not np.isfinite(rows).all():
                 raise NumericError(f"diffusion diverged to non-finite values at iteration {t}")
 
     run_workers(work, workers, "SRAD")
-    return GrayImage(grid[1:-1, 1:-1])
+    return GrayImage(grids[params.iterations % 2][1:-1, 1:-1])
 
 
 def _srad_form(s: SimpleNamespace, q0_sq: float) -> None:
-    """The differences and c of one strip of `srad`."""
-    np.subtract(s.s_hi, s.s_lo, out=s.s_new)
-    np.subtract(s.e_hi, s.e_lo, out=s.e_new)
-    np.multiply(s.s_span, s.s_span, out=s.sq)
-    np.multiply(s.e_span, s.e_span, out=s.esq)
+    """The differences and c of one strip of `srad` and its halo row."""
+    np.subtract(s.s_hi, s.s_lo, out=s.s)
+    np.subtract(s.e_hi, s.e_lo, out=s.e)
+    np.multiply(s.s, s.s, out=s.sq)
+    np.multiply(s.e, s.e, out=s.esq)
     # grad2 = (dN^2 + dS^2 + dW^2 + dE^2) / v^2
     grad2 = np.add(s.sq_n, s.sq_s, out=s.a)
     grad2 += s.esq_w
     grad2 += s.esq_e
-    grad2 /= np.multiply(s.px, s.px, out=s.tmp)
+    grad2 /= np.multiply(s.v, s.v, out=s.tmp)
     # lap = (dN + dS + dW + dE) / v
     lap = np.subtract(s.d_s, s.neg_d_n, out=s.b)
     lap -= s.neg_d_w
     lap += s.d_e
-    lap /= s.px
+    lap /= s.v
     # q2 = (0.5 grad2 - lap^2 / 16) / (1 + lap / 4)^2. lap^2 is taken
     # as lap * lap: (lap / 4)^2 stays finite where lap * lap overflows
     # (1.34e154 < |lap| < 5.4e154), and would change c there.
@@ -353,22 +332,24 @@ def _srad_form(s: SimpleNamespace, q0_sq: float) -> None:
     q2 += 1.0
     np.divide(1.0, q2, out=s.c)
     np.minimum(s.c, 1.0, out=s.c)
-    # The bottom row and the right column meet only the zero south and
-    # east differences of the mirror, so they need only be finite: the
-    # row stays 0, and the column, just computed from margin values, is
-    # reset to 0 before 0 * c there can turn into NaN.
+    # The right column and the bottom margin row meet only the zero
+    # east and south differences of the mirror, so they need only be
+    # finite: the column, just computed from margin values, is reset to
+    # 0 before 0 * c there can turn into NaN, and so is the bottom
+    # margin row, which the image's last strip does not form.
     s.c_right[...] = 0.0
+    s.c_below[...] = 0.0
 
 
 def _srad_step(s: SimpleNamespace, dt: float) -> None:
-    """Step one strip of `srad` by (dt / 4) div(c grad v)."""
-    # div = c dN + c_S dS + c dW + c_E dE. sq gets c_S dS from the row
-    # above the strip on, esq c_E dE from the value left of it on; their
+    """Write one strip of `srad` stepped by (dt / 4) div(c grad v)."""
+    # div = c dN + c_S dS + c dW + c_E dE. cs holds c_S dS from the row
+    # above the strip on, ce c_E dE from the value left of it on; their
     # entries one row up and one value left are -c dN and -c dW.
-    np.multiply(s.c_s, s.s_span, out=s.sq)
-    np.multiply(s.c_e, s.e_span, out=s.esq)
-    div = np.subtract(s.sq_s, s.sq_n, out=s.a)
-    div -= s.esq_w
-    div += s.esq_e
+    np.multiply(s.c_s, s.s_span, out=s.cs)
+    np.multiply(s.c_e, s.e_span, out=s.ce)
+    div = np.subtract(s.cs_s, s.neg_cn, out=s.div)
+    div -= s.neg_cw
+    div += s.ce_e
     div *= dt / 4.0
-    s.px += div
+    np.add(s.px, div, out=s.out)

@@ -44,18 +44,9 @@ class _ChildFailed(Exception):
     """A child ended before the barrier the caller waits at."""
 
 
-class _Serial:
-    """The one worker of a call that starts no child."""
-
-    def barrier(self) -> None:
-        pass
-
-    def check(self) -> None:
-        pass
-
-
-class _Caller(_Serial):
-    """Worker 0: meets each child at a barrier through its two pipes."""
+class _Caller:
+    """Worker 0: meets each child at a barrier through its two pipes
+    (with no children, a barrier meets no one)."""
 
     def __init__(self, ups: list[int], downs: list[int]):
         self.ups, self.downs = ups, downs
@@ -66,6 +57,9 @@ class _Caller(_Serial):
                 raise _ChildFailed
         for fd in self.downs:
             os.write(fd, b".")
+
+    def check(self) -> None:
+        pass
 
 
 class _Child:
@@ -96,7 +90,7 @@ def run_workers(work, workers: int, what: str) -> None:
     child whose caller has died exits 1 at its next barrier or check.
     """
     if workers == 1:
-        return work(0, _Serial())
+        return work(0, _Caller([], []))
     caller = os.getpid()
     read_fd, write_fd = os.pipe()
     ups, downs, pids = [], [], []  # this process's ends of each child's two pipes

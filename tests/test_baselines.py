@@ -19,7 +19,7 @@ from conftest import (
     rand_image,
     textured_image,
 )
-from despeckle import baselines
+from despeckle import baselines, workers
 from despeckle import (
     DomainError,
     FrostParams,
@@ -239,6 +239,25 @@ class TestSradWorkers:
                     assert np.array_equal(srad(as_img(arr), params, threads=threads).pixels, want)
                     assert fork.call_count - forks == workers - 1
 
+    def test_workers_meet_only_between_iterations(self, monkeypatch):
+        # the runner reaps every child before the caller reads the grid,
+        # so the last iteration ends at no barrier
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(baselines, "_STRIP_VALUES", 1)
+        calls, meet = [], workers._Caller.barrier
+
+        def barrier(link):
+            calls.append(link)
+            meet(link)
+
+        monkeypatch.setattr(workers._Caller, "barrier", barrier)
+        arr = rand_image(49, 6, 4, lo=1.0)
+        assert baselines._plan_strips(0, *arr.shape)[1] == 2
+        for iterations in (0, 1, 2, 5):
+            calls.clear()
+            srad(as_img(arr), SradParams(iterations=iterations))
+            assert len(calls) == max(0, iterations - 1)
+
     def test_a_second_worker_needs_two_full_strips(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         rows = baselines._STRIP_VALUES // 98
@@ -383,7 +402,7 @@ class TestMemory:
     # Each filter holds a fixed handful of image-sized buffers, whatever
     # the window radius or the iteration count; per-pixel window copies
     # would take 28 (Lee) to 105 (Frost, radius 3) image sizes. SRAD
-    # keeps four padded images, its output and five row strips: 6.35
+    # keeps two padded images, its output and eight row strips: 4.31
     # image sizes at 256x256.
     @pytest.mark.parametrize("name, run", [
         ("lee", lambda img: lee_filter(img, LeeParams(window_radius=2))),
@@ -399,11 +418,11 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        images = 7 if name == "srad" else 12
+        images = 5 if name == "srad" else 12
         assert peak < images * img.pixels.nbytes, f"{name}: {peak / img.pixels.nbytes:.1f} images"
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="srad forks its workers")
-    def test_srad_on_two_workers_stays_under_seven_images(self, monkeypatch):
+    def test_srad_on_two_workers_stays_under_five_images(self, monkeypatch):
         # tracemalloc does not see the shared mappings, so their bytes
         # are added to the caller's traced peak
         img = as_img(np.abs(textured_image(40, 256, 256)) + 1.0)
@@ -422,6 +441,6 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(mapped) == 4
+        assert len(mapped) == 2
         images = (peak + sum(mapped)) / img.pixels.nbytes
-        assert images < 7, f"srad on 2 workers: {images:.1f} images"
+        assert images < 5, f"srad on 2 workers: {images:.1f} images"
