@@ -10,8 +10,8 @@ window mean and variance as fixed-order sums over the shifted planes
 of the mirror-padded input. SRAD reads one padded image and writes
 another each iteration, as the scalar scheme does, sweeping in row
 strips so that a strip's passes stay in cache; its only image-sized
-arrays are the two padded images. It splits the strips of a large
-enough image among forked workers, which meet once between
+arrays are the two padded images. It splits the strips among forked
+workers when the work fills more than one, and they meet once between
 iterations; its output bits are those of the plain four-difference
 formulation at any strip height and worker count.
 """
@@ -27,10 +27,12 @@ import numpy as np
 
 from .errors import DomainError, NumericError, check_int, check_real
 from .image import GrayImage, cache_aligned, check_radii, mirror_pad
-from .workers import run_workers, shared_array, worker_cap
+from .workers import plan, run_workers, shared_array
 
 # Values per row strip of `srad`: 128 KiB per strip-sized float64 array.
 _STRIP_VALUES = 16384
+# Array passes per value and iteration of `srad`: 33 to form and step, 2 to check.
+_SRAD_PASSES = 35
 
 
 @dataclass(frozen=True)
@@ -181,16 +183,12 @@ def frost_filter(img: GrayImage, params: FrostParams) -> GrayImage:
     return GrayImage(num)
 
 
-def _plan_strips(threads, height: int, width: int) -> tuple[int, int]:
-    """Strip height and worker count for `srad`; starts nothing.
-
-    ``threads`` = 0 asks for one worker per CPU. Each worker takes at
-    least one full strip of `_STRIP_VALUES` values, so a second worker
-    starts only on an image that holds two; and workers never outnumber
-    the CPUs (see `worker_cap`).
-    """
-    rows = max(1, _STRIP_VALUES // (width + 2))
-    return rows, min(worker_cap(threads), max(1, height // rows))
+def srad_plan(threads, height: int, width: int, params: SradParams) -> tuple[int, int]:
+    """Strip height and worker count of `srad` on a ``height`` x ``width``
+    image (see `workers.plan`), counting a barrier per iteration; starts
+    nothing."""
+    return plan(threads, height, width + 2, _STRIP_VALUES, _SRAD_PASSES * params.iterations,
+                params.iterations)
 
 
 def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
@@ -204,7 +202,9 @@ def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
     be strictly positive (shift the image first if needed); positivity
     is preserved by the scheme for dt <= 0.25. An iteration that leaves
     a pixel non-finite raises `NumericError`. ``threads`` caps the worker
-    processes as for `nlm_denoise`; here 0, one per CPU, is the default.
+    processes as for `nlm_denoise`: 0, the default, means one per CPU,
+    and a call starts no more workers than its work fills (a 256x256
+    image runs on one worker for up to 15 iterations).
 
     The image is mirror-padded by one pixel and flattened, and the
     differences and c are kept on the same row stride S = W + 2, so a
@@ -227,7 +227,7 @@ def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
     cache: a strip forms its differences and c in strip-sized scratch,
     for one halo row more (the row below it, whose c its last row
     reads, and which the next strip forms the same way), and steps.
-    Workers (`_plan_strips`) take blocks of consecutive strips and meet
+    Workers (`srad_plan`) take blocks of consecutive strips and meet
     at one barrier between iterations. No strip reads what another
     writes in the same iteration, so the bits do not depend on the
     worker count or the strip height. The two padded grids are the only
@@ -244,19 +244,17 @@ def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
     height, width = v.shape
     stride = width + 2
     dt, q0, rho = params.dt, params.q0, params.rho
-    strip_rows, workers = _plan_strips(threads, height, width)
+    strip_rows, workers = srad_plan(threads, height, width, params)
     alloc = shared_array if workers > 1 else cache_aligned
     flats = [alloc((height + 2) * stride) for _ in range(2)]
     grids = [flat.reshape(height + 2, stride) for flat in flats]
     grids[0][...] = mirror_pad(v, 1)
-    ys = [*range(0, height, strip_rows), height]
-    count = len(ys) - 1
 
-    def strip(k, src, dst, s, e, sq, esq, a, b, tmp, c) -> SimpleNamespace:
-        lo, hi = (ys[k] + 1) * stride, (ys[k + 1] + 1) * stride  # the flat span of the strip's rows
+    def strip(y0, y1, src, dst, s, e, sq, esq, a, b, tmp, c) -> SimpleNamespace:
+        lo, hi = (y0 + 1) * stride, (y1 + 1) * stride  # the flat span of the strip's rows
         n = hi - lo
         # c is formed for the row below too, unless that is the bottom margin
-        m = n + stride if k < count - 1 else n
+        m = n + stride if y1 < height else n
         # s[j] and sq[j] belong to flat index lo - S + j, e[j] and esq[j]
         # to lo - 1 + j, c[j] to lo + j
         s, e, sq, esq = s[: m + stride], e[: m + 1], sq[: m + stride], esq[: m + 1]
@@ -273,12 +271,11 @@ def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
             c_s=c[: n + stride], s_span=s[: n + stride], cs=cs, cs_s=cs[stride:], neg_cn=cs[:n],
             c_e=c[: n + 1], e_span=e[: n + 1], ce=ce, ce_e=ce[1:], neg_cw=ce[:n])
 
-    def work(w, link) -> None:
-        first, last = count * w // workers, count * (w + 1) // workers
+    def work(first, end, link) -> None:
         scratch = [cache_aligned((strip_rows + 2) * stride) for _ in range(8)]
-        sweeps = [[strip(k, flats[p], flats[1 - p], *scratch) for k in range(first, last)]
-                  for p in (0, 1)]
-        blocks = [grid[ys[first] + 1 : ys[last] + 1] for grid in grids]
+        sweeps = [[strip(y0, min(y0 + strip_rows, end), flats[p], flats[1 - p], *scratch)
+                   for y0 in range(first, end, strip_rows)] for p in (0, 1)]
+        blocks = [grid[first + 1 : end + 1] for grid in grids]
         for t in range(1, params.iterations + 1):
             q0_t = q0 * math.exp(-rho * t * dt)
             q0_sq = q0_t * q0_t
@@ -293,12 +290,12 @@ def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
             rows[:, -1] = rows[:, -2]
             if first == 0:
                 grid[0] = grid[1]
-            if last == count:
+            if end == height:
                 grid[-1] = grid[-2]
             if not np.isfinite(rows).all():
                 raise NumericError(f"diffusion diverged to non-finite values at iteration {t}")
 
-    run_workers(work, workers, "SRAD")
+    run_workers(work, height, strip_rows, workers, "SRAD")
     return GrayImage(grids[params.iterations % 2][1:-1, 1:-1])
 
 

@@ -11,9 +11,9 @@ fully resolved configuration to standard error before doing any work, so
 logs capture the effective parameters. The worker cap for the non-local
 filters and SRAD comes from --threads, else from the DESPECKLE_THREADS
 environment variable; 0 means one worker per CPU. The echoed ``threads``
-is the number of workers the filter starts: never more than the CPUs,
-the engine's row tiles or SRAD's full row strips. Lee and Frost run on
-the calling thread and read neither setting.
+is the number of workers the filter starts, from the plan it starts
+them by (`workers.plan`), which sizes them to its work. Lee and Frost
+run on the calling thread and read neither setting.
 """
 
 from __future__ import annotations
@@ -31,15 +31,15 @@ from .baselines import (
     FrostParams,
     LeeParams,
     SradParams,
-    _plan_strips,
     frost_filter,
     lee_filter,
     srad,
+    srad_plan,
 )
 from .errors import DomainError, NumericError, ParameterError, PgmParseError, check_int, check_real
 from .image import GrayImage
 from .metrics import CSV_HEADER, evaluate
-from .nlm import NlmParams, RobustNlmParams, _plan_tiles, nlm_denoise, robust_nlm_denoise
+from .nlm import NlmParams, RobustNlmParams, engine_plan, nlm_denoise, robust_nlm_denoise
 from .noise import SpeckleParams, add_multiplicative_speckle, estimate_noise_sigma, exp_expand, log_compress
 from .pgm import load_pgm, save_pgm
 
@@ -104,7 +104,8 @@ def _prepare_filter(args: argparse.Namespace, work: GrayImage):
             "sigma_s": _fmt(base.sigma_s),
             "self_weight": base.self_weight,
             "sigma_n": "-" if sigma_n is None else _fmt(sigma_n),
-            "threads": _plan_tiles(threads, work.height, work.width)[1],
+            "threads": engine_plan(threads, work.height, work.width, base,
+                                   name == "robust-nlm")[1],
         })
         if name == "nlm":
             echo["h"] = _fmt(base.h)
@@ -148,7 +149,7 @@ def _prepare_filter(args: argparse.Namespace, work: GrayImage):
     echo.update({"iterations": params.iterations, "dt": _fmt(params.dt),
                  "q0": _fmt(params.q0), "rho": _fmt(params.rho),
                  "positivity_shift": _fmt(shift),
-                 "threads": _plan_strips(threads, work.height, work.width)[1]})
+                 "threads": srad_plan(threads, work.height, work.width, params)[1]})
 
     def run(image: GrayImage) -> GrayImage:
         lifted = srad(GrayImage(image.pixels + shift), params, threads=threads)

@@ -23,9 +23,9 @@ S and a search offset (dy, dx) is the flat step dy S + dx. Its 13 steps
 per offset (11 without a penalty) are the squared differences, the
 column and row taps of the patch kernel as two banded matrix products
 through NumPy's BLAS, exp, and the accumulation. It works in row tiles
-of about `_TILE_PIXELS` pixels, dealt in turn to at most one process
-per CPU: the caller and forked children (`workers.run_workers`), which
-read the padded arrays and write their rows of the output into a shared
+of about `_TILE_PIXELS` pixels, in blocks of consecutive tiles, one per
+worker (`engine_plan`): the caller and forked children, which read the
+padded arrays and write their rows of the output into a shared
 anonymous mapping.
 Patch distances are symmetric, so each offset o of the half window
 serves both candidates i + o and i - o. Every pixel adds its self term,
@@ -55,7 +55,7 @@ from .image import (
     gaussian_axis_weights,
     mirror_pad,
 )
-from .workers import run_workers, shared_array, worker_cap
+from .workers import plan, run_workers, shared_array
 
 SELF_WEIGHT_MODES = ("natural", "max_neighbor")
 # Pixels per row tile: 256 KiB per tile-sized float64 array.
@@ -203,15 +203,14 @@ def _check_extent(img: GrayImage, base: NlmParams, prefilter_sigma: float | None
         check_sigmas(img, 3.0, prefilter_sigma=prefilter_sigma)
 
 
-def _plan_tiles(threads, height: int, width: int) -> tuple[int, int]:
-    """Tile height and worker count for the engine; starts nothing.
-
-    ``threads`` = 0 asks for one worker per CPU. Whatever is asked for,
-    workers never outnumber the CPUs (see `worker_cap`) or the tiles.
-    """
-    cap = worker_cap(threads)
-    rows = max(1, min(_TILE_PIXELS // width, -(-height // cap)))
-    return rows, min(cap, -(-height // rows))
+def engine_plan(threads, height: int, width: int, params: NlmParams,
+                robust: bool) -> tuple[int, int]:
+    """Tile height and worker count of `nlm_denoise`, or with ``robust``
+    of `robust_nlm_denoise`, on a ``height`` x ``width`` image (see
+    `workers.plan`); starts nothing. The work is 11 array passes per
+    pixel and half-window offset, 13 with the penalty."""
+    offsets = 2 * params.search_radius * (params.search_radius + 1)
+    return plan(threads, height, width, _TILE_PIXELS, (13 if robust else 11) * offsets)
 
 
 def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
@@ -276,7 +275,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
     # exceeds 5e149): an inf times a band's zero would be NaN.
     clamp = max(v.max(), -v.min()) > 5e149
     skip_self = params.self_weight == "max_neighbor"
-    tile_rows, workers = _plan_tiles(threads, height, width)
+    tile_rows, workers = engine_plan(threads, height, width, params, corr is not None)
     tile_blocks = (tile_rows + big_r + _BAND - 2) // _BAND + 1
     out = np.empty(v.shape) if workers == 1 else shared_array(v.size).reshape(v.shape)
 
@@ -349,7 +348,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
             acc_px[zero] = v[y0:y1][zero]
         np.divide(acc_px, norm_px, out=out[y0:y1])
 
-    def work(k, link) -> None:
+    def work(first, end, link) -> None:
         a = cache_aligned((tile_blocks * _BAND + 2 * r) * stride)
         b = cache_aligned(tile_blocks * _BAND * stride + 2 * r)  # the r values at each end stay 0
         acc, norm = cache_aligned(tile_rows * stride), cache_aligned(tile_rows * stride)
@@ -357,22 +356,26 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
         # For tiny h the scaled distances saturate to -inf and exp flushes
         # them to the intended weight 0, so the overflow is not an error.
         with np.errstate(over="ignore"):
-            for y0 in range(k * tile_rows, height, workers * tile_rows):
+            for y0 in range(first, end, tile_rows):
                 link.check()
-                run_tile(y0, min(y0 + tile_rows, height), a, b, acc, norm, wmax)
+                run_tile(y0, min(y0 + tile_rows, end), a, b, acc, norm, wmax)
 
-    run_workers(work, workers, "NLM")
+    run_workers(work, height, tile_rows, workers, "NLM")
     del padded, corr_padded  # free them before GrayImage copies ``out``
     return GrayImage(out)
 
 
-def nlm_denoise(img: GrayImage, params: NlmParams, threads: int = 1) -> GrayImage:
+def nlm_denoise(img: GrayImage, params: NlmParams, threads: int = 0) -> GrayImage:
     """Classic non-local means.
 
     Each output pixel is the weighted mean of the search-window pixels,
     with weights exp(-d(i, j) / h^2) for the kernel-weighted squared
     patch distance d. Output size equals input size. Each radius, and
     sigma_s, may be at most 2 max(H, W, 10).
+
+    ``threads`` caps the worker processes; 0, the default, means one per
+    CPU. Each worker needs a floor of work (`workers.plan`), so a 64x64
+    image runs on one. The output bits do not depend on the worker count.
     """
     _check_extent(img, params)
     return _filter_engine(img, params, None, threads)
@@ -398,7 +401,7 @@ def _corruption_factor(v: np.ndarray, h2: float, sigma: float) -> np.ndarray:
         return np.exp(excess, out=excess)
 
 
-def robust_nlm_denoise(img: GrayImage, params: RobustNlmParams, threads: int = 1) -> GrayImage:
+def robust_nlm_denoise(img: GrayImage, params: RobustNlmParams, threads: int = 0) -> GrayImage:
     """Non-local means that discounts the highly corrupted pixels.
 
     Weights are exp(-d(i, j) / h1^2) * exp(-max(0, |v(j) - v_hat(j)| - tau(j)) / h2),
@@ -409,7 +412,9 @@ def robust_nlm_denoise(img: GrayImage, params: RobustNlmParams, threads: int = 1
     neighborhood by more than that band are discounted, which makes the
     average robust to outliers at no cost on ordinary speckle. Each
     radius, sigma_s and the prefilter's blur radius
-    ceil(3 prefilter_sigma) may be at most 2 max(H, W, 10).
+    ceil(3 prefilter_sigma) may be at most 2 max(H, W, 10). ``threads``
+    is as for `nlm_denoise`: 0, the default, means one worker per CPU,
+    the work floor applies, and the bits do not depend on it.
     """
     _check_extent(img, params.base, params.prefilter_sigma)
     corr = _corruption_factor(img.pixels, params.h2, params.prefilter_sigma)

@@ -1,10 +1,11 @@
 """Forked worker processes for the filters that split an image by rows.
 
-`worker_cap` is the one thread cap: the most workers a call may start.
-`shared_array` allocates what the workers write, in a shared anonymous
-mapping. `run_workers` runs a call's shares, one in the caller and the
-rest in forked children, and gives each a `barrier` to meet the others
-at and a `check` that ends a child whose caller has died.
+`plan` is the one rule for how many workers a call starts and how it
+cuts the rows into chunks. `shared_array` allocates what the workers
+write, in a shared anonymous mapping. `run_workers` deals each worker a
+block of consecutive chunks and runs it, one in the caller and the rest
+in forked children, with a `barrier` to meet the others at and a
+`check` that ends a child whose caller has died.
 """
 
 from __future__ import annotations
@@ -18,20 +19,34 @@ import numpy as np
 
 from .errors import NumericError, check_int
 
+# Array passes of work per worker: forking and reaping one costs about
+# as much, and meeting the others at a barrier 1/_BARRIERS_PER_FORK of it.
+_MIN_PASSES = 16_000_000
+_BARRIERS_PER_FORK = 128
 
-def worker_cap(threads) -> int:
-    """The most workers a call asking for ``threads`` may start.
 
-    ``threads`` = 0 asks for one worker per CPU. Whatever is asked for,
-    workers never outnumber the CPUs, and the cap is 1 without
-    ``os.fork`` or beside other threads, whose locks a forked child
-    would inherit held.
+def plan(threads, height: int, row_values: int, chunk_values: int, passes: int,
+         barriers: int = 0) -> tuple[int, int]:
+    """Chunk height and worker count for ``height`` rows of ``row_values``
+    values that each take ``passes`` array passes, on workers that meet
+    ``barriers`` times; starts nothing.
+
+    ``threads`` = 0 asks for one worker per CPU. A call starts one
+    worker per floor of work, `_MIN_PASSES` and 1/`_BARRIERS_PER_FORK`
+    of that per barrier; at least one, never more than it asks for, the
+    CPUs or its chunks, and one without ``os.fork`` or beside other
+    threads, whose locks a forked child would inherit held. A chunk
+    holds about ``chunk_values`` values, at least a row and at most a
+    worker's share.
     """
     cpus = os.cpu_count() or 1
-    asked = check_int(threads, "threads (0 = auto)") or cpus
+    cap = min(check_int(threads, "threads (0 = auto)") or cpus, cpus)
     if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return min(asked, cpus)
+        cap = 1
+    floor = _MIN_PASSES + _MIN_PASSES * barriers // _BARRIERS_PER_FORK
+    workers = min(cap, max(1, height * row_values * passes // floor))
+    rows = max(1, min(chunk_values // row_values, -(-height // workers)))
+    return rows, min(workers, -(-height // rows))
 
 
 def shared_array(size: int) -> np.ndarray:
@@ -79,18 +94,20 @@ class _Child:
             os._exit(1)
 
 
-def run_workers(work, workers: int, what: str) -> None:
-    """Run ``work(k, link)`` for each worker k < ``workers``: k = 0 here,
-    the rest in forked children, which write results only to shared
-    mappings. Every worker must call ``link.barrier()`` equally often.
+def run_workers(work, height: int, rows: int, workers: int, what: str) -> None:
+    """Deal ``height`` rows in chunks of ``rows``, a block of consecutive
+    chunks to each worker k < ``workers``, and run ``work(first, end,
+    link)`` for each, on its rows first .. end - 1: k = 0 here, the rest
+    in forked children, which write results only to shared mappings.
+    Every worker must call ``link.barrier()`` equally often.
 
     A child that raises exits 1 with one line on a pipe, and this raises
     `NumericError` naming ``what``; if this share raises, or a child ends
     before a barrier, the children are killed. All are reaped first. A
     child whose caller has died exits 1 at its next barrier or check.
     """
-    if workers == 1:
-        return work(0, _Caller([], []))
+    count = -(-height // rows)
+    ends = [min(height, rows * (count * k // workers)) for k in range(workers + 1)]
     caller = os.getpid()
     read_fd, write_fd = os.pipe()
     ups, downs, pids = [], [], []  # this process's ends of each child's two pipes
@@ -106,7 +123,7 @@ def run_workers(work, workers: int, what: str) -> None:
                         # without the other ends, a pipe reads EOF once its writer is gone
                         for fd in (read_fd, *ups, *downs):
                             os.close(fd)
-                        work(k, _Child(up_write, down_read, caller))
+                        work(*ends[k : k + 2], _Child(up_write, down_read, caller))
                         os._exit(0)
                     except BaseException as exc:
                         os.write(write_fd, f"{type(exc).__name__}: {exc}\n".encode()[:512])
@@ -116,7 +133,7 @@ def run_workers(work, workers: int, what: str) -> None:
                 os.close(up_write)
                 os.close(down_read)
             pids.append(pid)
-        work(0, _Caller(ups, downs))
+        work(*ends[:2], _Caller(ups, downs))
     except BaseException as exc:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from conftest import as_img, make_phantom, make_step, rand_image, textured_image
+from despeckle import workers
 from despeckle import (
     FrostParams,
     GrayImage,
@@ -276,7 +277,9 @@ def test_criterion_06_baseline_sanity(phantom256, noisy256):
     assert max(lee_err, frost_err, srad_err) <= 1e-8
 
 
-def test_criterion_07_determinism():
+def test_criterion_07_determinism(monkeypatch):
+    monkeypatch.setattr(workers, "_MIN_PASSES", 1)  # this small image splits too
+
     def digest(pixels):
         return hashlib.sha256(pixels.tobytes()).hexdigest()
 

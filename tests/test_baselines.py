@@ -223,6 +223,7 @@ class TestSradWorkers:
                                 "ignore:invalid value:RuntimeWarning")
     def test_worker_count_does_not_change_the_bits(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)  # tiny images fork too
         fork = mock.Mock(side_effect=os.fork)
         monkeypatch.setattr(os, "fork", fork)
         params = SradParams(iterations=3, dt=0.25)
@@ -233,17 +234,18 @@ class TestSradWorkers:
             for values in (1, 2 * stride, 5 * stride):
                 monkeypatch.setattr(baselines, "_STRIP_VALUES", values)
                 for threads in (1, 2, 3):
-                    workers = baselines._plan_strips(threads, *arr.shape)[1]
-                    assert workers == min(threads, max(1, height // max(1, values // stride)))
+                    count = baselines.srad_plan(threads, *arr.shape, params)[1]
+                    assert count == min(threads, height)
                     forks = fork.call_count
                     assert np.array_equal(srad(as_img(arr), params, threads=threads).pixels, want)
-                    assert fork.call_count - forks == workers - 1
+                    assert fork.call_count - forks == count - 1
 
     def test_workers_meet_only_between_iterations(self, monkeypatch):
         # the runner reaps every child before the caller reads the grid,
         # so the last iteration ends at no barrier
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(baselines, "_STRIP_VALUES", 1)
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)
         calls, meet = [], workers._Caller.barrier
 
         def barrier(link):
@@ -252,20 +254,30 @@ class TestSradWorkers:
 
         monkeypatch.setattr(workers._Caller, "barrier", barrier)
         arr = rand_image(49, 6, 4, lo=1.0)
-        assert baselines._plan_strips(0, *arr.shape)[1] == 2
+        assert baselines.srad_plan(0, *arr.shape, SradParams(iterations=1))[1] == 2
         for iterations in (0, 1, 2, 5):
             calls.clear()
             srad(as_img(arr), SradParams(iterations=iterations))
             assert len(calls) == max(0, iterations - 1)
 
-    def test_a_second_worker_needs_two_full_strips(self, monkeypatch):
+    def test_each_worker_needs_the_work_floor(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        rows = baselines._STRIP_VALUES // 98
-        assert baselines._plan_strips(0, 96, 96) == (rows, 1)
-        assert baselines._plan_strips(0, 2 * rows - 1, 96) == (rows, 1)
-        assert baselines._plan_strips(0, 2 * rows, 96) == (rows, 2)
-        assert baselines._plan_strips(1, 2 * rows, 96) == (rows, 1)
-        assert baselines._plan_strips(0, 1000, 10**6) == (1, 8)  # rows wider than a strip
+        # one floor of work: one iteration at 96x96 (rows of 98 values)
+        monkeypatch.setattr(workers, "_MIN_PASSES", 96 * 98 * baselines._SRAD_PASSES)
+
+        def plan(threads, height, width, iterations):
+            return baselines.srad_plan(threads, height, width, SradParams(iterations=iterations))
+
+        assert baselines._STRIP_VALUES // 98 > 96  # so the strips are a worker's share
+        assert plan(0, 96, 96, 0) == (96, 1)
+        assert plan(0, 96, 96, 1) == (96, 1)
+        # two floors of work, but the workers would meet once, which costs more
+        assert plan(0, 96, 96, 2) == (96, 1)
+        assert plan(0, 96, 96, 3) == (48, 2)
+        assert plan(0, 96, 96, 4) == (32, 3)
+        assert plan(1, 96, 96, 4) == (96, 1)
+        assert plan(0, 2, 10**4, 100) == (1, 2)  # no more workers than strips
+        assert plan(0, 1000, 10**6, 1) == (1, 8)  # rows wider than a strip
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -274,6 +286,7 @@ class TestSradWorkers:
         # whose squared differences overflow
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(baselines, "_STRIP_VALUES", 1)
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)
         arr = np.ones((6, 2))
         arr[5, 1] = 1e308
         fds = open_fds()
@@ -287,6 +300,7 @@ class TestSradWorkers:
     def test_caller_failure_kills_and_reaps_the_children(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setattr(baselines, "_STRIP_VALUES", 1)
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)
         caller, form = os.getpid(), baselines._srad_form
         stalled = []
 
@@ -311,6 +325,7 @@ class TestSradWorkers:
         arr = rand_image(47, 24, 16, lo=1.0)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(baselines, "_STRIP_VALUES", 18)
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)
         params = SradParams(iterations=5)
         one = srad(as_img(arr), params, threads=1).pixels.tobytes()
         fork = mock.Mock(side_effect=os.fork)
@@ -427,7 +442,8 @@ class TestMemory:
         # are added to the caller's traced peak
         img = as_img(np.abs(textured_image(40, 256, 256)) + 1.0)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert baselines._plan_strips(0, 256, 256)[1] == 2
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)  # three iterations are below the floor
+        assert baselines.srad_plan(0, 256, 256, SradParams(iterations=3))[1] == 2
         mapped, allocate = [], baselines.shared_array
 
         def shared_array(size):

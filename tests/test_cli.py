@@ -24,9 +24,10 @@ from despeckle import (
     save_pgm,
     ssim,
 )
-from despeckle.baselines import _plan_strips
+from despeckle import workers
+from despeckle.baselines import srad_plan
 from despeckle.cli import build_parser, main
-from despeckle.nlm import _plan_tiles
+from despeckle.nlm import engine_plan
 
 FAST = ["--search-radius", "3", "--patch-radius", "1"]
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -291,24 +292,33 @@ class TestDenoise:
         src = tmp_path / "in.pgm"
         dst = tmp_path / "out.pgm"
         write_pgm(src, rand_image(80, 12, 12, lo=60, hi=200))
-        monkeypatch.setenv("DESPECKLE_THREADS", "2")
-        rc = main(["denoise", str(src), str(dst), "--filter", "nlm", "--h", "20", *FAST])
-        assert rc == 0
-        assert parse_echo(capsys.readouterr().err)["threads"] == str(min(2, os.cpu_count()))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)  # a 12x12 input splits too
+        for env in ("1", "2"):
+            monkeypatch.setenv("DESPECKLE_THREADS", env)
+            rc = main(["denoise", str(src), str(dst), "--filter", "nlm", "--h", "20", *FAST])
+            assert rc == 0
+            assert parse_echo(capsys.readouterr().err)["threads"] == env
 
     @pytest.mark.parametrize("side, threads", [(64, 0), (64, 64), (1, 64)])
-    def test_threads_echo_the_engine_worker_count(self, tmp_path, capsys, side, threads):
+    def test_threads_echo_the_engine_worker_count(self, tmp_path, capsys, monkeypatch, side,
+                                                  threads):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         src = tmp_path / "in.pgm"
         write_pgm(src, rand_image(86, side, side, lo=60, hi=200))
-        workers = _plan_tiles(threads, side, side)[1]
-        assert side > 1 or workers == 1
         flags = ["--filter", "nlm", "--h", "20", "--threads", str(threads), *FAST]
-        assert main(["denoise", str(src), str(tmp_path / "out.pgm"), *flags]) == 0
-        assert parse_echo(capsys.readouterr().err)["threads"] == str(workers)
-        assert main(["bench", str(src), "--repeats", "1", *flags]) == 0
-        captured = capsys.readouterr()
-        assert parse_echo(captured.err)["threads"] == str(workers)
-        assert f" threads={workers} " in captured.out
+        base = NlmParams(h=20.0, search_radius=3, patch_radius=1)  # FAST
+        # the work floor keeps a 64x64 input on one worker; without it, it splits
+        for floor, want in ((workers._MIN_PASSES, 1), (1, min(2, side))):
+            monkeypatch.setattr(workers, "_MIN_PASSES", floor)
+            count = engine_plan(threads, side, side, base, False)[1]
+            assert count == want
+            assert main(["denoise", str(src), str(tmp_path / "out.pgm"), *flags]) == 0
+            assert parse_echo(capsys.readouterr().err)["threads"] == str(count)
+            assert main(["bench", str(src), "--repeats", "1", *flags]) == 0
+            captured = capsys.readouterr()
+            assert parse_echo(captured.err)["threads"] == str(count)
+            assert f" threads={count} " in captured.out
 
     def test_baseline_bench_reports_one_thread(self, tmp_path, capsys):
         src = tmp_path / "in.pgm"
@@ -372,20 +382,21 @@ class TestDenoise:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         src = tmp_path / "in.pgm"
         write_pgm(src, rand_image(89, side, side, lo=60, hi=200))
-        workers = _plan_strips(threads, side, side)[1]
-        assert workers == (2 if side == 256 and threads != 1 else 1)
-        flags = ["--filter", "srad", "--iterations", "2", "--threads", str(threads)]
+        # 20 iterations are past the work floor of a second worker at 256x256
+        count = srad_plan(threads, side, side, SradParams(iterations=20))[1]
+        assert count == (2 if side == 256 and threads != 1 else 1)
+        flags = ["--filter", "srad", "--iterations", "20", "--threads", str(threads)]
         dst = tmp_path / "out.pgm"
         assert main(["denoise", str(src), str(dst), *flags]) == 0
-        assert parse_echo(capsys.readouterr().err)["threads"] == str(workers)
+        assert parse_echo(capsys.readouterr().err)["threads"] == str(count)
         want = tmp_path / "want.pgm"
         assert main(["denoise", str(src), str(want), *flags[:-1], "1"]) == 0
         assert dst.read_bytes() == want.read_bytes()
         capsys.readouterr()
         assert main(["bench", str(src), "--repeats", "1", *flags]) == 0
         captured = capsys.readouterr()
-        assert parse_echo(captured.err)["threads"] == str(workers)
-        assert f" threads={workers} " in captured.out
+        assert parse_echo(captured.err)["threads"] == str(count)
+        assert f" threads={count} " in captured.out
 
     @pytest.mark.parametrize("source", ["--threads", "DESPECKLE_THREADS"])
     def test_negative_threads_exits_2(self, tmp_path, capsys, monkeypatch, source):

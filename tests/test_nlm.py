@@ -27,6 +27,7 @@ from conftest import (
     textured_image,
 )
 from despeckle import nlm as engine
+from despeckle import workers
 from despeckle import (
     GrayImage,
     NlmParams,
@@ -284,14 +285,16 @@ class TestFilterInvariants:
                  naive_nlm(arr, 40.0, 3, 1, SMALL.sigma_s)),
                 (lambda threads: robust_nlm_denoise(as_img(arr), robust, threads=threads),
                  naive_robust_nlm(arr, 40.0, 25.0, 1.5, 3, 1, SMALL.sigma_s, "natural")))
-        with mock.patch.object(os, "cpu_count", return_value=2):
-            assert engine._plan_tiles(2, 14, 13)[1] == 2
+        with mock.patch.object(os, "cpu_count", return_value=2), \
+                mock.patch.object(workers, "_MIN_PASSES", 1):
+            assert engine.engine_plan(2, 14, 13, SMALL, False)[1] == 2
             for run, want in runs:
                 got = run(1).pixels
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
                 assert run(2).pixels.tobytes() == got.tobytes()
 
-    def test_threads_do_not_change_bits(self):
+    def test_threads_do_not_change_bits(self, monkeypatch):
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)  # tiny images fork too
         arr = textured_image(17, 23, 19)
         one = nlm_denoise(as_img(arr), SMALL, threads=1).pixels.tobytes()
         assert nlm_denoise(as_img(arr), SMALL, threads=2).pixels.tobytes() == one
@@ -304,7 +307,7 @@ class TestFilterInvariants:
                 mock.patch.object(engine, "_TILE_PIXELS", 5 * 19), \
                 mock.patch.object(os, "fork", side_effect=os.fork) as fork:
             for threads in (3, 4):
-                assert engine._plan_tiles(threads, 23, 19) == (5, threads)
+                assert engine.engine_plan(threads, 23, 19, SMALL, False) == (5, threads)
                 assert nlm_denoise(as_img(arr), SMALL, threads=threads).pixels.tobytes() == one
                 robust = robust_nlm_denoise(as_img(arr), SMALL_ROBUST, threads=threads)
                 assert robust.pixels.tobytes() == r1
@@ -368,9 +371,10 @@ class TestEngine:
             want = naive_nlm(arr, 40.0, search_radius, patch_radius, base.sigma_s, self_weight)
         first = run(1)
         assert np.max(np.abs(first - want)) < 1e-6
-        # tile heights 1, 2 and the default; four CPUs let 3 and 4 workers
-        # run on a smaller machine too
-        with mock.patch.object(os, "cpu_count", return_value=4):
+        # tile heights 1, 2 and the default; four CPUs and no work floor
+        # let 3 and 4 workers run on a smaller machine and a tiny image too
+        with mock.patch.object(os, "cpu_count", return_value=4), \
+                mock.patch.object(workers, "_MIN_PASSES", 1):
             for tile_pixels in (1, 2 * width, engine._TILE_PIXELS):
                 with mock.patch.object(engine, "_TILE_PIXELS", tile_pixels):
                     for threads in (1, 2, 3, 4):
@@ -399,19 +403,21 @@ class TestEngine:
         first = run(1)
         assert np.max(np.abs(first - want)) < 1e-9
         for tile_pixels in (1, 2 * width, engine._TILE_PIXELS):
-            with mock.patch.object(engine, "_TILE_PIXELS", tile_pixels):
+            with mock.patch.object(engine, "_TILE_PIXELS", tile_pixels), \
+                    mock.patch.object(workers, "_MIN_PASSES", 1):
                 for threads in (1, 2):
                     assert run(threads).tobytes() == first.tobytes()
 
     def test_worker_count_is_capped_by_cpus_and_tiles(self):
         before = threading.active_count()
         cpus = os.cpu_count() or 1
-        rows, workers = engine._plan_tiles(10**6, 10**6, 1)
-        assert 1 <= workers <= cpus
+        big = NlmParams(h=40.0, search_radius=10**3)  # work far past any floor
+        rows, count = engine.engine_plan(10**6, 10**6, 1, big, True)
+        assert 1 <= count <= cpus
         assert rows <= engine._TILE_PIXELS
-        assert engine._plan_tiles(10**6, 1, 512) == (1, 1)  # one tile, one worker
+        assert engine.engine_plan(10**6, 1, 512, big, True) == (1, 1)  # one tile, one worker
         # a row wider than a tile still gets a one-row tile
-        assert engine._plan_tiles(1, 4, 10 * engine._TILE_PIXELS) == (1, 1)
+        assert engine.engine_plan(1, 4, 10 * engine._TILE_PIXELS, big, True) == (1, 1)
         assert threading.active_count() == before
 
     def test_blas_threads_do_not_change_bits(self):
@@ -422,7 +428,9 @@ class TestEngine:
             import hashlib, os
             import numpy as np
             from despeckle import GrayImage, NlmParams, RobustNlmParams, nlm_denoise, robust_nlm_denoise
+            from despeckle import workers
             os.cpu_count = lambda: 2
+            workers._MIN_PASSES = 1  # this image is below the floor of a second worker
             arr = np.random.Generator(np.random.Philox(45)).uniform(0, 255, ({height}, {width}))
             base = NlmParams(h=40.0, search_radius={search_radius}, patch_radius={patch_radius})
             for threads in (1, 2):
@@ -448,7 +456,7 @@ class TestEngine:
         base = NlmParams(h=40.0, search_radius=search_radius, patch_radius=patch_radius)
         record = EngineNumpy(lambda x, y: sizes.append(x.shape[-2] * x.shape[-1] * y.shape[-1]))
         with mock.patch.object(engine, "np", record):
-            out = nlm_denoise(as_img(arr), base)
+            out = nlm_denoise(as_img(arr), base, threads=1)
         assert hashlib.sha256(out.pixels.tobytes()).hexdigest() == digests[0][0]
         assert sizes and max(sizes) <= engine._BLAS_SERIAL
         band, padded_width = engine._BAND, width + 2 * (search_radius + patch_radius)
@@ -537,7 +545,8 @@ class TestForkedWorkers:
                                                                   capsys):
         arr = rand_image(41, 24, 16)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert engine._plan_tiles(2, 24, 16)[1] == 2
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)
+        assert engine.engine_plan(2, 24, 16, SMALL, False)[1] == 2
         self._patch_kernel(monkeypatch, lambda: None, fail)
         fds = open_fds()
         with pytest.raises(NumericError, match="worker process failed: RuntimeError: injected"):
@@ -552,6 +561,7 @@ class TestForkedWorkers:
 
     def test_caller_failure_kills_and_reaps_the_children(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)
         stalled = []
 
         def stall():  # once per child, so the call returns in time only if it kills them
@@ -571,6 +581,7 @@ class TestForkedWorkers:
     def test_runs_serially_beside_other_threads_or_without_fork(self, monkeypatch):
         arr = textured_image(43, 24, 16)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)
         one = nlm_denoise(as_img(arr), SMALL, threads=1).pixels.tobytes()
         fork = mock.Mock(side_effect=os.fork)
         monkeypatch.setattr(os, "fork", fork)
