@@ -4,7 +4,7 @@ Core pieces: a robust non-local means filter whose weights discount
 corrupted candidates, classic non-local means, the Lee/Frost/SRAD
 baselines, a seeded synthetic-speckle lab, PGM I/O, and full-reference
 quality metrics (PSNR, SSIM, edge preservation). A `despeckle` CLI
-wraps the lot; see the README for usage.
+wraps the lot; `despeckle.cli.denoise` is its pipeline (see the README).
 """
 
 from .baselines import FrostParams, LeeParams, SradParams, frost_filter, lee_filter, srad

@@ -1,4 +1,11 @@
-"""Command line pipeline around the library.
+"""The library's denoise pipeline, and the command line around it.
+
+`denoise` moves an image to the filtering domain, resolves the filter's
+parameters at the CLI's defaults, filters and maps the result back; the
+``denoise`` and ``bench`` commands run the same `_prepare` between load
+and save. It lives here because the benchmark's tracer times its stages
+through this module's names; ``import despeckle`` skips this module,
+whose argparse, hashlib and statistics cost ~20 ms to import.
 
 Subcommands: ``synth`` corrupts a clean PGM with synthetic speckle,
 ``denoise`` runs one filter over a PGM, ``eval`` scores a denoised
@@ -12,8 +19,8 @@ logs capture the effective parameters. The worker cap for the non-local
 filters and SRAD comes from --threads, else from the DESPECKLE_THREADS
 environment variable; 0 means one worker per CPU. The echoed ``threads``
 is the number of workers the filter starts, from the plan it starts
-them by (`workers.plan`), which sizes them to its work. Lee and Frost
-run on the calling thread and read neither setting.
+them by (`workers.plan`). Lee and Frost run on the calling thread and
+read neither setting.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import os
 import statistics
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .baselines import (
@@ -48,16 +56,21 @@ H2_CAP = 1e12
 H1_FLOOR = 1e-6
 
 FILTER_CHOICES = ("nlm", "robust-nlm", "lee", "frost", "srad")
+DOMAIN_CHOICES = ("linear", "log")
 MODEL_CHOICES = {"mult-gauss": "multiplicative_gaussian", "rayleigh": "rayleigh"}
+
+# The pipeline's parameter keywords (every field of the parameter classes,
+# one per filter flag), and those whose defaults follow from the noise level.
+PARAM_NAMES = tuple(dict.fromkeys(
+    field.name for cls in (NlmParams, RobustNlmParams, LeeParams, FrostParams, SradParams)
+    for field in fields(cls) if field.name != "base"))
+_NOISE_DEFAULTS = {"nlm": ("h",), "robust-nlm": ("h", "h2"), "lee": ("noise_sigma",)}
 
 
 def _echo(pairs: dict) -> None:
-    text = " ".join(f"{key}={value}" for key, value in pairs.items())
+    shown = ("-" if v is None else f"{v:g}" if isinstance(v, float) else v for v in pairs.values())
+    text = " ".join(f"{key}={value}" for key, value in zip(pairs, shown))
     print(f"resolved-config: {text}", file=sys.stderr)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:g}"
 
 
 def _resolve_threads(flag: int | None) -> int:
@@ -73,106 +86,116 @@ def _resolve_threads(flag: int | None) -> int:
     return check_int(requested, f"{THREADS_ENV_VAR} (0 = auto)")
 
 
-def _prepare_filter(args: argparse.Namespace, work: GrayImage):
-    """Resolve filter parameters against the working-domain image. The
-    non-local filters and SRAD read the thread settings; Lee and Frost
-    do not.
-
-    Returns (run, echo) where run maps GrayImage -> GrayImage and echo
-    is the dict of effective parameters for the stderr line.
-    """
-    name = args.filter
-    echo: dict = {"filter": name}
-
-    if name in ("nlm", "robust-nlm"):
-        threads = _resolve_threads(args.threads)
-        sigma_n = args.sigma_n  # stays None when no default needs it
-        if sigma_n is not None:
-            sigma_n = check_real(sigma_n, "--sigma-n", nonnegative=True)
-        elif args.h is None or (name == "robust-nlm" and args.h2 is None):
-            sigma_n = estimate_noise_sigma(work).sigma_n
-        h1 = float(args.h) if args.h is not None else max(9.0 * sigma_n, H1_FLOOR)
-        self_weight = args.self_weight.replace("-", "_")
-        base = NlmParams(h=h1, search_radius=args.search_radius,
-                         patch_radius=args.patch_radius, sigma_s=args.sigma_s,
-                         self_weight=self_weight)
-        side = 2 * base.search_radius + 1
-        patch_side = 2 * base.patch_radius + 1
-        echo.update({
-            "search_window": f"{side}x{side}",
-            "patch_window": f"{patch_side}x{patch_side}",
-            "sigma_s": _fmt(base.sigma_s),
-            "self_weight": base.self_weight,
-            "sigma_n": "-" if sigma_n is None else _fmt(sigma_n),
-            "threads": engine_plan(threads, work.height, work.width, base,
-                                   name == "robust-nlm")[1],
-        })
-        if name == "nlm":
-            echo["h"] = _fmt(base.h)
-            return (lambda image: nlm_denoise(image, base, threads=threads)), echo
-        if args.h2 is not None:
-            h2 = float(args.h2)
-        elif sigma_n < 1e-6:
-            h2 = H2_CAP
-        else:
-            h2 = min(148.0 / sigma_n, H2_CAP)
-        params = RobustNlmParams(base=base, h2=h2, prefilter_sigma=args.prefilter_sigma)
-        echo.update({"h1": _fmt(base.h), "h2": _fmt(h2),
-                     "prefilter_sigma": _fmt(params.prefilter_sigma)})
-        return (lambda image: robust_nlm_denoise(image, params, threads=threads)), echo
-
-    if name == "lee":
-        if args.noise_sigma is not None:
-            noise_sigma = float(args.noise_sigma)
-        else:
-            est = estimate_noise_sigma(work).sigma_n
-            mean = float(work.pixels.mean())
-            noise_sigma = est / mean if mean > 0 else 0.0
-        params = LeeParams(window_radius=args.window_radius, noise_sigma=noise_sigma)
-        side = 2 * params.window_radius + 1
-        echo.update({"window": f"{side}x{side}", "noise_sigma": _fmt(params.noise_sigma)})
-        return (lambda image: lee_filter(image, params)), echo
-
-    if name == "frost":
-        params = FrostParams(window_radius=args.window_radius, damping=args.damping)
-        side = 2 * params.window_radius + 1
-        echo.update({"window": f"{side}x{side}", "damping": _fmt(params.damping)})
-        return (lambda image: frost_filter(image, params)), echo
-
-    # srad: the diffusion needs strictly positive pixels; PGM inputs may
-    # contain zeros, so shift up before and back down after.
-    params = SradParams(iterations=args.iterations, dt=args.dt,
-                        q0=args.q0, rho=args.rho)
-    threads = _resolve_threads(args.threads)
-    lo = float(work.pixels.min())
-    shift = (1e-6 - lo) if lo <= 0.0 else 0.0
-    echo.update({"iterations": params.iterations, "dt": _fmt(params.dt),
-                 "q0": _fmt(params.q0), "rho": _fmt(params.rho),
-                 "positivity_shift": _fmt(shift),
-                 "threads": srad_plan(threads, work.height, work.width, params)[1]})
-
-    def run(image: GrayImage) -> GrayImage:
-        lifted = srad(GrayImage(image.pixels + shift), params, threads=threads)
-        return GrayImage(lifted.pixels - shift)
-
-    return run, echo
+def _build(cls, params: dict, **fixed):
+    """``cls`` from ``fixed`` and the ``params`` it has fields for."""
+    names = {field.name for field in fields(cls)}
+    return cls(**{name: value for name, value in params.items() if name in names}, **fixed)
 
 
-def _load_and_prepare(args: argparse.Namespace, echo: dict):
-    """Load, move to the filtering domain, resolve the filter and echo
-    the resolved configuration: the part `denoise` and `bench` share.
-    ``echo`` holds the command's own fields.
+def _window(radius: int) -> str:
+    return f"{2 * radius + 1}x{2 * radius + 1}"
 
-    Returns (working-domain image, filter run, domain, worker count).
-    """
-    img = load_pgm(args.input)
-    domain = args.domain or ("log" if args.filter == "robust-nlm" else "linear")
-    epsilon = check_real(args.epsilon, "--epsilon")
+
+def _prepare(img: GrayImage, filter: str = "robust-nlm", *, domain: str | None = None,
+             epsilon: float = 1.0, threads: int = 0, sigma_n: float | None = None, **params):
+    """`denoise` in two steps: resolve every parameter for ``img``, and
+    return (run, config); run() filters and maps back to ``img``'s domain."""
+    if filter not in FILTER_CHOICES:
+        raise ParameterError(f"filter must be one of {FILTER_CHOICES}, got {filter!r}")
+    domain = domain or ("log" if filter == "robust-nlm" else "linear")
+    if domain not in DOMAIN_CHOICES:
+        raise ParameterError(f"domain must be one of {DOMAIN_CHOICES}, got {domain!r}")
+    unknown = sorted(set(params) - set(PARAM_NAMES))
+    if unknown:
+        raise ParameterError(f"no filter takes {unknown}; the parameters are {PARAM_NAMES}")
+    epsilon = check_real(epsilon, "epsilon")
     work = log_compress(img, epsilon) if domain == "log" else img
-    run, filter_echo = _prepare_filter(args, work)
-    _echo({"command": args.command, "input": args.input, **echo, "domain": domain,
-           "epsilon": _fmt(epsilon), **filter_echo})
-    return work, run, domain, filter_echo.get("threads", 1)  # 1: lee, frost
+    params = {name: value for name, value in params.items() if value is not None}
+    needs = _NOISE_DEFAULTS.get(filter, ())
+    if sigma_n is not None and needs:
+        sigma_n = check_real(sigma_n, "sigma_n", nonnegative=True)
+    elif any(name not in params for name in needs):  # else sigma_n stays None
+        sigma_n = estimate_noise_sigma(work).sigma_n
+    config: dict = {"domain": domain, "epsilon": epsilon, "filter": filter}
+    if filter in ("nlm", "robust-nlm"):
+        if "h" not in params:
+            params["h"] = max(9.0 * sigma_n, H1_FLOOR)
+        base = _build(NlmParams, params)
+        config.update({"search_window": _window(base.search_radius),
+                       "patch_window": _window(base.patch_radius), "sigma_s": base.sigma_s,
+                       "self_weight": base.self_weight, "sigma_n": sigma_n,
+                       "threads": engine_plan(threads, work.height, work.width, base,
+                                              filter == "robust-nlm")[1]})
+        if filter == "nlm":
+            config["h"] = base.h
+            filtered = lambda: nlm_denoise(work, base, threads=threads)
+        else:
+            if "h2" not in params:
+                params["h2"] = H2_CAP if sigma_n < 1e-6 else min(148.0 / sigma_n, H2_CAP)
+            robust = _build(RobustNlmParams, params, base=base)
+            config.update({"h1": base.h, "h2": robust.h2,
+                           "prefilter_sigma": robust.prefilter_sigma})
+            filtered = lambda: robust_nlm_denoise(work, robust, threads=threads)
+    elif filter == "lee":
+        if "noise_sigma" not in params:
+            mean = float(work.pixels.mean())
+            params["noise_sigma"] = sigma_n / mean if mean > 0 else 0.0
+        lee = _build(LeeParams, params)
+        config.update({"window": _window(lee.window_radius), "noise_sigma": lee.noise_sigma})
+        filtered = lambda: lee_filter(work, lee)
+    elif filter == "frost":
+        frost = _build(FrostParams, params)
+        config.update({"window": _window(frost.window_radius), "damping": frost.damping})
+        filtered = lambda: frost_filter(work, frost)
+    else:
+        # srad: the diffusion needs strictly positive pixels; PGM inputs
+        # may contain zeros, so shift up before and back down after.
+        diffusion = _build(SradParams, params)
+        lo = float(work.pixels.min())
+        shift = (1e-6 - lo) if lo <= 0.0 else 0.0
+        config.update({"iterations": diffusion.iterations, "dt": diffusion.dt,
+                       "q0": diffusion.q0, "rho": diffusion.rho, "positivity_shift": shift,
+                       "threads": srad_plan(threads, work.height, work.width, diffusion)[1]})
+        filtered = lambda: GrayImage(
+            srad(GrayImage(work.pixels + shift), diffusion, threads=threads).pixels - shift)
+    if domain == "linear":
+        return filtered, config
+    return (lambda: exp_expand(filtered(), epsilon)), config
+
+
+def denoise(img: GrayImage, filter: str = "robust-nlm", **options) -> tuple[GrayImage, dict]:
+    """Run one of `FILTER_CHOICES` over ``img`` as ``despeckle denoise``
+    does; return the output, in ``img``'s domain, and the resolved
+    configuration: the filter's fields of the CLI's ``resolved-config:``
+    line in its order, with ``threads`` the workers the filter starts.
+
+    ``domain`` "log" filters ln(v + ``epsilon``) (default 1.0) and expands
+    back; the default is log for robust-nlm, else "linear". ``threads``
+    caps the workers of the non-local filters and SRAD (0, the default:
+    one per CPU). The other keywords are the fields of the filter's
+    parameter class (`PARAM_NAMES`); its default fills one not given or
+    None, and another filter's are ignored. The noise level ``sigma_n``,
+    estimated on the filtering-domain image when absent and needed, sets
+    ``h`` = max(9 sigma_n, `H1_FLOOR`), ``h2`` = 148 / sigma_n (`H2_CAP`
+    above it or for sigma_n < 1e-6) and Lee's ``noise_sigma`` = sigma_n /
+    mean. SRAD's input is shifted to strictly positive pixels and back.
+    An unknown filter, domain or keyword, or a bad value, is a
+    ParameterError.
+    """
+    run, config = _prepare(img, filter, **options)
+    return run(), config
+
+
+def _options(args: argparse.Namespace) -> dict:
+    """`_prepare`'s keywords from the filter flags, checked under the
+    flags' names. Lee and Frost read no thread setting."""
+    options = {name: getattr(args, name) for name in PARAM_NAMES}
+    options.update(self_weight=args.self_weight.replace("-", "_"), domain=args.domain,
+                   epsilon=check_real(args.epsilon, "--epsilon"), sigma_n=args.sigma_n,
+                   threads=0 if args.filter in ("lee", "frost") else _resolve_threads(args.threads))
+    if args.sigma_n is not None and args.filter in _NOISE_DEFAULTS:
+        check_real(args.sigma_n, "--sigma-n", nonnegative=True)
+    return options
 
 
 def run_synth(args: argparse.Namespace) -> int:
@@ -180,23 +203,20 @@ def run_synth(args: argparse.Namespace) -> int:
     params = SpeckleParams(model=MODEL_CHOICES[args.model], sigma=args.sigma,
                            seed=args.seed)
     _echo({"command": "synth", "input": args.input, "output": args.output,
-           "model": args.model, "sigma": _fmt(params.sigma), "seed": params.seed,
+           "model": args.model, "sigma": params.sigma, "seed": params.seed,
            "maxval": args.maxval})
     noisy = add_multiplicative_speckle(img, params)
     save_pgm(noisy, args.output, maxval=args.maxval)
-    sidecar = str(args.output) + ".noise.txt"
-    Path(sidecar).write_text(
-        f"model={args.model}\nsigma={_fmt(params.sigma)}\nseed={params.seed}\n",
-        encoding="ascii",
-    )
+    Path(str(args.output) + ".noise.txt").write_text(
+        f"model={args.model}\nsigma={params.sigma:g}\nseed={params.seed}\n", encoding="ascii")
     return 0
 
 
 def run_denoise(args: argparse.Namespace) -> int:
-    work, run, domain, _ = _load_and_prepare(args, {"output": args.output, "maxval": args.maxval})
-    filtered = run(work)
-    out = exp_expand(filtered, args.epsilon) if domain == "log" else filtered
-    save_pgm(out, args.output, maxval=args.maxval)
+    run, config = _prepare(load_pgm(args.input), args.filter, **_options(args))
+    _echo({"command": "denoise", "input": args.input, "output": args.output,
+           "maxval": args.maxval, **config})
+    save_pgm(run(), args.output, maxval=args.maxval)
     return 0
 
 
@@ -205,9 +225,8 @@ def run_eval(args: argparse.Namespace) -> int:
     test = load_pgm(args.test)
     image_id = args.image_id if args.image_id is not None else Path(args.test).stem
     _echo({"command": "eval", "reference": args.reference, "test": args.test,
-           "image_id": image_id, "filter_name": args.filter_name,
-           "peak": _fmt(args.peak),
-           "report": args.report if args.report else "-"})
+           "image_id": image_id, "filter_name": args.filter_name, "peak": args.peak,
+           "report": args.report or None})
     report = evaluate(reference, test, peak=args.peak)
     row = report.csv_row(image_id, args.filter_name)
     print(row)
@@ -223,21 +242,21 @@ def run_eval(args: argparse.Namespace) -> int:
 
 def run_bench(args: argparse.Namespace) -> int:
     repeats = check_int(args.repeats, "--repeats", 1)
-    work, run, _, threads = _load_and_prepare(args, {"repeats": repeats})
-    times = []
-    digests = []
+    run, config = _prepare(load_pgm(args.input), args.filter, **_options(args))
+    _echo({"command": "bench", "input": args.input, "repeats": repeats, **config})
+    times, digests = [], []
     for _ in range(repeats):
         start = time.perf_counter()
-        out = run(work)
+        out = run()
         times.append(time.perf_counter() - start)
         digests.append(hashlib.sha256(out.pixels.tobytes()).hexdigest())
     if len(set(digests)) != 1:
         raise NumericError("filter outputs differ across bench repeats")
     best = min(times)
     med = statistics.median(times)
-    pixels = work.height * work.width
+    pixels = out.pixels.size
     rate = pixels / best if best > 0 else math.inf
-    print(f"bench: filter={args.filter} repeats={repeats} threads={threads} "
+    print(f"bench: filter={args.filter} repeats={repeats} threads={config.get('threads', 1)} "
           f"pixels={pixels} min_s={best:.6f} median_s={med:.6f} "
           f"pixels_per_second={rate:.0f} checksum={digests[0]}")
     return 0
@@ -252,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     filter_args = argparse.ArgumentParser(add_help=False)
     filter_args.add_argument("--filter", choices=FILTER_CHOICES, default="robust-nlm")
-    filter_args.add_argument("--domain", choices=("linear", "log"), default=None,
+    filter_args.add_argument("--domain", choices=DOMAIN_CHOICES, default=None,
                              help="filtering domain; default log for robust-nlm, linear otherwise")
     filter_args.add_argument("--epsilon", type=float, default=1.0,
                              help="offset used by the log transform (default 1.0)")

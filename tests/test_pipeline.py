@@ -1,0 +1,156 @@
+"""The one denoise pipeline (`despeckle.cli.denoise`) shared by library
+callers and the CLI's `denoise` and `bench` commands."""
+
+import hashlib
+import os
+import re
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from conftest import as_img, child_env, make_phantom
+from despeckle import ParameterError, SpeckleParams, add_multiplicative_speckle, load_pgm, save_pgm
+from despeckle import cli, workers
+from despeckle.cli import denoise, main
+
+SMALL = {"search_radius": 3, "patch_radius": 1}
+FILTERS = {
+    "nlm": ({**SMALL, "h": 20.0}, ["--search-radius", "3", "--patch-radius", "1", "--h", "20"]),
+    "robust-nlm": (SMALL, ["--search-radius", "3", "--patch-radius", "1"]),
+    "lee": ({"window_radius": 1}, ["--window-radius", "1"]),
+    "frost": ({"damping": 2.0}, ["--damping", "2"]),
+    "srad": ({"iterations": 5}, ["--iterations", "5"]),
+}
+COMMAND_FIELDS = ("command", "input", "output", "maxval", "repeats")
+
+
+def speckled(side=24, seed=7):
+    clean = as_img(make_phantom(side=side))
+    return add_multiplicative_speckle(clean, SpeckleParams("multiplicative_gaussian", 0.2, seed))
+
+
+@pytest.fixture
+def src(tmp_path):
+    path = tmp_path / "in.pgm"
+    pixels = speckled().pixels.copy()
+    pixels[:2, :2] = 0.0  # SRAD's positivity shift is then at work
+    save_pgm(as_img(pixels), path)
+    return path
+
+
+def echo_of(err):
+    lines = [line for line in err.splitlines() if line.startswith("resolved-config: ")]
+    assert len(lines) == 1, err
+    return dict(token.partition("=")[::2] for token in lines[0].split()[1:])
+
+
+def shown(config):
+    """The config's values as the resolved-config line prints them."""
+    return {key: "-" if value is None else f"{value:g}" if isinstance(value, float) else str(value)
+            for key, value in config.items()}
+
+
+@pytest.mark.parametrize("name", list(FILTERS))
+def test_library_output_and_config_are_the_clis(tmp_path, capsys, src, name):
+    params, flags = FILTERS[name]
+    dst, mine = tmp_path / "cli.pgm", tmp_path / "lib.pgm"
+    assert main(["denoise", str(src), str(dst), "--filter", name, "--threads", "1", *flags]) == 0
+    echo = echo_of(capsys.readouterr().err)
+    out, config = denoise(load_pgm(src), name, threads=1, **params)
+    save_pgm(out, mine)
+    assert mine.read_bytes() == dst.read_bytes()
+    assert shown(config) == {key: value for key, value in echo.items()
+                             if key not in COMMAND_FIELDS}
+    assert list(config)[:3] == ["domain", "epsilon", "filter"]
+
+
+def test_bench_times_and_hashes_the_output_in_the_input_domain(capsys, src):
+    # at the defaults robust-nlm filters in the log domain: the checksum
+    # is that of the expanded output, the bytes `denoise` would quantize
+    assert main(["bench", str(src), "--repeats", "1", *FILTERS["robust-nlm"][1]]) == 0
+    checksum = capsys.readouterr().out.rsplit("checksum=", 1)[1].strip()
+    out, config = denoise(load_pgm(src), **FILTERS["robust-nlm"][0])
+    assert config["domain"] == "log"
+    assert checksum == hashlib.sha256(out.pixels.tobytes()).hexdigest()
+
+
+def test_defaults_come_from_the_parameter_classes_and_the_noise_level():
+    img = speckled()
+    _, config = denoise(img, **SMALL)
+    assert (config["domain"], config["prefilter_sigma"]) == ("log", 1.5)
+    sigma_n = config["sigma_n"]
+    assert config["h1"] == 9.0 * sigma_n and config["h2"] == 148.0 / sigma_n
+    _, config = denoise(img, "nlm", h=5.0, h2=3.0, iterations=2)  # another filter's: ignored
+    assert config["h"] == 5.0 and config["sigma_n"] is None and "h2" not in config
+    _, config = denoise(img, "lee", sigma_n=4.0)
+    assert config["noise_sigma"] == 4.0 / float(img.pixels.mean())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda img: denoise(img, "nlm", h=10.0, radius=3), "no filter takes ['radius']"),
+    (lambda img: denoise(img, "median"), "filter must be one of"),
+    (lambda img: denoise(img, "lee", domain="sqrt"), "domain must be one of"),
+    (lambda img: denoise(img, "lee", epsilon=0.0), "epsilon must be"),
+    (lambda img: denoise(img, "nlm", sigma_n=-1.0), "sigma_n must be"),
+    (lambda img: denoise(img, "frost", window_radius=0), "window_radius must be"),
+])
+def test_bad_arguments_raise_parameter_error(call, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call(speckled())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
+@pytest.mark.parametrize("name", ["nlm", "robust-nlm", "srad"])
+def test_worker_counts_keep_the_bits(monkeypatch, name):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(workers, "_MIN_PASSES", 1)  # a 24x24 input splits too
+    img, params = speckled(), FILTERS[name][0]
+    one, config = denoise(img, name, threads=1, **params)
+    two, split = denoise(img, name, threads=2, **params)
+    assert (config["threads"], split["threads"]) == (1, 2)
+    assert np.array_equal(one.pixels, two.pixels)
+
+
+def test_sigma_n_sets_lees_noise_sigma(tmp_path, capsys, src):
+    mean = float(load_pgm(src).pixels.mean())
+    dst = tmp_path / "out.pgm"
+    outputs = []
+    for flags, want in (([], None), (["--sigma-n", "50"], 50.0 / mean)):
+        assert main(["denoise", str(src), str(dst), "--filter", "lee", *flags]) == 0
+        noise_sigma = echo_of(capsys.readouterr().err)["noise_sigma"]
+        if want is not None:
+            assert noise_sigma == f"{want:g}"
+        outputs.append((noise_sigma, dst.read_bytes()))
+    assert outputs[0][0] != outputs[1][0] and outputs[0][1] != outputs[1][1]
+
+
+STAGES = ("log_compress", "estimate_noise_sigma", "robust_nlm_denoise", "exp_expand")
+
+
+def test_the_stages_run_through_the_clis_names(tmp_path, monkeypatch, src):
+    # the benchmark's tracer times these stages by wrapping these names
+    # in despeckle.cli (perfbench/tracing.py, TRACED)
+    calls = dict.fromkeys(STAGES, 0)
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in STAGES:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    assert main(["denoise", str(src), str(tmp_path / "out.pgm")]) == 0
+    assert calls == dict.fromkeys(STAGES, 1)
+    denoise(load_pgm(src))
+    assert calls == dict.fromkeys(STAGES, 2)
+
+
+def test_importing_the_package_leaves_the_cli_out():
+    code = "import sys, despeckle; print('despeckle.cli' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
