@@ -10,10 +10,11 @@ window mean and variance as fixed-order sums over the shifted planes
 of the mirror-padded input. SRAD reads one padded image and writes
 another each iteration, as the scalar scheme does, sweeping in row
 strips so that a strip's passes stay in cache; its only image-sized
-arrays are the two padded images. It splits the strips among forked
-workers when the work fills more than one, and they meet once between
-iterations; its output bits are those of the plain four-difference
-formulation at any strip height and worker count.
+arrays are the two padded images. When the work fills more than one
+forked worker, each takes an equal share of the rows, cut into equal
+strips, and they meet once between iterations; its output bits are
+those of the plain four-difference formulation at any strip height and
+worker count.
 """
 
 from __future__ import annotations
@@ -227,10 +228,11 @@ def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
     cache: a strip forms its differences and c in strip-sized scratch,
     for one halo row more (the row below it, whose c its last row
     reads, and which the next strip forms the same way), and steps.
-    Workers (`srad_plan`) take blocks of consecutive strips and meet
-    at one barrier between iterations. No strip reads what another
-    writes in the same iteration, so the bits do not depend on the
-    worker count or the strip height. The two padded grids are the only
+    Each worker (`srad_plan`) takes an equal share of the rows, cut
+    into equal strips, and the workers meet at one barrier between
+    iterations. No strip reads what another writes in the same
+    iteration, so the bits do not depend on the worker count or the
+    strip height. The two padded grids are the only
     image-sized arrays (shared with the workers); each worker's scratch
     is eight arrays of a strip and two rows.
     """
@@ -295,7 +297,7 @@ def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
             if not np.isfinite(rows).all():
                 raise NumericError(f"diffusion diverged to non-finite values at iteration {t}")
 
-    run_workers(work, height, strip_rows, workers, "SRAD")
+    run_workers(work, height, workers, "SRAD")
     return GrayImage(grids[params.iterations % 2][1:-1, 1:-1])
 
 

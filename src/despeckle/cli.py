@@ -100,6 +100,7 @@ def _prepare(img: GrayImage, filter: str = "robust-nlm", *, domain: str | None =
              epsilon: float = 1.0, threads: int = 0, sigma_n: float | None = None, **params):
     """`denoise` in two steps: resolve every parameter for ``img``, and
     return (run, config); run() filters and maps back to ``img``'s domain."""
+    threads = check_int(threads, "threads (0 = auto)")
     if filter not in FILTER_CHOICES:
         raise ParameterError(f"filter must be one of {FILTER_CHOICES}, got {filter!r}")
     domain = domain or ("log" if filter == "robust-nlm" else "linear")

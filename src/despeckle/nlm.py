@@ -22,11 +22,11 @@ radius) and flattens both, so that all its arrays share one row stride
 S and a search offset (dy, dx) is the flat step dy S + dx. Its 13 steps
 per offset (11 without a penalty) are the squared differences, the
 column and row taps of the patch kernel as two banded matrix products
-through NumPy's BLAS, exp, and the accumulation. It works in row tiles
-of about `_TILE_PIXELS` pixels, in blocks of consecutive tiles, one per
-worker (`engine_plan`): the caller and forked children, which read the
-padded arrays and write their rows of the output into a shared
-anonymous mapping.
+through NumPy's BLAS, exp, and the accumulation. Each worker
+(`engine_plan`) takes an equal share of the rows, cut into equal row
+tiles of at most about `_TILE_PIXELS` pixels: the caller and forked
+children, which read the padded arrays and write their rows of the
+output into a shared anonymous mapping.
 Patch distances are symmetric, so each offset o of the half window
 serves both candidates i + o and i - o. Every pixel adds its self term,
 then the +o and -o terms of each half-window offset in one fixed order,
@@ -304,16 +304,13 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
                 np.maximum(wmax, w, out=wmax)
             np.add(acc, np.multiply(w, padded[k : k + size], out=term), out=acc)
 
+        acc.fill(0.0)
+        norm.fill(0.0)
         if skip_self:
-            acc.fill(0.0)
-            norm.fill(0.0)
             wmax.fill(0.0)
-        elif corr_padded is not None:
-            np.copyto(norm, corr_padded[k0 : k0 + size])
-            np.multiply(norm, center, out=acc)
-        else:
-            norm.fill(1.0)
-            np.copyto(acc, center)
+        else:  # the natural self term, of weight 1 before its penalty
+            b[:size].fill(1.0)
+            add_candidate(b[:size], k0, b[:size])
         for dy in range(big_r + 1):
             for dx in range(-big_r if dy else 1, big_r + 1):
                 # E over [k0 - m, k0 + size), in the blocks j0 .. j0 + nblk - 1
@@ -360,7 +357,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
                 link.check()
                 run_tile(y0, min(y0 + tile_rows, end), a, b, acc, norm, wmax)
 
-    run_workers(work, height, tile_rows, workers, "NLM")
+    run_workers(work, height, workers, "NLM")
     del padded, corr_padded  # free them before GrayImage copies ``out``
     return GrayImage(out)
 

@@ -123,15 +123,13 @@ def load_pgm(path) -> GrayImage:
 def save_pgm(img: GrayImage, path, maxval: int = 255) -> None:
     """Write a binary P5 graymap.
 
-    Pixels are rounded half-away-from-zero and then clamped to
-    [0, maxval]. Two-byte samples (maxval 65535) are written big-endian.
-    Loading the file back reproduces the rounded, clamped image exactly.
+    Pixels are rounded half up and then clamped to [0, maxval]. Two-byte
+    samples (maxval 65535) are written big-endian. Loading the file back
+    reproduces the rounded, clamped image exactly.
     """
     if maxval not in (255, 65535):
         raise ParameterError(f"maxval must be 255 or 65535, got {maxval}")
-    arr = img.pixels
-    rounded = np.copysign(np.floor(np.abs(arr) + 0.5), arr)
-    clamped = np.clip(rounded, 0.0, float(maxval))
+    clamped = np.clip(np.floor(img.pixels + 0.5), 0.0, float(maxval))
     header = f"P5\n{img.width} {img.height}\n{maxval}\n".encode("ascii")
     dtype = np.dtype("u1") if maxval == 255 else np.dtype(">u2")
     Path(path).write_bytes(header + clamped.astype(dtype).tobytes())

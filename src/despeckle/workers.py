@@ -1,11 +1,11 @@
 """Forked worker processes for the filters that split an image by rows.
 
 `plan` is the one rule for how many workers a call starts and how it
-cuts the rows into chunks. `shared_array` allocates what the workers
-write, in a shared anonymous mapping. `run_workers` deals each worker a
-block of consecutive chunks and runs it, one in the caller and the rest
-in forked children, with a `barrier` to meet the others at and a
-`check` that ends a child whose caller has died.
+cuts a worker's rows into chunks. `shared_array` allocates what the
+workers write, in a shared anonymous mapping. `run_workers` gives each
+worker an equal share of the rows and runs it, one in the caller and
+the rest in forked children, with a `barrier` to meet the others at
+and a `check` that ends a child whose caller has died.
 """
 
 from __future__ import annotations
@@ -34,19 +34,20 @@ def plan(threads, height: int, row_values: int, chunk_values: int, passes: int,
     ``threads`` = 0 asks for one worker per CPU. A call starts one
     worker per floor of work, `_MIN_PASSES` and 1/`_BARRIERS_PER_FORK`
     of that per barrier; at least one, never more than it asks for, the
-    CPUs or its chunks, and one without ``os.fork`` or beside other
-    threads, whose locks a forked child would inherit held. A chunk
-    holds about ``chunk_values`` values, at least a row and at most a
-    worker's share.
+    CPUs or the rows, and one without ``os.fork`` or beside other
+    threads, whose locks a forked child would inherit held. The chunk
+    height cuts the largest share of rows (see `run_workers`) into the
+    fewest equal chunks of at most ``chunk_values`` values, or one row.
     """
     cpus = os.cpu_count() or 1
     cap = min(check_int(threads, "threads (0 = auto)") or cpus, cpus)
     if not hasattr(os, "fork") or threading.active_count() > 1:
         cap = 1
     floor = _MIN_PASSES + _MIN_PASSES * barriers // _BARRIERS_PER_FORK
-    workers = min(cap, max(1, height * row_values * passes // floor))
-    rows = max(1, min(chunk_values // row_values, -(-height // workers)))
-    return rows, min(workers, -(-height // rows))
+    workers = min(cap, height, max(1, height * row_values * passes // floor))
+    share = -(-height // workers)
+    chunks = -(-share // max(1, chunk_values // row_values))
+    return -(-share // chunks), workers
 
 
 def shared_array(size: int) -> np.ndarray:
@@ -94,11 +95,12 @@ class _Child:
             os._exit(1)
 
 
-def run_workers(work, height: int, rows: int, workers: int, what: str) -> None:
-    """Deal ``height`` rows in chunks of ``rows``, a block of consecutive
-    chunks to each worker k < ``workers``, and run ``work(first, end,
-    link)`` for each, on its rows first .. end - 1: k = 0 here, the rest
-    in forked children, which write results only to shared mappings.
+def run_workers(work, height: int, workers: int, what: str) -> None:
+    """Split ``height`` rows into equal shares, worker k < ``workers``
+    taking rows first = height k // workers .. end - 1, with end =
+    height (k + 1) // workers, and run ``work(first, end, link)`` for
+    each: k = 0 here, the rest in forked children, which write results
+    only to shared mappings.
     Every worker must call ``link.barrier()`` equally often.
 
     A child that raises exits 1 with one line on a pipe, and this raises
@@ -106,8 +108,7 @@ def run_workers(work, height: int, rows: int, workers: int, what: str) -> None:
     before a barrier, the children are killed. All are reaped first. A
     child whose caller has died exits 1 at its next barrier or check.
     """
-    count = -(-height // rows)
-    ends = [min(height, rows * (count * k // workers)) for k in range(workers + 1)]
+    ends = [height * k // workers for k in range(workers + 1)]
     caller = os.getpid()
     read_fd, write_fd = os.pipe()
     ups, downs, pids = [], [], []  # this process's ends of each child's two pipes

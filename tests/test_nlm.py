@@ -301,13 +301,13 @@ class TestFilterInvariants:
         assert nlm_denoise(as_img(arr), SMALL, threads=5).pixels.tobytes() == one
         r1 = robust_nlm_denoise(as_img(arr), SMALL_ROBUST, threads=1).pixels.tobytes()
         assert robust_nlm_denoise(as_img(arr), SMALL_ROBUST, threads=3).pixels.tobytes() == r1
-        # Past this machine's CPU cap: 3 and 4 workers over five 5-row
-        # tiles (the last of 3 rows), so the workers' tile counts differ.
+        # Past this machine's CPU cap: 3 and 4 workers over one-row tiles,
+        # 7, 8, 8 and 5, 6, 6, 6 of them, so the workers' tile counts differ.
         with mock.patch.object(os, "cpu_count", return_value=4), \
-                mock.patch.object(engine, "_TILE_PIXELS", 5 * 19), \
+                mock.patch.object(engine, "_TILE_PIXELS", 19), \
                 mock.patch.object(os, "fork", side_effect=os.fork) as fork:
             for threads in (3, 4):
-                assert engine.engine_plan(threads, 23, 19, SMALL, False) == (5, threads)
+                assert engine.engine_plan(threads, 23, 19, SMALL, False) == (1, threads)
                 assert nlm_denoise(as_img(arr), SMALL, threads=threads).pixels.tobytes() == one
                 robust = robust_nlm_denoise(as_img(arr), SMALL_ROBUST, threads=threads)
                 assert robust.pixels.tobytes() == r1

@@ -95,6 +95,8 @@ def test_defaults_come_from_the_parameter_classes_and_the_noise_level():
     (lambda img: denoise(img, "lee", epsilon=0.0), "epsilon must be"),
     (lambda img: denoise(img, "nlm", sigma_n=-1.0), "sigma_n must be"),
     (lambda img: denoise(img, "frost", window_radius=0), "window_radius must be"),
+    (lambda img: denoise(img, "lee", threads=-1), "threads (0 = auto) must be an integer >= 0"),
+    (lambda img: denoise(img, "frost", threads="x"), "threads (0 = auto) must be an integer >= 0"),
 ])
 def test_bad_arguments_raise_parameter_error(call, message):
     with pytest.raises(ParameterError, match=re.escape(message)):
