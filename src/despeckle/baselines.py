@@ -27,8 +27,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, NumericError, check_int, check_real
-from .image import GrayImage, cache_aligned, check_radii, mirror_pad
-from .workers import plan, run_workers, shared_array
+from .image import GrayImage, check_radii, mirror_pad
+from .workers import plan, run_workers, worker_array
 
 # Values per row strip of `srad`: 128 KiB per strip-sized float64 array.
 _STRIP_VALUES = 16384
@@ -247,8 +247,7 @@ def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
     stride = width + 2
     dt, q0, rho = params.dt, params.q0, params.rho
     strip_rows, workers = srad_plan(threads, height, width, params)
-    alloc = shared_array if workers > 1 else cache_aligned
-    flats = [alloc((height + 2) * stride) for _ in range(2)]
+    flats = [worker_array((height + 2) * stride, workers) for _ in range(2)]
     grids = [flat.reshape(height + 2, stride) for flat in flats]
     grids[0][...] = mirror_pad(v, 1)
 
@@ -274,7 +273,7 @@ def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
             c_e=c[: n + 1], e_span=e[: n + 1], ce=ce, ce_e=ce[1:], neg_cw=ce[:n])
 
     def work(first, end, link) -> None:
-        scratch = [cache_aligned((strip_rows + 2) * stride) for _ in range(8)]
+        scratch = [worker_array((strip_rows + 2) * stride) for _ in range(8)]
         sweeps = [[strip(y0, min(y0 + strip_rows, end), flats[p], flats[1 - p], *scratch)
                    for y0 in range(first, end, strip_rows)] for p in (0, 1)]
         blocks = [grid[first + 1 : end + 1] for grid in grids]

@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--model", choices=tuple(MODEL_CHOICES), default="mult-gauss")
     synth.add_argument("--sigma", type=float, default=0.2)
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--maxval", type=int, choices=(255, 65535), default=255)
+    synth.add_argument("--maxval", type=int, choices=(255, 65535), default=255,
+                       help="output maxval; noisy samples above it are clipped")
 
     denoise = sub.add_parser("denoise", parents=[filter_args], help="run one filter over a PGM")
     denoise.add_argument("input")
@@ -347,14 +348,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _RUNNERS[args.command](args)
-    except FileNotFoundError as exc:
-        missing = exc.filename if exc.filename else exc
-        print(f"error: missing input file: {missing}", file=sys.stderr)
-        return 2
     except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PgmParseError, NumericError, OSError, MemoryError) as exc:
+        inputs = {vars(args)[key] for key in ("input", "reference", "test") if key in vars(args)}
+        if isinstance(exc, FileNotFoundError) and exc.filename in inputs:
+            print(f"error: missing input file: {exc.filename}", file=sys.stderr)
+            return 2
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 

@@ -6,8 +6,7 @@ maps back to ``width - 1``. The fold is defined once, by `mirror_pad`,
 which is NumPy's ``symmetric`` pad; patch reads fold their indices by
 padding ``np.arange(n)`` with it, so all modules agree about boundary
 values, and `check_radii` bounds the filters' window radii by its period,
-as `check_sigmas` bounds the reach of their Gaussians. `cache_aligned`
-is the one allocator of scratch buffers that start on cache lines.
+as `check_sigmas` bounds the reach of their Gaussians.
 """
 
 from __future__ import annotations
@@ -94,14 +93,6 @@ def _radius_bound(img: GrayImage) -> int:
     return 2 * max(img.height, img.width, 10)
 
 
-def cache_aligned(size: int) -> np.ndarray:
-    """``size`` float64 zeros from a 64-byte boundary on, so that blocks
-    every 8 values start cache lines (left to the allocator, the placement
-    of scratch buffers moved the engine's time by 10-20%)."""
-    raw = np.zeros(size + 7)
-    return raw[-raw.ctypes.data // 8 % 8 :][:size]
-
-
 def gaussian_axis_weights(sigma: float, radius: int | None = None) -> np.ndarray:
     """1-D Gaussian tap weights, normalized to sum 1.
 
@@ -116,6 +107,8 @@ def gaussian_axis_weights(sigma: float, radius: int | None = None) -> np.ndarray
     k = np.arange(-radius, radius + 1, dtype=np.float64)
     if sigma < 0.02:  # every tap but the center underflows: the unit impulse, the limit
         return (k == 0).astype(np.float64)
+    if sigma > 1e154:  # sigma ** 2 overflows from ~1.34e154: the normalized box, the limit
+        return np.full(k.size, 1.0 / k.size)
     w = np.exp(-(k * k) / (2.0 * sigma ** 2))
     return w / w.sum()
 

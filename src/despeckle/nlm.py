@@ -48,14 +48,13 @@ from .errors import ParameterError, check_int, check_real
 from .image import (
     GrayImage,
     blur_array,
-    cache_aligned,
     check_radii,
     check_sigmas,
     correlate1d_valid,  # noqa: F401  (perfbench/tracing.py wraps this binding)
     gaussian_axis_weights,
     mirror_pad,
 )
-from .workers import plan, run_workers, shared_array
+from .workers import plan, run_workers, worker_array
 
 SELF_WEIGHT_MODES = ("natural", "max_neighbor")
 # Pixels per row tile: 256 KiB per tile-sized float64 array.
@@ -277,7 +276,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
     skip_self = params.self_weight == "max_neighbor"
     tile_rows, workers = engine_plan(threads, height, width, params, corr is not None)
     tile_blocks = (tile_rows + big_r + _BAND - 2) // _BAND + 1
-    out = np.empty(v.shape) if workers == 1 else shared_array(v.size).reshape(v.shape)
+    out = worker_array(v.size, workers).reshape(v.shape)
 
     def run_tile(y0: int, y1: int, a, b, acc_buf, norm_buf, wmax_buf) -> None:
         n = y1 - y0
@@ -346,10 +345,10 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
         np.divide(acc_px, norm_px, out=out[y0:y1])
 
     def work(first, end, link) -> None:
-        a = cache_aligned((tile_blocks * _BAND + 2 * r) * stride)
-        b = cache_aligned(tile_blocks * _BAND * stride + 2 * r)  # the r values at each end stay 0
-        acc, norm = cache_aligned(tile_rows * stride), cache_aligned(tile_rows * stride)
-        wmax = cache_aligned(tile_rows * stride) if skip_self else None
+        a = worker_array((tile_blocks * _BAND + 2 * r) * stride)
+        b = worker_array(tile_blocks * _BAND * stride + 2 * r)  # the r values at each end stay 0
+        acc, norm = worker_array(tile_rows * stride), worker_array(tile_rows * stride)
+        wmax = worker_array(tile_rows * stride) if skip_self else None
         # For tiny h the scaled distances saturate to -inf and exp flushes
         # them to the intended weight 0, so the overflow is not an error.
         with np.errstate(over="ignore"):

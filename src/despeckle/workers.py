@@ -1,11 +1,11 @@
 """Forked worker processes for the filters that split an image by rows.
 
 `plan` is the one rule for how many workers a call starts and how it
-cuts a worker's rows into chunks. `shared_array` allocates what the
-workers write, in a shared anonymous mapping. `run_workers` gives each
-worker an equal share of the rows and runs it, one in the caller and
-the rest in forked children, with a `barrier` to meet the others at
-and a `check` that ends a child whose caller has died.
+cuts a worker's rows into chunks. `worker_array` allocates all that
+workers write. `run_workers` gives each worker an equal share of the
+rows and runs it, one in the caller and the rest in forked children,
+with a `barrier` to meet the others at and a `check` that ends a
+child whose caller has died.
 """
 
 from __future__ import annotations
@@ -50,10 +50,16 @@ def plan(threads, height: int, row_values: int, chunk_values: int, passes: int,
     return -(-share // chunks), workers
 
 
-def shared_array(size: int) -> np.ndarray:
-    """``size`` float64 zeros in an anonymous mapping that forked
-    children share, from a page boundary on."""
-    return np.ndarray(size, buffer=mmap.mmap(-1, max(8 * size, 1)))
+def worker_array(size: int, workers: int = 1) -> np.ndarray:
+    """``size`` float64 zeros for ``workers`` workers to write: for one,
+    from a 64-byte boundary on, so that blocks every 8 values start
+    cache lines (left to the allocator, the placement of scratch buffers
+    moved the engine's time by 10-20%); for more, in an anonymous
+    mapping that forked children share, from a page boundary on."""
+    if workers > 1:
+        return np.ndarray(size, buffer=mmap.mmap(-1, max(8 * size, 1)))
+    raw = np.zeros(size + 7)
+    return raw[-raw.ctypes.data // 8 % 8 :][:size]
 
 
 class _ChildFailed(Exception):

@@ -444,13 +444,14 @@ class TestMemory:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(workers, "_MIN_PASSES", 1)  # three iterations are below the floor
         assert baselines.srad_plan(0, 256, 256, SradParams(iterations=3))[1] == 2
-        mapped, allocate = [], baselines.shared_array
+        mapped, allocate = [], baselines.worker_array
 
-        def shared_array(size):
-            mapped.append(8 * size)
-            return allocate(size)
+        def worker_array(size, workers=1):
+            if workers > 1:
+                mapped.append(8 * size)
+            return allocate(size, workers)
 
-        monkeypatch.setattr(baselines, "shared_array", shared_array)
+        monkeypatch.setattr(baselines, "worker_array", worker_array)
         tracemalloc.start()
         try:
             srad(img, SradParams(iterations=3))

@@ -88,6 +88,13 @@ class TestSynth:
         assert rc == 2
         assert f"missing input file: {missing}" in capsys.readouterr().err
 
+    def test_missing_output_directory_exits_1(self, tmp_path, capsys):
+        clean, out = tmp_path / "clean.pgm", tmp_path / "gone" / "out.pgm"
+        write_pgm(clean, np.full((8, 8), 100.0))
+        assert main(["synth", str(clean), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and "missing input" not in err
+
     def test_rayleigh_model(self, tmp_path):
         clean = tmp_path / "clean.pgm"
         out = tmp_path / "noisy.pgm"
@@ -187,6 +194,13 @@ class TestDenoise:
         rc = main(["denoise", str(src), str(dst), "--filter", "lee", "--maxval", "65535"])
         assert rc == 0
         assert dst.read_bytes().startswith(b"P5\n12 12\n65535\n")
+
+    def test_missing_output_directory_exits_1(self, tmp_path, capsys):
+        src, out = tmp_path / "in.pgm", tmp_path / "gone" / "out.pgm"
+        write_pgm(src, np.full((8, 8), 100.0))
+        assert main(["denoise", str(src), str(out), "--filter", "lee"]) == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and "missing input" not in err
 
     def test_malformed_pgm_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.pgm"
@@ -467,6 +481,19 @@ class TestEval:
         pair = load_pgm(ref), load_pgm(test)
         assert score == f"{ssim(*pair, peak=65535.0):.6f}"
         assert score != f"{ssim(*pair):.6f}"
+
+    def test_missing_report_directory_exits_1(self, tmp_path, capsys):
+        ref, test = self._pair(tmp_path)
+        report = tmp_path / "gone" / "scores.csv"
+        assert main(["eval", str(ref), str(test), "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert str(report) in err and "missing input" not in err
+
+    def test_missing_test_image_exits_2(self, tmp_path, capsys):
+        ref, test = self._pair(tmp_path)
+        test.unlink()
+        assert main(["eval", str(ref), str(test)]) == 2
+        assert f"missing input file: {test}" in capsys.readouterr().err
 
     def test_shape_mismatch_exits_2(self, tmp_path, capsys):
         ref = tmp_path / "ref.pgm"

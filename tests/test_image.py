@@ -104,6 +104,13 @@ class TestAxisWeights:
             assert w.tolist() == [0.0] * c + [1.0] + [0.0] * c
             assert w.tobytes() == gaussian_axis_weights(0.01, radius).tobytes()
 
+    @pytest.mark.parametrize("sigma", [1.2e154, 1.35e154, 1e200, 1.7976931348623157e308])
+    def test_huge_sigma_gives_the_normalized_box(self, sigma):
+        # sigma ** 2 overflows past ~1.34e154; the taps are still the limit
+        for radius in (0, 1, 3, 10):
+            w = gaussian_axis_weights(sigma, radius)
+            assert w.tobytes() == np.full(2 * radius + 1, 1.0 / (2 * radius + 1)).tobytes()
+
     def test_exactly_symmetric(self):
         # the correlation's Horner form pairs tap k with tap 2c - k
         for sigma in (0.01, 0.05, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.3, 5.0, 11.0):
