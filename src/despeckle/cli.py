@@ -75,7 +75,7 @@ def _echo(pairs: dict) -> None:
 
 def _resolve_threads(flag: int | None) -> int:
     if flag is not None:
-        return check_int(flag, "--threads (0 = auto)")
+        return flag
     raw = os.environ.get(THREADS_ENV_VAR, "")
     if raw.strip() == "":
         return 0
@@ -188,14 +188,15 @@ def denoise(img: GrayImage, filter: str = "robust-nlm", **options) -> tuple[Gray
 
 
 def _options(args: argparse.Namespace) -> dict:
-    """`_prepare`'s keywords from the filter flags, checked under the
-    flags' names. Lee and Frost read no thread setting."""
-    options = {name: getattr(args, name) for name in PARAM_NAMES}
-    options.update(self_weight=args.self_weight.replace("-", "_"), domain=args.domain,
-                   epsilon=check_real(args.epsilon, "--epsilon"), sigma_n=args.sigma_n,
-                   threads=0 if args.filter in ("lee", "frost") else _resolve_threads(args.threads))
-    if args.sigma_n is not None and args.filter in _NOISE_DEFAULTS:
-        check_real(args.sigma_n, "--sigma-n", nonnegative=True)
+    """`_prepare`'s keywords from the filter flags that were given; it
+    and the parameter classes fill and check the rest. Lee and Frost
+    read no thread setting."""
+    options = {name: value for name in ("filter", "domain", "epsilon", "sigma_n", *PARAM_NAMES)
+               if (value := getattr(args, name)) is not None}
+    if args.self_weight is not None:
+        options["self_weight"] = args.self_weight.replace("-", "_")
+    if args.filter not in ("lee", "frost"):
+        options["threads"] = _resolve_threads(args.threads)
     return options
 
 
@@ -214,10 +215,14 @@ def run_synth(args: argparse.Namespace) -> int:
 
 
 def run_denoise(args: argparse.Namespace) -> int:
-    run, config = _prepare(load_pgm(args.input), args.filter, **_options(args))
+    img = load_pgm(args.input)
+    # every filter keeps its output within the input's range
+    maxval = args.maxval or (255 if img.pixels.max() <= 255 else 65535)
+    run, config = _prepare(img, **_options(args))
+    del img  # the input need not outlive the run
     _echo({"command": "denoise", "input": args.input, "output": args.output,
-           "maxval": args.maxval, **config})
-    save_pgm(run(), args.output, maxval=args.maxval)
+           "maxval": maxval, **config})
+    save_pgm(run(), args.output, maxval=maxval)
     return 0
 
 
@@ -232,10 +237,8 @@ def run_eval(args: argparse.Namespace) -> int:
     row = report.csv_row(image_id, args.filter_name)
     print(row)
     if args.report:
-        path = Path(args.report)
-        fresh = not path.exists() or path.stat().st_size == 0
-        with path.open("a", encoding="ascii") as handle:
-            if fresh:
+        with Path(args.report).open("a", encoding="ascii") as handle:
+            if handle.tell() == 0:
                 handle.write(CSV_HEADER + "\n")
             handle.write(row + "\n")
     return 0
@@ -243,7 +246,7 @@ def run_eval(args: argparse.Namespace) -> int:
 
 def run_bench(args: argparse.Namespace) -> int:
     repeats = check_int(args.repeats, "--repeats", 1)
-    run, config = _prepare(load_pgm(args.input), args.filter, **_options(args))
+    run, config = _prepare(load_pgm(args.input), **_options(args))
     _echo({"command": "bench", "input": args.input, "repeats": repeats, **config})
     times, digests = [], []
     for _ in range(repeats):
@@ -257,7 +260,7 @@ def run_bench(args: argparse.Namespace) -> int:
     med = statistics.median(times)
     pixels = out.pixels.size
     rate = pixels / best if best > 0 else math.inf
-    print(f"bench: filter={args.filter} repeats={repeats} threads={config.get('threads', 1)} "
+    print(f"bench: filter={config['filter']} repeats={repeats} threads={config.get('threads', 1)} "
           f"pixels={pixels} min_s={best:.6f} median_s={med:.6f} "
           f"pixels_per_second={rate:.0f} checksum={digests[0]}")
     return 0
@@ -271,38 +274,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     filter_args = argparse.ArgumentParser(add_help=False)
-    filter_args.add_argument("--filter", choices=FILTER_CHOICES, default="robust-nlm")
-    filter_args.add_argument("--domain", choices=DOMAIN_CHOICES, default=None,
+    filter_args.add_argument("--filter", choices=FILTER_CHOICES)
+    filter_args.add_argument("--domain", choices=DOMAIN_CHOICES,
                              help="filtering domain; default log for robust-nlm, linear otherwise")
-    filter_args.add_argument("--epsilon", type=float, default=1.0,
+    filter_args.add_argument("--epsilon", type=float,
                              help="offset used by the log transform (default 1.0)")
-    filter_args.add_argument("--search-radius", type=int, default=NlmParams.search_radius)
-    filter_args.add_argument("--patch-radius", type=int, default=NlmParams.patch_radius)
-    filter_args.add_argument("--sigma-s", type=float, default=None,
+    filter_args.add_argument("--search-radius", type=int)
+    filter_args.add_argument("--patch-radius", type=int)
+    filter_args.add_argument("--sigma-s", type=float,
                              help="patch kernel sigma; default patch_radius / 2")
-    filter_args.add_argument("--h", type=float, default=None,
+    filter_args.add_argument("--h", type=float,
                              help="similarity decay (h1 for robust-nlm); default 9 * sigma_n")
-    filter_args.add_argument("--h2", type=float, default=None,
+    filter_args.add_argument("--h2", type=float,
                              help="corruption decay for robust-nlm; default 148 / sigma_n, capped at 1e12")
-    filter_args.add_argument("--prefilter-sigma", type=float,
-                             default=RobustNlmParams.prefilter_sigma)
-    filter_args.add_argument("--sigma-n", type=float, default=None,
+    filter_args.add_argument("--prefilter-sigma", type=float)
+    filter_args.add_argument("--sigma-n", type=float,
                              help="noise level override; skips blind estimation")
-    filter_args.add_argument("--self-weight", choices=("natural", "max-neighbor"),
-                             default=NlmParams.self_weight)
-    filter_args.add_argument("--window-radius", type=int, default=LeeParams.window_radius,
-                             help="lee/frost window radius")
-    filter_args.add_argument("--noise-sigma", type=float, default=None,
+    filter_args.add_argument("--self-weight", choices=("natural", "max-neighbor"))
+    filter_args.add_argument("--window-radius", type=int, help="lee/frost window radius")
+    filter_args.add_argument("--noise-sigma", type=float,
                              help="lee noise coefficient of variation; default sigma_n / mean")
-    filter_args.add_argument("--damping", type=float, default=FrostParams.damping,
-                             help="frost damping K")
-    filter_args.add_argument("--iterations", type=int, default=SradParams.iterations,
-                             help="srad iterations")
-    filter_args.add_argument("--dt", type=float, default=SradParams.dt, help="srad time step")
-    filter_args.add_argument("--q0", type=float, default=SradParams.q0,
-                             help="srad initial speckle scale")
-    filter_args.add_argument("--rho", type=float, default=SradParams.rho, help="srad q0 decay rate")
-    filter_args.add_argument("--threads", type=int, default=None,
+    filter_args.add_argument("--damping", type=float, help="frost damping K")
+    filter_args.add_argument("--iterations", type=int, help="srad iterations")
+    filter_args.add_argument("--dt", type=float, help="srad time step")
+    filter_args.add_argument("--q0", type=float, help="srad initial speckle scale")
+    filter_args.add_argument("--rho", type=float, help="srad q0 decay rate")
+    filter_args.add_argument("--threads", type=int,
                              help=f"worker cap for nlm filters and srad, at most the CPU count; "
                                   f"0 = one per CPU; default from {THREADS_ENV_VAR}")
 
@@ -318,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     denoise = sub.add_parser("denoise", parents=[filter_args], help="run one filter over a PGM")
     denoise.add_argument("input")
     denoise.add_argument("output")
-    denoise.add_argument("--maxval", type=int, choices=(255, 65535), default=255)
+    denoise.add_argument("--maxval", type=int, choices=(255, 65535),
+                         help="output maxval; default 255 if every input sample is at most 255, "
+                              "else 65535")
 
     evaluate_cmd = sub.add_parser("eval", help="score a denoised image against its reference")
     evaluate_cmd.add_argument("reference")

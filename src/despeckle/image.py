@@ -33,14 +33,13 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.pixels, dtype=np.float64)
+        arr = np.array(self.pixels, dtype=np.float64, order="C")
         if arr.ndim != 2:
             raise ParameterError(f"image must be 2-D, got {arr.ndim} dimension(s)")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ParameterError(f"image must be at least 1x1, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ParameterError("image contains non-finite pixels")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 

@@ -36,6 +36,7 @@ output bits do not depend on the worker count or the tile height.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -166,10 +167,19 @@ def _check_center(img: GrayImage, center: tuple[int, int], name: str) -> None:
         raise ParameterError(f"{name} {center} is outside a {img.height}x{img.width} image")
 
 
+@functools.lru_cache(maxsize=32)
+def _folded(n: int, radius: int) -> np.ndarray:
+    """The read-only indices of an axis of length n, padded by ``radius``
+    with `mirror_pad`; cached, since the pad costs more than a patch."""
+    folded = mirror_pad(np.arange(n), radius)
+    folded.setflags(write=False)
+    return folded
+
+
 def _mirrored_blocks(v: np.ndarray, radius: int, *centers: tuple[int, int]) -> list[np.ndarray]:
     """The (2 radius + 1)^2 blocks around in-bounds ``centers`` of the
     mirror-extended surface."""
-    rows, cols = (mirror_pad(np.arange(n), radius) for n in v.shape)
+    rows, cols = (_folded(n, radius) for n in v.shape)
     side = 2 * radius + 1
     return [v[np.ix_(rows[y : y + side], cols[x : x + side])] for y, x in centers]
 

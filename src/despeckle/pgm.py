@@ -93,7 +93,6 @@ def load_pgm(path) -> GrayImage:
         if samples.max() > maxval:
             k = int(np.argmax(samples > maxval))
             raise PgmParseError(f"sample {k} exceeds maxval {maxval}", pos + k * per_sample)
-        samples = samples.astype(np.float64)
     else:
         # every sample but the last needs a digit and a separator
         if count > (len(data) - pos + 1) // 2:

@@ -4,7 +4,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from despeckle import (
 )
 from despeckle import workers
 from despeckle.baselines import srad_plan
-from despeckle.cli import build_parser, main
+from despeckle.cli import PARAM_NAMES, _window, build_parser, denoise, main
 from despeckle.nlm import engine_plan
 
 FAST = ["--search-radius", "3", "--patch-radius", "1"]
@@ -194,6 +193,26 @@ class TestDenoise:
         rc = main(["denoise", str(src), str(dst), "--filter", "lee", "--maxval", "65535"])
         assert rc == 0
         assert dst.read_bytes().startswith(b"P5\n12 12\n65535\n")
+
+    def test_16bit_input_keeps_its_range_by_default(self, tmp_path, capsys):
+        src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        write_pgm(src, np.floor(rand_image(87, 32, 32, lo=1000, hi=1311)), maxval=65535)
+        assert main(["denoise", str(src), str(dst), "--filter", "lee"]) == 0
+        assert parse_echo(capsys.readouterr().err)["maxval"] == "65535"
+        assert dst.read_bytes().startswith(b"P5\n32 32\n65535\n")
+        want, _ = denoise(load_pgm(src), "lee")
+        assert np.array_equal(load_pgm(dst).pixels, np.floor(want.pixels + 0.5))
+
+    def test_8bit_input_and_a_given_maxval_keep_theirs(self, tmp_path, capsys):
+        src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        write_pgm(src, np.full((8, 8), 255.0))
+        assert main(["denoise", str(src), str(dst), "--filter", "lee"]) == 0
+        assert parse_echo(capsys.readouterr().err)["maxval"] == "255"
+        assert dst.read_bytes().startswith(b"P5\n8 8\n255\n")
+        write_pgm(src, np.full((8, 8), 300.0), maxval=65535)
+        assert main(["denoise", str(src), str(dst), "--filter", "lee", "--maxval", "255"]) == 0
+        assert parse_echo(capsys.readouterr().err)["maxval"] == "255"
+        assert dst.read_bytes() == b"P5\n8 8\n255\n" + b"\xff" * 64
 
     def test_missing_output_directory_exits_1(self, tmp_path, capsys):
         src, out = tmp_path / "in.pgm", tmp_path / "gone" / "out.pgm"
@@ -424,7 +443,8 @@ class TestDenoise:
             monkeypatch.setenv("DESPECKLE_THREADS", "-1")
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and source in err and "-1" in err
+        named = "threads (0 = auto)" if source == "--threads" else source
+        assert err.startswith(f"error: {named}") and "-1" in err
         assert ("DESPECKLE_THREADS" in err) == (source == "DESPECKLE_THREADS")
         assert not dst.exists()
 
@@ -532,7 +552,7 @@ def test_bad_epsilon_exits_2(tmp_path, capsys, command, epsilon):
     outputs = [str(tmp_path / "out.pgm")] if command == "denoise" else []
     rc = main([command, str(src), *outputs, "--filter", "nlm", "--epsilon", epsilon])
     assert rc == 2
-    assert "--epsilon" in capsys.readouterr().err
+    assert "error: epsilon must be" in capsys.readouterr().err
 
 
 class TestParsing:
@@ -542,17 +562,29 @@ class TestParsing:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
 
-    def test_filter_defaults_come_from_the_parameter_classes(self):
+    def test_filter_defaults_come_from_the_parameter_classes(self, tmp_path, capsys):
         args = build_parser().parse_args(["denoise", "in.pgm", "out.pgm"])
-        sources = {NlmParams: ("search_radius", "patch_radius", "self_weight"),
-                   RobustNlmParams: ("prefilter_sigma",), LeeParams: ("window_radius",),
-                   FrostParams: ("damping",), SradParams: ("iterations", "dt", "q0", "rho")}
-        for cls, names in sources.items():
-            defaults = {field.name: field.default for field in fields(cls)}
-            for name in names:
-                assert getattr(args, name) == defaults[name], (cls.__name__, name)
-        # --window-radius feeds both filters
-        assert LeeParams.window_radius == FrostParams.window_radius
+        for name in ("filter", "domain", "epsilon", "sigma_n", "threads", *PARAM_NAMES):
+            assert getattr(args, name) is None, name
+        src = tmp_path / "in.pgm"
+        write_pgm(src, rand_image(86, 12, 12, lo=60, hi=200))
+        shown = {NlmParams: {"search_window": _window(NlmParams.search_radius),
+                             "patch_window": _window(NlmParams.patch_radius),
+                             "self_weight": NlmParams.self_weight},
+                 RobustNlmParams: {"prefilter_sigma": f"{RobustNlmParams.prefilter_sigma:g}"},
+                 LeeParams: {"window": _window(LeeParams.window_radius)},
+                 FrostParams: {"window": _window(FrostParams.window_radius),
+                               "damping": f"{FrostParams.damping:g}"},
+                 SradParams: {name: f"{getattr(SradParams, name):g}"
+                              for name in ("iterations", "dt", "q0", "rho")}}
+        classes = {"nlm": (NlmParams,), "robust-nlm": (NlmParams, RobustNlmParams),
+                   "lee": (LeeParams,), "frost": (FrostParams,), "srad": (SradParams,)}
+        for name, sources in classes.items():
+            assert main(["bench", str(src), "--repeats", "1", "--filter", name]) == 0
+            echo = parse_echo(capsys.readouterr().err)
+            for cls in sources:
+                for key, value in shown[cls].items():
+                    assert echo[key] == value, (name, key)
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
