@@ -117,21 +117,29 @@ def lee_filter(img: GrayImage, params: LeeParams) -> GrayImage:
     out = m + k (v - m) with gain
     k = max(0, (s^2 - m^2 sigma^2) / (s^2 (1 + sigma^2))) clamped to
     [0, 1], where m and s^2 are the window mean and population variance.
-    Flat windows (s^2 = 0) get k = 0 and return the local mean. The
+    Flat windows (s^2 = 0) get k = 0 and return the local mean, as does
+    every window at a sigma so large that these products overflow. The
     window radius may be at most 2 max(H, W, 10).
     """
     check_radii(img, window_radius=params.window_radius)
     v = img.pixels
     m, s2 = _window_stats(mirror_pad(v, params.window_radius), params.window_radius)
-    sig2 = params.noise_sigma ** 2
-    num = np.multiply(m, m)
-    num *= sig2
-    np.subtract(s2, num, out=num)
-    den = s2
-    den *= 1.0 + sig2
-    gain = np.zeros_like(m)
-    np.divide(num, den, out=gain, where=den > 0)
-    np.clip(gain, 0.0, 1.0, out=gain)
+    try:
+        sig2 = params.noise_sigma ** 2
+    except OverflowError:  # noise_sigma above ~1.34e154
+        sig2 = math.inf
+    # At a huge sigma, m^2 sigma^2 and s^2 (1 + sigma^2) overflow and the
+    # quotient is -inf / inf, 0 inf (m = 0) or finite / inf: the gain is
+    # then at its limit, 0, and fmax turns the NaNs into that 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = np.multiply(m, m)
+        num *= sig2
+        np.subtract(s2, num, out=num)
+        den = s2
+        den *= 1.0 + sig2
+        gain = np.zeros_like(m)
+        np.divide(num, den, out=gain, where=den > 0)
+    np.fmin(np.fmax(gain, 0.0, out=gain), 1.0, out=gain)
     out = np.subtract(v, m, out=num)
     out *= gain
     out += m
@@ -160,7 +168,8 @@ def frost_filter(img: GrayImage, params: FrostParams) -> GrayImage:
     m, s2 = _window_stats(padded, radius)
     m2 = np.multiply(m, m, out=m)
     kcv2 = np.divide(s2, m2, out=np.zeros_like(s2), where=m2 > 0)
-    kcv2 *= -params.damping
+    with np.errstate(over="ignore"):  # -inf at a huge damping: its weight exp(-inf) = 0 is meant
+        kcv2 *= -params.damping
     # the center sample has weight exp(0) = 1
     num = v.copy()
     den = np.ones_like(v)
@@ -173,8 +182,8 @@ def frost_filter(img: GrayImage, params: FrostParams) -> GrayImage:
         for _, dy, dx in group:
             ring += padded[radius + dy : radius + dy + height, radius + dx : radius + dx + width]
             count += 1
-        np.multiply(kcv2, math.sqrt(dist2), out=weight)
-        with np.errstate(under="ignore"):
+        with np.errstate(over="ignore", under="ignore"):
+            np.multiply(kcv2, math.sqrt(dist2), out=weight)
             np.exp(weight, out=weight)
         ring *= weight
         num += ring

@@ -32,7 +32,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .baselines import (
@@ -47,7 +47,7 @@ from .baselines import (
 from .errors import DomainError, NumericError, ParameterError, PgmParseError, check_int, check_real
 from .image import GrayImage
 from .metrics import CSV_HEADER, evaluate
-from .nlm import NlmParams, RobustNlmParams, engine_plan, nlm_denoise, robust_nlm_denoise
+from .nlm import SELF_WEIGHT_MODES, NlmParams, RobustNlmParams, engine_plan, nlm_denoise, robust_nlm_denoise
 from .noise import SpeckleParams, add_multiplicative_speckle, estimate_noise_sigma, exp_expand, log_compress
 from .pgm import load_pgm, save_pgm
 
@@ -55,16 +55,33 @@ THREADS_ENV_VAR = "DESPECKLE_THREADS"
 H2_CAP = 1e12
 H1_FLOOR = 1e-6
 
-FILTER_CHOICES = ("nlm", "robust-nlm", "lee", "frost", "srad")
+# Each filter's parameter classes: their fields, `base` aside, are its
+# keywords, its flags and its resolved-config keys.
+FILTERS = {"nlm": (NlmParams,), "robust-nlm": (NlmParams, RobustNlmParams),
+           "lee": (LeeParams,), "frost": (FrostParams,), "srad": (SradParams,)}
 DOMAIN_CHOICES = ("linear", "log")
 MODEL_CHOICES = {"mult-gauss": "multiplicative_gaussian", "rayleigh": "rayleigh"}
 
-# The pipeline's parameter keywords (every field of the parameter classes,
-# one per filter flag), and those whose defaults follow from the noise level.
-PARAM_NAMES = tuple(dict.fromkeys(
-    field.name for cls in (NlmParams, RobustNlmParams, LeeParams, FrostParams, SradParams)
-    for field in fields(cls) if field.name != "base"))
-_NOISE_DEFAULTS = {"nlm": ("h",), "robust-nlm": ("h", "h2"), "lee": ("noise_sigma",)}
+_FIELDS = {name: {field.name: field for cls in classes for field in fields(cls)
+                  if field.name != "base"} for name, classes in FILTERS.items()}
+# The pipeline's parameter keywords, one per filter flag, and those whose
+# defaults follow from the noise level.
+PARAM_NAMES = tuple(dict.fromkeys(name for group in _FIELDS.values() for name in group))
+_NOISE_LED = ("h", "h2", "noise_sigma")
+
+
+def _flag(name: str) -> dict:
+    """The argparse keywords of parameter ``name``'s flag: its field's type
+    (`SELF_WEIGHT_MODES` spelled with "-" for ``self_weight``), and help
+    naming the filters that take it."""
+    takers = [filter for filter, group in _FIELDS.items() if name in group]
+    field = _FIELDS[takers[0]][name]
+    kind = ({"choices": tuple(mode.replace("_", "-") for mode in SELF_WEIGHT_MODES)}
+            if name == "self_weight" else {"type": int if field.type == "int" else float})
+    return {**kind, "help": "for " + ", ".join(takers)}
+
+
+_FLAGS = {name: _flag(name) for name in PARAM_NAMES}
 
 
 def _echo(pairs: dict) -> None:
@@ -92,17 +109,13 @@ def _build(cls, params: dict, **fixed):
     return cls(**{name: value for name, value in params.items() if name in names}, **fixed)
 
 
-def _window(radius: int) -> str:
-    return f"{2 * radius + 1}x{2 * radius + 1}"
-
-
 def _prepare(img: GrayImage, filter: str = "robust-nlm", *, domain: str | None = None,
              epsilon: float = 1.0, threads: int = 0, sigma_n: float | None = None, **params):
     """`denoise` in two steps: resolve every parameter for ``img``, and
     return (run, config); run() filters and maps back to ``img``'s domain."""
     threads = check_int(threads, "threads (0 = auto)")
-    if filter not in FILTER_CHOICES:
-        raise ParameterError(f"filter must be one of {FILTER_CHOICES}, got {filter!r}")
+    if filter not in FILTERS:
+        raise ParameterError(f"filter must be one of {tuple(FILTERS)}, got {filter!r}")
     domain = domain or ("log" if filter == "robust-nlm" else "linear")
     if domain not in DOMAIN_CHOICES:
         raise ParameterError(f"domain must be one of {DOMAIN_CHOICES}, got {domain!r}")
@@ -112,7 +125,7 @@ def _prepare(img: GrayImage, filter: str = "robust-nlm", *, domain: str | None =
     epsilon = check_real(epsilon, "epsilon")
     work = log_compress(img, epsilon) if domain == "log" else img
     params = {name: value for name, value in params.items() if value is not None}
-    needs = _NOISE_DEFAULTS.get(filter, ())
+    needs = [name for name in _FIELDS[filter] if name in _NOISE_LED]
     if sigma_n is not None and needs:
         sigma_n = check_real(sigma_n, "sigma_n", nonnegative=True)
     elif any(name not in params for name in needs):  # else sigma_n stays None
@@ -121,54 +134,48 @@ def _prepare(img: GrayImage, filter: str = "robust-nlm", *, domain: str | None =
     if filter in ("nlm", "robust-nlm"):
         if "h" not in params:
             params["h"] = max(9.0 * sigma_n, H1_FLOOR)
-        base = _build(NlmParams, params)
-        config.update({"search_window": _window(base.search_radius),
-                       "patch_window": _window(base.patch_radius), "sigma_s": base.sigma_s,
-                       "self_weight": base.self_weight, "sigma_n": sigma_n,
-                       "threads": engine_plan(threads, work.height, work.width, base,
-                                              filter == "robust-nlm")[1]})
+        built = _build(NlmParams, params)
+        config.update(sigma_n=sigma_n, threads=engine_plan(
+            threads, work.height, work.width, built, filter == "robust-nlm")[1])
         if filter == "nlm":
-            config["h"] = base.h
-            filtered = lambda: nlm_denoise(work, base, threads=threads)
+            filtered = lambda: nlm_denoise(work, built, threads=threads)
         else:
             if "h2" not in params:
                 params["h2"] = H2_CAP if sigma_n < 1e-6 else min(148.0 / sigma_n, H2_CAP)
-            robust = _build(RobustNlmParams, params, base=base)
-            config.update({"h1": base.h, "h2": robust.h2,
-                           "prefilter_sigma": robust.prefilter_sigma})
-            filtered = lambda: robust_nlm_denoise(work, robust, threads=threads)
+            built = _build(RobustNlmParams, params, base=built)
+            filtered = lambda: robust_nlm_denoise(work, built, threads=threads)
     elif filter == "lee":
         if "noise_sigma" not in params:
             mean = float(work.pixels.mean())
             params["noise_sigma"] = sigma_n / mean if mean > 0 else 0.0
-        lee = _build(LeeParams, params)
-        config.update({"window": _window(lee.window_radius), "noise_sigma": lee.noise_sigma})
-        filtered = lambda: lee_filter(work, lee)
+        built = _build(LeeParams, params)
+        filtered = lambda: lee_filter(work, built)
     elif filter == "frost":
-        frost = _build(FrostParams, params)
-        config.update({"window": _window(frost.window_radius), "damping": frost.damping})
-        filtered = lambda: frost_filter(work, frost)
+        built = _build(FrostParams, params)
+        filtered = lambda: frost_filter(work, built)
     else:
         # srad: the diffusion needs strictly positive pixels; PGM inputs
         # may contain zeros, so shift up before and back down after.
-        diffusion = _build(SradParams, params)
+        built = _build(SradParams, params)
         lo = float(work.pixels.min())
         shift = (1e-6 - lo) if lo <= 0.0 else 0.0
-        config.update({"iterations": diffusion.iterations, "dt": diffusion.dt,
-                       "q0": diffusion.q0, "rho": diffusion.rho, "positivity_shift": shift,
-                       "threads": srad_plan(threads, work.height, work.width, diffusion)[1]})
+        config.update(positivity_shift=shift,
+                      threads=srad_plan(threads, work.height, work.width, built)[1])
         filtered = lambda: GrayImage(
-            srad(GrayImage(work.pixels + shift), diffusion, threads=threads).pixels - shift)
+            srad(GrayImage(work.pixels + shift), built, threads=threads).pixels - shift)
+    shown = asdict(built)
+    config.update(shown.pop("base", {}))
+    config.update(shown)
     if domain == "linear":
         return filtered, config
     return (lambda: exp_expand(filtered(), epsilon)), config
 
 
 def denoise(img: GrayImage, filter: str = "robust-nlm", **options) -> tuple[GrayImage, dict]:
-    """Run one of `FILTER_CHOICES` over ``img`` as ``despeckle denoise``
-    does; return the output, in ``img``'s domain, and the resolved
-    configuration: the filter's fields of the CLI's ``resolved-config:``
-    line in its order, with ``threads`` the workers the filter starts.
+    """Run one of `FILTERS` over ``img`` as ``despeckle denoise`` does;
+    return the output, in ``img``'s domain, and the filter's fields of the
+    ``resolved-config:`` line, ``threads`` being the workers it starts:
+    ``denoise(img, **config)`` repeats the run, SRAD's positivity_shift aside.
 
     ``domain`` "log" filters ln(v + ``epsilon``) (default 1.0) and expands
     back; the default is log for robust-nlm, else "linear". ``threads``
@@ -274,31 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     filter_args = argparse.ArgumentParser(add_help=False)
-    filter_args.add_argument("--filter", choices=FILTER_CHOICES)
+    filter_args.add_argument("--filter", choices=tuple(FILTERS))
     filter_args.add_argument("--domain", choices=DOMAIN_CHOICES,
                              help="filtering domain; default log for robust-nlm, linear otherwise")
-    filter_args.add_argument("--epsilon", type=float,
-                             help="offset used by the log transform (default 1.0)")
-    filter_args.add_argument("--search-radius", type=int)
-    filter_args.add_argument("--patch-radius", type=int)
-    filter_args.add_argument("--sigma-s", type=float,
-                             help="patch kernel sigma; default patch_radius / 2")
-    filter_args.add_argument("--h", type=float,
-                             help="similarity decay (h1 for robust-nlm); default 9 * sigma_n")
-    filter_args.add_argument("--h2", type=float,
-                             help="corruption decay for robust-nlm; default 148 / sigma_n, capped at 1e12")
-    filter_args.add_argument("--prefilter-sigma", type=float)
+    filter_args.add_argument("--epsilon", type=float, help="offset used by the log transform")
     filter_args.add_argument("--sigma-n", type=float,
                              help="noise level override; skips blind estimation")
-    filter_args.add_argument("--self-weight", choices=("natural", "max-neighbor"))
-    filter_args.add_argument("--window-radius", type=int, help="lee/frost window radius")
-    filter_args.add_argument("--noise-sigma", type=float,
-                             help="lee noise coefficient of variation; default sigma_n / mean")
-    filter_args.add_argument("--damping", type=float, help="frost damping K")
-    filter_args.add_argument("--iterations", type=int, help="srad iterations")
-    filter_args.add_argument("--dt", type=float, help="srad time step")
-    filter_args.add_argument("--q0", type=float, help="srad initial speckle scale")
-    filter_args.add_argument("--rho", type=float, help="srad q0 decay rate")
+    for name, flag in _FLAGS.items():
+        filter_args.add_argument("--" + name.replace("_", "-"), **flag)
     filter_args.add_argument("--threads", type=int,
                              help=f"worker cap for nlm filters and srad, at most the CPU count; "
                                   f"0 = one per CPU; default from {THREADS_ENV_VAR}")

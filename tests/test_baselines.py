@@ -31,7 +31,14 @@ from despeckle import (
     lee_filter,
     srad,
 )
-from reference import naive_frost, naive_lee, srad_reference
+from reference import _padded, naive_frost, naive_lee, srad_reference
+
+
+def box_mean(arr, radius):
+    """The mean of each pixel's mirror-padded (2 radius + 1)^2 window."""
+    pad, side = _padded(arr, radius), 2 * radius + 1
+    return np.array([[pad[r : r + side, c : c + side].mean() for c in range(arr.shape[1])]
+                     for r in range(arr.shape[0])])
 
 
 class TestLee:
@@ -64,6 +71,14 @@ class TestLee:
         out = lee_filter(as_img(arr), LeeParams(window_radius=2, noise_sigma=0.12)).pixels
         assert out.std() < arr.std()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("noise_sigma", [1e154, 1e200, 1e308])
+    def test_huge_noise_sigma_gives_the_window_mean(self, noise_sigma):
+        # the gain's limit is 0, although sigma^2 and m^2 sigma^2 overflow
+        arr = textured_image(39, 12, 12)
+        out = lee_filter(as_img(arr), LeeParams(window_radius=2, noise_sigma=noise_sigma)).pixels
+        assert np.max(np.abs(out - box_mean(arr, 2))) < 1e-9
+
     def test_params_validation(self):
         with pytest.raises(ParameterError):
             LeeParams(window_radius=0)
@@ -95,18 +110,21 @@ class TestFrost:
         out = frost_filter(as_img(arr), FrostParams(window_radius=2, damping=1e6)).pixels
         assert np.max(np.abs(out - arr)) < 1e-6
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("damping", [1e308, 1.7e308])
+    def test_overflowing_damping_gives_the_bits_of_a_huge_one(self, damping):
+        # -K Cv^2 d overflows to -inf, whose weight exp(-inf) = 0 is meant
+        img = as_img(make_step(12, 12, low=1.0, high=250.0))
+        want = frost_filter(img, FrostParams(window_radius=2, damping=1e306)).pixels
+        got = frost_filter(img, FrostParams(window_radius=2, damping=damping)).pixels
+        assert np.array_equal(got, want)
+
     def test_edges_survive_better_than_box_mean(self):
         arr = make_step()
         frosty = frost_filter(as_img(arr), FrostParams(window_radius=2, damping=2.0)).pixels
         # along the step column the adaptive kernel must stay closer to the
         # original than a flat 5x5 average does
-        from reference import _padded
-
-        pad = _padded(arr, 2)
-        box = np.zeros_like(arr)
-        for r in range(arr.shape[0]):
-            for c in range(arr.shape[1]):
-                box[r, c] = pad[r : r + 5, c : c + 5].mean()
+        box = box_mean(arr, 2)
         edge = slice(None), slice(14, 18)
         assert np.abs(frosty[edge] - arr[edge]).mean() < np.abs(box[edge] - arr[edge]).mean()
 

@@ -1,9 +1,11 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
 import time
 import tracemalloc
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from despeckle import (
 )
 from despeckle import workers
 from despeckle.baselines import srad_plan
-from despeckle.cli import PARAM_NAMES, _window, build_parser, denoise, main
+from despeckle.cli import FILTERS, PARAM_NAMES, build_parser, denoise, main
 from despeckle.nlm import engine_plan
 
 FAST = ["--search-radius", "3", "--patch-radius", "1"]
@@ -118,8 +120,8 @@ class TestDenoise:
         rc = main(["denoise", str(src), str(dst), "--filter", "nlm", "--h", "30"])
         assert rc == 0
         echo = parse_echo(capsys.readouterr().err)
-        assert echo["search_window"] == "21x21"
-        assert echo["patch_window"] == "7x7"
+        assert echo["search_radius"] == "10"
+        assert echo["patch_radius"] == "3"
         assert echo["sigma_s"] == "1.5"
         assert echo["self_weight"] == "natural"
         assert echo["domain"] == "linear"
@@ -134,7 +136,7 @@ class TestDenoise:
         echo = parse_echo(capsys.readouterr().err)
         assert echo["filter"] == "robust-nlm"
         assert echo["domain"] == "log"
-        assert "h1" in echo and "h2" in echo and echo["prefilter_sigma"] == "1.5"
+        assert "h" in echo and "h2" in echo and echo["prefilter_sigma"] == "1.5"
 
     def test_domain_override(self, tmp_path, capsys):
         src = tmp_path / "in.pgm"
@@ -152,8 +154,8 @@ class TestDenoise:
         assert rc == 0
         echo = parse_echo(capsys.readouterr().err)
         assert float(echo["h2"]) == 1e12
-        # h1 floor keeps the decay usable when the estimate is zero
-        assert float(echo["h1"]) == pytest.approx(1e-6)
+        # the h floor keeps the decay usable when the estimate is zero
+        assert float(echo["h"]) == pytest.approx(1e-6)
 
     def test_srad_zero_iterations_is_identity(self, tmp_path):
         src = tmp_path / "in.pgm"
@@ -183,8 +185,22 @@ class TestDenoise:
             rc = main(["denoise", str(src), str(dst), "--filter", name])
             assert rc == 0
             echo = parse_echo(capsys.readouterr().err)
-            assert echo["window"] == "5x5"
+            assert echo["window_radius"] == "2"
             assert dst.exists()
+
+    def test_huge_lee_noise_sigma_gives_the_window_mean(self, tmp_path, capsys):
+        # at 1e150 the gain is already 0 without overflow; above, sigma^2 or
+        # m^2 sigma^2 overflow and must give that limit too
+        src = tmp_path / "in.pgm"
+        write_pgm(src, rand_image(88, 16, 16, lo=50, hi=220))
+        outputs = []
+        for value in ("1e150", "1e154", "1e200", "1e308"):
+            dst = tmp_path / f"{value}.pgm"
+            assert main(["denoise", str(src), str(dst), "--filter", "lee",
+                         "--noise-sigma", value]) == 0
+            assert "error" not in capsys.readouterr().err
+            outputs.append(dst.read_bytes())
+        assert outputs[1:] == outputs[:1] * 3
 
     def test_16bit_output(self, tmp_path):
         src = tmp_path / "in.pgm"
@@ -568,12 +584,11 @@ class TestParsing:
             assert getattr(args, name) is None, name
         src = tmp_path / "in.pgm"
         write_pgm(src, rand_image(86, 12, 12, lo=60, hi=200))
-        shown = {NlmParams: {"search_window": _window(NlmParams.search_radius),
-                             "patch_window": _window(NlmParams.patch_radius),
-                             "self_weight": NlmParams.self_weight},
+        shown = {NlmParams: {name: str(getattr(NlmParams, name))
+                             for name in ("search_radius", "patch_radius", "self_weight")},
                  RobustNlmParams: {"prefilter_sigma": f"{RobustNlmParams.prefilter_sigma:g}"},
-                 LeeParams: {"window": _window(LeeParams.window_radius)},
-                 FrostParams: {"window": _window(FrostParams.window_radius),
+                 LeeParams: {"window_radius": str(LeeParams.window_radius)},
+                 FrostParams: {"window_radius": str(FrostParams.window_radius),
                                "damping": f"{FrostParams.damping:g}"},
                  SradParams: {name: f"{getattr(SradParams, name):g}"
                               for name in ("iterations", "dt", "q0", "rho")}}
@@ -585,6 +600,25 @@ class TestParsing:
             for cls in sources:
                 for key, value in shown[cls].items():
                     assert echo[key] == value, (name, key)
+
+    def test_each_field_is_a_flag_of_its_type_naming_its_filters(self):
+        parser = build_parser()
+        helps = {action.dest: action.help
+                 for action in parser._subparsers._group_actions[0].choices["denoise"]._actions}
+        kinds, takers = {}, {}
+        for filter, classes in FILTERS.items():
+            for cls in classes:
+                for name, hint in typing.get_type_hints(cls).items():
+                    kinds[name] = (typing.get_args(hint) or (hint,))[0]  # float | None: float
+                    takers.setdefault(name, []).append(filter)
+        given = {int: "3", float: "0.5", str: "max-neighbor"}
+        for name in PARAM_NAMES:
+            flag = "--" + name.replace("_", "-")
+            value = getattr(parser.parse_args(["denoise", "in", "out", flag, given[kinds[name]]]),
+                            name)
+            assert type(value) is kinds[name], name
+            assert helps[name] == "for " + ", ".join(takers[name])
+            assert not re.search(r"[0-9=*/]|default", helps[name]), helps[name]
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

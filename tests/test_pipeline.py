@@ -66,6 +66,17 @@ def test_library_output_and_config_are_the_clis(tmp_path, capsys, src, name):
     assert list(config)[:3] == ["domain", "epsilon", "filter"]
 
 
+@pytest.mark.parametrize("name", list(FILTERS))
+def test_the_config_repeats_the_run(name):
+    # every key but SRAD's positivity_shift is a denoise() keyword
+    img = speckled()
+    out, config = denoise(img, name, **FILTERS[name][0])
+    again, same = denoise(img, **{key: value for key, value in config.items()
+                                  if key != "positivity_shift"})
+    assert np.array_equal(again.pixels, out.pixels)
+    assert same == config
+
+
 def test_bench_times_and_hashes_the_output_in_the_input_domain(capsys, src):
     # at the defaults robust-nlm filters in the log domain: the checksum
     # is that of the expanded output, the bytes `denoise` would quantize
@@ -81,7 +92,7 @@ def test_defaults_come_from_the_parameter_classes_and_the_noise_level():
     _, config = denoise(img, **SMALL)
     assert (config["domain"], config["prefilter_sigma"]) == ("log", 1.5)
     sigma_n = config["sigma_n"]
-    assert config["h1"] == 9.0 * sigma_n and config["h2"] == 148.0 / sigma_n
+    assert config["h"] == 9.0 * sigma_n and config["h2"] == 148.0 / sigma_n
     _, config = denoise(img, "nlm", h=5.0, h2=3.0, iterations=2)  # another filter's: ignored
     assert config["h"] == 5.0 and config["sigma_n"] is None and "h2" not in config
     _, config = denoise(img, "lee", sigma_n=4.0)
