@@ -208,7 +208,9 @@ def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
     gradient and Laplacian, from which the instantaneous coefficient of
     variation q is formed; the diffusion coefficient
     c = 1 / (1 + (q^2 - q0(t)^2) / (q0(t)^2 (1 + q0(t)^2))) is clamped
-    to [0, 1]; the image steps by (dt / 4) * div(c grad v). Pixels must
+    to [0, 1], and takes its limits where q0(t)^2 overflows (c = 1) or
+    is too small for 1 + q0(t)^2 to exceed 1 (c = 1 where q = 0, else
+    0); the image steps by (dt / 4) * div(c grad v). Pixels must
     be strictly positive (shift the image first if needed); positivity
     is preserved by the scheme for dt <= 0.25. An iteration that leaves
     a pixel non-finite raises `NumericError`. ``threads`` caps the worker
@@ -334,11 +336,16 @@ def _srad_form(s: SimpleNamespace, q0_sq: float) -> None:
     np.multiply(lap, 0.25, out=s.tmp)
     s.tmp += 1.0
     q2 /= np.multiply(s.tmp, s.tmp, out=s.tmp)
-    q2 -= q0_sq
-    q2 /= q0_sq * (1.0 + q0_sq)
-    q2 += 1.0
-    np.divide(1.0, q2, out=s.c)
-    np.minimum(s.c, 1.0, out=s.c)
+    if q0_sq == math.inf:  # c's limits, where the formula gives NaN
+        s.c.fill(1.0)
+    elif 1.0 + q0_sq == 1.0:  # or 1 / 0 on a flat window; q2 <= 0 is q = 0 rounded
+        np.less_equal(q2, 0.0, out=s.c)
+    else:
+        q2 -= q0_sq
+        q2 /= q0_sq * (1.0 + q0_sq)
+        q2 += 1.0
+        np.divide(1.0, q2, out=s.c)
+        np.minimum(s.c, 1.0, out=s.c)
     # The right column and the bottom margin row meet only the zero
     # east and south differences of the mirror, so they need only be
     # finite: the column, just computed from margin values, is reset to

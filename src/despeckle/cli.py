@@ -5,7 +5,9 @@ parameters at the CLI's defaults, filters and maps the result back; the
 ``denoise`` and ``bench`` commands run the same `_prepare` between load
 and save. It lives here because the benchmark's tracer times its stages
 through this module's names; ``import despeckle`` skips this module,
-whose argparse, hashlib and statistics cost ~20 ms to import.
+whose argparse, hashlib and statistics cost ~20 ms to import. `_prepare`
+runs each filter from its row of `FILTERS`, adding only the defaults
+that follow from the noise level and SRAD's positivity shift.
 
 Subcommands: ``synth`` corrupts a clean PGM with synthetic speckle,
 ``denoise`` runs one filter over a PGM, ``eval`` scores a denoised
@@ -55,19 +57,30 @@ THREADS_ENV_VAR = "DESPECKLE_THREADS"
 H2_CAP = 1e12
 H1_FLOOR = 1e-6
 
-# Each filter's parameter classes: their fields, `base` aside, are its
-# keywords, its flags and its resolved-config keys.
-FILTERS = {"nlm": (NlmParams,), "robust-nlm": (NlmParams, RobustNlmParams),
-           "lee": (LeeParams,), "frost": (FrostParams,), "srad": (SradParams,)}
+# Each filter's row: its parameter class, whose fields are its keywords,
+# its flags and its resolved-config keys; its worker plan (None: it runs
+# on the calling thread); and its call on (image, parameters, threads).
+# The calls look the filters up in this module when they run, where the
+# benchmark's tracer swaps them.
+FILTERS = {
+    "nlm": (NlmParams, engine_plan, lambda *run: nlm_denoise(*run)),
+    "robust-nlm": (RobustNlmParams, engine_plan, lambda *run: robust_nlm_denoise(*run)),
+    "lee": (LeeParams, None, lambda img, params, _: lee_filter(img, params)),
+    "frost": (FrostParams, None, lambda img, params, _: frost_filter(img, params)),
+    "srad": (SradParams, srad_plan, lambda *run: srad(*run)),
+}
 DOMAIN_CHOICES = ("linear", "log")
 MODEL_CHOICES = {"mult-gauss": "multiplicative_gaussian", "rayleigh": "rayleigh"}
 
-_FIELDS = {name: {field.name: field for cls in classes for field in fields(cls)
-                  if field.name != "base"} for name, classes in FILTERS.items()}
-# The pipeline's parameter keywords, one per filter flag, and those whose
-# defaults follow from the noise level.
+_FIELDS = {name: {field.name: field for field in fields(row[0])} for name, row in FILTERS.items()}
+# The pipeline's parameter keywords, one per filter flag.
 PARAM_NAMES = tuple(dict.fromkeys(name for group in _FIELDS.values() for name in group))
-_NOISE_LED = ("h", "h2", "noise_sigma")
+# The defaults that follow from the noise level, by field: f(sigma_n, filtered pixels).
+_NOISE_LED = {
+    "h": lambda sigma_n, v: max(9.0 * sigma_n, H1_FLOOR),
+    "h2": lambda sigma_n, v: H2_CAP if sigma_n < 1e-6 else min(148.0 / sigma_n, H2_CAP),
+    "noise_sigma": lambda sigma_n, v: sigma_n / mean if (mean := float(v.mean())) > 0 else 0.0,
+}
 
 
 def _flag(name: str) -> dict:
@@ -103,12 +116,6 @@ def _resolve_threads(flag: int | None) -> int:
     return check_int(requested, f"{THREADS_ENV_VAR} (0 = auto)")
 
 
-def _build(cls, params: dict, **fixed):
-    """``cls`` from ``fixed`` and the ``params`` it has fields for."""
-    names = {field.name for field in fields(cls)}
-    return cls(**{name: value for name, value in params.items() if name in names}, **fixed)
-
-
 def _prepare(img: GrayImage, filter: str = "robust-nlm", *, domain: str | None = None,
              epsilon: float = 1.0, threads: int = 0, sigma_n: float | None = None, **params):
     """`denoise` in two steps: resolve every parameter for ``img``, and
@@ -116,6 +123,7 @@ def _prepare(img: GrayImage, filter: str = "robust-nlm", *, domain: str | None =
     threads = check_int(threads, "threads (0 = auto)")
     if filter not in FILTERS:
         raise ParameterError(f"filter must be one of {tuple(FILTERS)}, got {filter!r}")
+    cls, plan, call = FILTERS[filter]
     domain = domain or ("log" if filter == "robust-nlm" else "linear")
     if domain not in DOMAIN_CHOICES:
         raise ParameterError(f"domain must be one of {DOMAIN_CHOICES}, got {domain!r}")
@@ -123,49 +131,29 @@ def _prepare(img: GrayImage, filter: str = "robust-nlm", *, domain: str | None =
     if unknown:
         raise ParameterError(f"no filter takes {unknown}; the parameters are {PARAM_NAMES}")
     epsilon = check_real(epsilon, "epsilon")
-    work = log_compress(img, epsilon) if domain == "log" else img
-    params = {name: value for name, value in params.items() if value is not None}
-    needs = [name for name in _FIELDS[filter] if name in _NOISE_LED]
-    if sigma_n is not None and needs:
+    if sigma_n is not None:
         sigma_n = check_real(sigma_n, "sigma_n", nonnegative=True)
-    elif any(name not in params for name in needs):  # else sigma_n stays None
+    work = log_compress(img, epsilon) if domain == "log" else img
+    params = {name: value for name, value in params.items()
+              if value is not None and name in _FIELDS[filter]}
+    needs = [name for name in _FIELDS[filter] if name in _NOISE_LED and name not in params]
+    if needs and sigma_n is None:
         sigma_n = estimate_noise_sigma(work).sigma_n
+    params.update({name: _NOISE_LED[name](sigma_n, work.pixels) for name in needs})
+    built = cls(**params)
     config: dict = {"domain": domain, "epsilon": epsilon, "filter": filter}
-    if filter in ("nlm", "robust-nlm"):
-        if "h" not in params:
-            params["h"] = max(9.0 * sigma_n, H1_FLOOR)
-        built = _build(NlmParams, params)
-        config.update(sigma_n=sigma_n, threads=engine_plan(
-            threads, work.height, work.width, built, filter == "robust-nlm")[1])
-        if filter == "nlm":
-            filtered = lambda: nlm_denoise(work, built, threads=threads)
-        else:
-            if "h2" not in params:
-                params["h2"] = H2_CAP if sigma_n < 1e-6 else min(148.0 / sigma_n, H2_CAP)
-            built = _build(RobustNlmParams, params, base=built)
-            filtered = lambda: robust_nlm_denoise(work, built, threads=threads)
-    elif filter == "lee":
-        if "noise_sigma" not in params:
-            mean = float(work.pixels.mean())
-            params["noise_sigma"] = sigma_n / mean if mean > 0 else 0.0
-        built = _build(LeeParams, params)
-        filtered = lambda: lee_filter(work, built)
-    elif filter == "frost":
-        built = _build(FrostParams, params)
-        filtered = lambda: frost_filter(work, built)
-    else:
-        # srad: the diffusion needs strictly positive pixels; PGM inputs
-        # may contain zeros, so shift up before and back down after.
-        built = _build(SradParams, params)
+    if "h" in _FIELDS[filter]:  # the non-local filters echo their decays' noise level
+        config["sigma_n"] = sigma_n
+    filtered = lambda: call(work, built, threads)
+    if filter == "srad":
+        # the diffusion needs positive pixels (a PGM may hold zeros): shift and shift back
         lo = float(work.pixels.min())
-        shift = (1e-6 - lo) if lo <= 0.0 else 0.0
-        config.update(positivity_shift=shift,
-                      threads=srad_plan(threads, work.height, work.width, built)[1])
+        config["positivity_shift"] = shift = (1e-6 - lo) if lo <= 0.0 else 0.0
         filtered = lambda: GrayImage(
-            srad(GrayImage(work.pixels + shift), built, threads=threads).pixels - shift)
-    shown = asdict(built)
-    config.update(shown.pop("base", {}))
-    config.update(shown)
+            call(GrayImage(work.pixels + shift), built, threads).pixels - shift)
+    if plan is not None:
+        config["threads"] = plan(threads, work.height, work.width, built)[1]
+    config.update(asdict(built))
     if domain == "linear":
         return filtered, config
     return (lambda: exp_expand(filtered(), epsilon)), config

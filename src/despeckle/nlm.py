@@ -112,12 +112,12 @@ class NlmParams:
             )
 
 
-@dataclass(frozen=True)
-class RobustNlmParams:
-    """Robust non-local means configuration.
+@dataclass(frozen=True, kw_only=True)
+class RobustNlmParams(NlmParams):
+    """Robust non-local means configuration: `NlmParams`, whose ``h`` is
+    the patch-similarity decay h1, and two keyword-only fields.
 
-    ``base.h`` plays the role of the patch-similarity decay h1; ``h2``
-    scales the per-candidate corruption penalty
+    ``h2`` scales the per-candidate corruption penalty
     max(0, |v(j) - v_hat(j)| - tau(j)) / h2 (note: not squared), which
     is nonzero only for pixels beyond their three-sigma band tau.
     ``prefilter_sigma`` is the Gaussian blur behind both v_hat and tau.
@@ -125,16 +125,13 @@ class RobustNlmParams:
     non-local means with h = h1 exactly.
     """
 
-    base: NlmParams
     h2: float
     prefilter_sigma: float = 1.5
 
     def __post_init__(self):
-        if not isinstance(self.base, NlmParams):
-            raise ParameterError(f"base must be NlmParams, got {type(self.base).__name__}")
+        super().__post_init__()
         object.__setattr__(self, "h2", check_real(self.h2, "h2", allow_inf=True))
-        object.__setattr__(self, "prefilter_sigma",
-                           check_real(self.prefilter_sigma, "prefilter_sigma"))
+        object.__setattr__(self, "prefilter_sigma", check_real(self.prefilter_sigma, "prefilter_sigma"))
 
 
 @dataclass(frozen=True)
@@ -204,22 +201,25 @@ def patch_distance(img: GrayImage, i: tuple[int, int], j: tuple[int, int],
     return float(np.sum(kernel * (a - b) ** 2))
 
 
-def _check_extent(img: GrayImage, base: NlmParams, prefilter_sigma: float | None = None) -> None:
-    """The mirror-period bound on every radius and sigma of the filter."""
-    check_radii(img, search_radius=base.search_radius, patch_radius=base.patch_radius)
-    check_sigmas(img, 1.0, sigma_s=base.sigma_s)
-    if prefilter_sigma is not None:
-        check_sigmas(img, 3.0, prefilter_sigma=prefilter_sigma)
+def _check_extent(img: GrayImage, params: NlmParams, kind: type) -> None:
+    """That ``params`` is exactly a ``kind``, and the mirror-period bound
+    on every radius and sigma of the filter."""
+    if type(params) is not kind:
+        raise ParameterError(f"params must be {kind.__name__}, got {type(params).__name__}")
+    check_radii(img, search_radius=params.search_radius, patch_radius=params.patch_radius)
+    check_sigmas(img, 1.0, sigma_s=params.sigma_s)
+    if kind is RobustNlmParams:
+        check_sigmas(img, 3.0, prefilter_sigma=params.prefilter_sigma)
 
 
-def engine_plan(threads, height: int, width: int, params: NlmParams,
-                robust: bool) -> tuple[int, int]:
-    """Tile height and worker count of `nlm_denoise`, or with ``robust``
-    of `robust_nlm_denoise`, on a ``height`` x ``width`` image (see
-    `workers.plan`); starts nothing. The work is 11 array passes per
-    pixel and half-window offset, 13 with the penalty."""
+def engine_plan(threads, height: int, width: int, params: NlmParams) -> tuple[int, int]:
+    """Tile height and worker count of `nlm_denoise`, or for a
+    `RobustNlmParams` of `robust_nlm_denoise`, on a ``height`` x
+    ``width`` image (see `workers.plan`); starts nothing. The work is 11
+    array passes per pixel and half-window offset, 13 with the penalty."""
     offsets = 2 * params.search_radius * (params.search_radius + 1)
-    return plan(threads, height, width, _TILE_PIXELS, (13 if robust else 11) * offsets)
+    passes = 13 if isinstance(params, RobustNlmParams) else 11
+    return plan(threads, height, width, _TILE_PIXELS, passes * offsets)
 
 
 def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
@@ -284,7 +284,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
     # exceeds 5e149): an inf times a band's zero would be NaN.
     clamp = max(v.max(), -v.min()) > 5e149
     skip_self = params.self_weight == "max_neighbor"
-    tile_rows, workers = engine_plan(threads, height, width, params, corr is not None)
+    tile_rows, workers = engine_plan(threads, height, width, params)
     tile_blocks = (tile_rows + big_r + _BAND - 2) // _BAND + 1
     out = worker_array(v.size, workers).reshape(v.shape)
 
@@ -377,13 +377,14 @@ def nlm_denoise(img: GrayImage, params: NlmParams, threads: int = 0) -> GrayImag
     Each output pixel is the weighted mean of the search-window pixels,
     with weights exp(-d(i, j) / h^2) for the kernel-weighted squared
     patch distance d. Output size equals input size. Each radius, and
-    sigma_s, may be at most 2 max(H, W, 10).
+    sigma_s, may be at most 2 max(H, W, 10). ``params`` must be an
+    `NlmParams`; a `RobustNlmParams` is a ParameterError.
 
     ``threads`` caps the worker processes; 0, the default, means one per
     CPU. Each worker needs a floor of work (`workers.plan`), so a 64x64
     image runs on one. The output bits do not depend on the worker count.
     """
-    _check_extent(img, params)
+    _check_extent(img, params, NlmParams)
     return _filter_engine(img, params, None, threads)
 
 
@@ -418,13 +419,14 @@ def robust_nlm_denoise(img: GrayImage, params: RobustNlmParams, threads: int = 0
     neighborhood by more than that band are discounted, which makes the
     average robust to outliers at no cost on ordinary speckle. Each
     radius, sigma_s and the prefilter's blur radius
-    ceil(3 prefilter_sigma) may be at most 2 max(H, W, 10). ``threads``
-    is as for `nlm_denoise`: 0, the default, means one worker per CPU,
-    the work floor applies, and the bits do not depend on it.
+    ceil(3 prefilter_sigma) may be at most 2 max(H, W, 10); ``params``
+    must be a `RobustNlmParams`. ``threads`` is as for `nlm_denoise`:
+    0, the default, means one worker per CPU, the work floor applies,
+    and the bits do not depend on it.
     """
-    _check_extent(img, params.base, params.prefilter_sigma)
+    _check_extent(img, params, RobustNlmParams)
     corr = _corruption_factor(img.pixels, params.h2, params.prefilter_sigma)
-    return _filter_engine(img, params.base, corr, threads)
+    return _filter_engine(img, params, corr, threads)
 
 
 def compute_weight_field(img: GrayImage, center: tuple[int, int],
@@ -441,18 +443,17 @@ def compute_weight_field(img: GrayImage, center: tuple[int, int],
     different order.
     """
     _check_center(img, center, "center")
-    base = params.base
-    big_r, r = base.search_radius, base.patch_radius
-    _check_extent(img, base, params.prefilter_sigma)
-    kernel = make_patch_kernel(r, base.sigma_s)
+    _check_extent(img, params, RobustNlmParams)
+    big_r, r = params.search_radius, params.patch_radius
+    kernel = make_patch_kernel(r, params.sigma_s)
     v = img.pixels
     patches = sliding_window_view(_mirrored_blocks(v, big_r + r, center)[0], kernel.shape)
     dist = np.sum(kernel * (patches - patches[big_r, big_r]) ** 2, axis=(-2, -1))
     corr = _corruption_factor(v, params.h2, params.prefilter_sigma)
-    hh1 = max(base.h * base.h, sys.float_info.min)  # mirror the engine's underflow guard
+    hh1 = max(params.h * params.h, sys.float_info.min)  # mirror the engine's underflow guard
     with np.errstate(under="ignore"):
         raw = np.exp(-dist / hh1) * _mirrored_blocks(corr, big_r, center)[0]
-    if base.self_weight == "max_neighbor":
+    if params.self_weight == "max_neighbor":
         raw[big_r, big_r] = 0.0
         raw[big_r, big_r] = raw.max()
     normalizer = math.fsum(raw.ravel().tolist())

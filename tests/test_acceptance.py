@@ -17,6 +17,7 @@ import hashlib
 import math
 import os
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ from despeckle import (
 from reference import naive_frost, naive_lee, naive_nlm, naive_robust_nlm, srad_reference
 
 CLASSIC_SMALL = NlmParams(h=50.0, search_radius=3, patch_radius=1)
-ROBUST_SMALL = RobustNlmParams(base=CLASSIC_SMALL, h2=10.0)
+ROBUST_SMALL = RobustNlmParams(**asdict(CLASSIC_SMALL), h2=10.0)
 
 
 def _report(number, ok, detail):
@@ -126,7 +127,7 @@ def test_criterion_02_noisy_distance_offset():
 
 def test_criterion_03_degenerate_equivalence(ten_fixtures, classic_small_outputs):
     # an infinite h2 forces every corruption factor to exp(-0) == 1
-    degenerate = RobustNlmParams(base=CLASSIC_SMALL, h2=math.inf)
+    degenerate = RobustNlmParams(**asdict(CLASSIC_SMALL), h2=math.inf)
     worst = 0.0
     for arr, classic in zip(ten_fixtures, classic_small_outputs):
         robust = robust_nlm_denoise(as_img(arr), degenerate, threads=1).pixels
@@ -141,7 +142,7 @@ def test_criterion_04_weight_contract():
     yy, xx = np.mgrid[0:64, 0:64].astype(float)
     arr = 120.0 + 40.0 * np.sin(yy / 5.0) * np.cos(xx / 7.0) + 10.0 * rng.standard_normal((64, 64))
     img = as_img(arr)
-    params = RobustNlmParams(base=NlmParams(h=50.0, search_radius=3, patch_radius=1), h2=10.0)
+    params = RobustNlmParams(h=50.0, search_radius=3, patch_radius=1, h2=10.0)
     centers = [(int(r), int(c)) for r, c in rng.integers(0, 64, size=(100, 2))]
 
     worst_sum = 0.0
@@ -177,7 +178,7 @@ def test_criterion_05_denoising_efficacy(phantom256, noisy256):
     start = time.perf_counter()
     sigma_n = estimate_noise_sigma(noisy256).sigma_n
     classic_params = NlmParams(h=9.0 * sigma_n)
-    robust_params = RobustNlmParams(base=classic_params, h2=148.0 / sigma_n)
+    robust_params = RobustNlmParams(**asdict(classic_params), h2=148.0 / sigma_n)
     classic = nlm_denoise(noisy256, classic_params, threads=1)
     robust = robust_nlm_denoise(noisy256, robust_params, threads=1)
     elapsed = time.perf_counter() - start
@@ -385,7 +386,7 @@ def test_criterion_10_benchmark_smoke():
     params = SpeckleParams(model="multiplicative_gaussian", sigma=0.2, seed=7)
     noisy = add_multiplicative_speckle(clean, params)
     sigma_n = estimate_noise_sigma(noisy).sigma_n
-    robust_params = RobustNlmParams(base=NlmParams(h=9.0 * sigma_n), h2=148.0 / sigma_n)
+    robust_params = RobustNlmParams(h=9.0 * sigma_n, h2=148.0 / sigma_n)
     start = time.perf_counter()
     out = robust_nlm_denoise(noisy, robust_params, threads=1)
     elapsed = time.perf_counter() - start

@@ -207,6 +207,50 @@ class TestSrad:
             with pytest.raises(NumericError, match="non-finite values at iteration 1$"):
                 srad(as_img(np.array(arr)), SradParams(iterations=3))
 
+    @staticmethod
+    def flat_block_image():
+        arr = rand_image(45, 32, 32, lo=20.0, hi=200.0)
+        arr[8:16, 8:16] = 100.0  # exactly flat windows: q = 0
+        return as_img(arr)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q0", [1e200, 1e155])
+    def test_overflowing_q0_gives_c_its_limit_1(self, q0):
+        # q0(t)^2 = inf must not reach the formula, whose NaN ended the
+        # run as a divergence. At q0 = 1e100 the formula's denominator
+        # overflows instead, and c is exactly 1 too.
+        img = self.flat_block_image()
+        got = srad(img, SradParams(iterations=20, q0=q0), threads=1).pixels
+        assert np.array_equal(got, srad(img, SradParams(iterations=20, q0=1e100), threads=1).pixels)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params", [dict(q0=1e-100), dict(q0=1e-160), dict(q0=1e-200),
+                                        dict(rho=700.0), dict(rho=1e300)])
+    def test_vanishing_q0_gives_c_its_limit(self, params):
+        # once 1 + q0(t)^2 rounds to 1 the formula divides by zero on the
+        # flat block (at 1e-160 it overflows first, and 1e-200 and
+        # rho = 1e300 make q0(t)^2 exactly 0); the limit is c = 1 where
+        # q = 0 and 0 elsewhere
+        img = self.flat_block_image()
+        got = srad(img, SradParams(iterations=20, **params), threads=1).pixels
+        limit = srad(img, SradParams(iterations=20, q0=1e-200), threads=1).pixels
+        assert np.array_equal(got, limit)
+        assert np.array_equal(got[9:15, 9:15], img.pixels[9:15, 9:15])
+        # the formula just above the cut-over comes within 1e-9 of the limit
+        near = srad(img, SradParams(iterations=20, q0=1e-7), threads=1).pixels
+        assert np.max(np.abs(near - limit)) < 1e-9
+        assert not np.array_equal(near, srad(img, SradParams(iterations=20), threads=1).pixels)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_the_limit_c_still_meets_the_divergence_check(self):
+        # c = 1 around a pixel of 1 among 1e308s, whose q2 is inf / inf:
+        # its four fluxes sum to inf
+        arr = np.full((3, 3), 1e308)
+        arr[1, 1] = 1.0
+        with pytest.raises(NumericError, match="non-finite values at iteration 1$"):
+            srad(as_img(arr), SradParams(iterations=3, q0=1e200))
+
     def test_smooths_speckle(self):
         rng = np.random.Generator(np.random.Philox(44))
         arr = 100.0 * (1.0 + 0.2 * rng.standard_normal((32, 32)))

@@ -9,7 +9,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from despeckle import GrayImage, cli, save_pgm
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -30,3 +33,25 @@ def _traced_bindings():
 @pytest.mark.parametrize("module, name", _traced_bindings())
 def test_traced_binding_resolves(module, name):
     assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"
+
+
+CALLED_BY = {"nlm": "nlm_denoise", "robust-nlm": "robust_nlm_denoise", "lee": "lee_filter",
+             "frost": "frost_filter", "srad": "srad"}
+
+
+@pytest.mark.parametrize("filter", CALLED_BY)
+def test_the_cli_looks_each_filter_up_when_it_runs(tmp_path, monkeypatch, filter):
+    # The tracer swaps these names in despeckle.cli after import; a run
+    # that called a function object stored earlier would bypass it.
+    calls = []
+    for name in CALLED_BY.values():
+        def record(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, record)
+    src = tmp_path / "in.pgm"
+    save_pgm(GrayImage(np.linspace(1.0, 200.0, 144).reshape(12, 12)), src)
+    argv = ["denoise", str(src), str(tmp_path / "out.pgm"), "--filter", filter, "--threads", "1",
+            "--search-radius", "2", "--patch-radius", "1", "--iterations", "2"]
+    assert cli.main(argv) == 0
+    assert calls == [CALLED_BY[filter]]

@@ -157,6 +157,19 @@ class TestDenoise:
         # the h floor keeps the decay usable when the estimate is zero
         assert float(echo["h"]) == pytest.approx(1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_srad_at_an_overflowing_q0_exits_0(self, tmp_path, capsys):
+        # q0(t)^2 overflows: c takes its limit 1, as it does at q0 = 1e100
+        src = tmp_path / "in.pgm"
+        write_pgm(src, rand_image(89, 16, 16, lo=60, hi=200))
+        outputs = []
+        for q0 in ("1e200", "1e100"):
+            dst = tmp_path / f"out{q0}.pgm"
+            assert main(["denoise", str(src), str(dst), "--filter", "srad", "--q0", q0]) == 0
+            assert float(parse_echo(capsys.readouterr().err)["q0"]) == float(q0)
+            outputs.append(dst.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_srad_zero_iterations_is_identity(self, tmp_path):
         src = tmp_path / "in.pgm"
         dst = tmp_path / "out.pgm"
@@ -360,7 +373,7 @@ class TestDenoise:
         # the work floor keeps a 64x64 input on one worker; without it, it splits
         for floor, want in ((workers._MIN_PASSES, 1), (1, min(2, side))):
             monkeypatch.setattr(workers, "_MIN_PASSES", floor)
-            count = engine_plan(threads, side, side, base, False)[1]
+            count = engine_plan(threads, side, side, base)[1]
             assert count == want
             assert main(["denoise", str(src), str(tmp_path / "out.pgm"), *flags]) == 0
             assert parse_echo(capsys.readouterr().err)["threads"] == str(count)
@@ -571,6 +584,19 @@ def test_bad_epsilon_exits_2(tmp_path, capsys, command, epsilon):
     assert "error: epsilon must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["denoise", "bench"])
+@pytest.mark.parametrize("name", list(FILTERS))
+@pytest.mark.parametrize("sigma_n", ["-1", "nan", "inf"])
+def test_bad_sigma_n_exits_2(tmp_path, capsys, command, name, sigma_n):
+    # a given noise level is checked for every filter, also one that has no use for it
+    src = tmp_path / "in.pgm"
+    write_pgm(src, rand_image(85, 8, 8))
+    outputs = [str(tmp_path / "out.pgm")] if command == "denoise" else []
+    rc = main([command, str(src), *outputs, "--filter", name, "--sigma-n", sigma_n])
+    assert rc == 2
+    assert "error: sigma_n must be a non-negative finite real" in capsys.readouterr().err
+
+
 class TestParsing:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["warp"]) == 2
@@ -606,11 +632,10 @@ class TestParsing:
         helps = {action.dest: action.help
                  for action in parser._subparsers._group_actions[0].choices["denoise"]._actions}
         kinds, takers = {}, {}
-        for filter, classes in FILTERS.items():
-            for cls in classes:
-                for name, hint in typing.get_type_hints(cls).items():
-                    kinds[name] = (typing.get_args(hint) or (hint,))[0]  # float | None: float
-                    takers.setdefault(name, []).append(filter)
+        for filter, (cls, *_) in FILTERS.items():
+            for name, hint in typing.get_type_hints(cls).items():
+                kinds[name] = (typing.get_args(hint) or (hint,))[0]  # float | None: float
+                takers.setdefault(name, []).append(filter)
         given = {int: "3", float: "0.5", str: "max-neighbor"}
         for name in PARAM_NAMES:
             flag = "--" + name.replace("_", "-")

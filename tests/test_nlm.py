@@ -7,6 +7,7 @@ import textwrap
 import threading
 import time
 import tracemalloc
+from dataclasses import asdict, fields
 from unittest import mock
 
 import numpy as np
@@ -46,11 +47,11 @@ from despeckle import (
     robust_nlm_denoise,
     save_pgm,
 )
-from despeckle.cli import main as cli_main
+from despeckle.cli import denoise, main as cli_main
 from reference import naive_kernel, naive_nlm, naive_patch_distance, naive_robust_nlm
 
 SMALL = NlmParams(h=40.0, search_radius=3, patch_radius=1)
-SMALL_ROBUST = RobustNlmParams(base=SMALL, h2=25.0)
+SMALL_ROBUST = RobustNlmParams(**asdict(SMALL), h2=25.0)
 
 
 def with_impulses(arr, seed, rate):
@@ -183,7 +184,7 @@ class TestRobustAgainstOracle:
     def test_matches_naive_max_neighbor(self):
         arr = textured_image(11, 13, 16)
         base = NlmParams(h=40.0, search_radius=3, patch_radius=1, self_weight="max_neighbor")
-        got = robust_nlm_denoise(as_img(arr), RobustNlmParams(base=base, h2=25.0)).pixels
+        got = robust_nlm_denoise(as_img(arr), RobustNlmParams(**asdict(base), h2=25.0)).pixels
         want = naive_robust_nlm(arr, 40.0, 25.0, 1.5, 3, 1, base.sigma_s, "max_neighbor")
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -193,7 +194,7 @@ class TestRobustAgainstOracle:
         # corruption factor is below 1 there and the oracle checks its value
         arr = with_impulses(textured_image(12, 16, 16), seed=12, rate=0.1)
         base = NlmParams(h=40.0, search_radius=3, patch_radius=1, self_weight=self_weight)
-        got = robust_nlm_denoise(as_img(arr), RobustNlmParams(base=base, h2=25.0)).pixels
+        got = robust_nlm_denoise(as_img(arr), RobustNlmParams(**asdict(base), h2=25.0)).pixels
         want = naive_robust_nlm(arr, 40.0, 25.0, 1.5, 3, 1, base.sigma_s, self_weight)
         assert np.max(np.abs(got - want)) < 1e-6
         assert np.max(np.abs(got - nlm_denoise(as_img(arr), base).pixels)) > 1.0
@@ -210,7 +211,7 @@ class TestRobustOnImpulses:
         sigma_n = estimate_noise_sigma(img).sigma_n
         base = NlmParams(h=9.0 * sigma_n)
         classic = nlm_denoise(img, base)
-        robust = robust_nlm_denoise(img, RobustNlmParams(base=base, h2=148.0 / sigma_n))
+        robust = robust_nlm_denoise(img, RobustNlmParams(**asdict(base), h2=148.0 / sigma_n))
         assert psnr(clean, robust) > psnr(clean, classic)
         assert epi(clean, robust) >= epi(clean, classic)
 
@@ -264,7 +265,7 @@ class TestFilterInvariants:
         # |v - vhat| / inf == 0 and exp(0) == 1, so the corruption factor
         # multiplies nothing and the arithmetic is literally the same
         arr = textured_image(15, 16, 16)
-        robust = robust_nlm_denoise(as_img(arr), RobustNlmParams(base=SMALL, h2=math.inf))
+        robust = robust_nlm_denoise(as_img(arr), RobustNlmParams(**asdict(SMALL), h2=math.inf))
         classic = nlm_denoise(as_img(arr), SMALL)
         assert robust.pixels.tobytes() == classic.pixels.tobytes()
 
@@ -280,14 +281,14 @@ class TestFilterInvariants:
         # weighs the candidate 0; the engine must not make NaN of them.
         arr = textured_image(44, 14, 13)
         arr[2, 3], arr[7, 9], arr[11, 1] = 1e200, -1e200, 1e180
-        robust = RobustNlmParams(base=SMALL, h2=25.0)
+        robust = RobustNlmParams(**asdict(SMALL), h2=25.0)
         runs = ((lambda threads: nlm_denoise(as_img(arr), SMALL, threads=threads),
                  naive_nlm(arr, 40.0, 3, 1, SMALL.sigma_s)),
                 (lambda threads: robust_nlm_denoise(as_img(arr), robust, threads=threads),
                  naive_robust_nlm(arr, 40.0, 25.0, 1.5, 3, 1, SMALL.sigma_s, "natural")))
         with mock.patch.object(os, "cpu_count", return_value=2), \
                 mock.patch.object(workers, "_MIN_PASSES", 1):
-            assert engine.engine_plan(2, 14, 13, SMALL, False)[1] == 2
+            assert engine.engine_plan(2, 14, 13, SMALL)[1] == 2
             for run, want in runs:
                 got = run(1).pixels
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
@@ -307,7 +308,7 @@ class TestFilterInvariants:
                 mock.patch.object(engine, "_TILE_PIXELS", 19), \
                 mock.patch.object(os, "fork", side_effect=os.fork) as fork:
             for threads in (3, 4):
-                assert engine.engine_plan(threads, 23, 19, SMALL, False) == (1, threads)
+                assert engine.engine_plan(threads, 23, 19, SMALL) == (1, threads)
                 assert nlm_denoise(as_img(arr), SMALL, threads=threads).pixels.tobytes() == one
                 robust = robust_nlm_denoise(as_img(arr), SMALL_ROBUST, threads=threads)
                 assert robust.pixels.tobytes() == r1
@@ -361,7 +362,7 @@ class TestEngine:
                          self_weight=self_weight)
         if robust:
             def run(threads):
-                return robust_nlm_denoise(as_img(arr), RobustNlmParams(base=base, h2=25.0),
+                return robust_nlm_denoise(as_img(arr), RobustNlmParams(**asdict(base), h2=25.0),
                                           threads=threads).pixels
             want = naive_robust_nlm(arr, 40.0, 25.0, 1.5, search_radius, patch_radius,
                                     base.sigma_s, self_weight)
@@ -393,7 +394,7 @@ class TestEngine:
                          self_weight=self_weight)
         if robust:
             def run(threads):
-                return robust_nlm_denoise(as_img(arr), RobustNlmParams(base=base, h2=25.0),
+                return robust_nlm_denoise(as_img(arr), RobustNlmParams(**asdict(base), h2=25.0),
                                           threads=threads).pixels
             want = naive_robust_nlm(arr, h, 25.0, 1.5, 3, 2, sigma_s, self_weight)
         else:
@@ -411,13 +412,13 @@ class TestEngine:
     def test_worker_count_is_capped_by_cpus_and_tiles(self):
         before = threading.active_count()
         cpus = os.cpu_count() or 1
-        big = NlmParams(h=40.0, search_radius=10**3)  # work far past any floor
-        rows, count = engine.engine_plan(10**6, 10**6, 1, big, True)
+        big = RobustNlmParams(h=40.0, search_radius=10**3, h2=25.0)  # work far past any floor
+        rows, count = engine.engine_plan(10**6, 10**6, 1, big)
         assert 1 <= count <= cpus
         assert rows <= engine._TILE_PIXELS
-        assert engine.engine_plan(10**6, 1, 512, big, True) == (1, 1)  # one tile, one worker
+        assert engine.engine_plan(10**6, 1, 512, big) == (1, 1)  # one tile, one worker
         # a row wider than a tile still gets a one-row tile
-        assert engine.engine_plan(1, 4, 10 * engine._TILE_PIXELS, big, True) == (1, 1)
+        assert engine.engine_plan(1, 4, 10 * engine._TILE_PIXELS, big) == (1, 1)
         assert threading.active_count() == before
 
     def test_blas_threads_do_not_change_bits(self):
@@ -432,10 +433,11 @@ class TestEngine:
             os.cpu_count = lambda: 2
             workers._MIN_PASSES = 1  # this image is below the floor of a second worker
             arr = np.random.Generator(np.random.Philox(45)).uniform(0, 255, ({height}, {width}))
-            base = NlmParams(h=40.0, search_radius={search_radius}, patch_radius={patch_radius})
+            radii = dict(search_radius={search_radius}, patch_radius={patch_radius})
             for threads in (1, 2):
-                for out in (nlm_denoise(GrayImage(arr), base, threads=threads),
-                            robust_nlm_denoise(GrayImage(arr), RobustNlmParams(base=base, h2=25.0),
+                for out in (nlm_denoise(GrayImage(arr), NlmParams(h=40.0, **radii), threads=threads),
+                            robust_nlm_denoise(GrayImage(arr),
+                                               RobustNlmParams(h=40.0, **radii, h2=25.0),
                                                threads=threads)):
                     print(hashlib.sha256(out.pixels.tobytes()).hexdigest())
         """)
@@ -546,7 +548,7 @@ class TestForkedWorkers:
         arr = rand_image(41, 24, 16)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(workers, "_MIN_PASSES", 1)
-        assert engine.engine_plan(2, 24, 16, SMALL, False)[1] == 2
+        assert engine.engine_plan(2, 24, 16, SMALL)[1] == 2
         self._patch_kernel(monkeypatch, lambda: None, fail)
         fds = open_fds()
         with pytest.raises(NumericError, match="worker process failed: RuntimeError: injected"):
@@ -611,7 +613,7 @@ class TestForkedWorkers:
             from despeckle import nlm
             nlm._TILE_PIXELS = 8 * 256  # tiles of about 0.1 s, some 5 s for the child
             arr = np.random.Generator(np.random.Philox(46)).uniform(0, 255, (1024, 256))
-            params = RobustNlmParams(base=NlmParams(h=40.0, search_radius=40), h2=25.0)
+            params = RobustNlmParams(h=40.0, search_radius=40, h2=25.0)
             robust_nlm_denoise(GrayImage(arr), params, threads=2)
         """)
 
@@ -619,7 +621,7 @@ class TestForkedWorkers:
 class TestWeightField:
     def _field(self, arr, center, h1=50.0, h2=20.0):
         base = NlmParams(h=h1, search_radius=3, patch_radius=1)
-        params = RobustNlmParams(base=base, h2=h2)
+        params = RobustNlmParams(**asdict(base), h2=h2)
         return compute_weight_field(as_img(arr), center, params), params
 
     def test_entry_count_and_sum(self):
@@ -636,7 +638,7 @@ class TestWeightField:
         # both self-weight rules, the corner centres among the inputs
         for self_weight in ("natural", "max_neighbor"):
             base = NlmParams(h=50.0, search_radius=3, patch_radius=1, self_weight=self_weight)
-            params = RobustNlmParams(base=base, h2=20.0)
+            params = RobustNlmParams(**asdict(base), h2=20.0)
             filtered = robust_nlm_denoise(as_img(arr), params).pixels
             for center in ((8, 8), (0, 0), (15, 3), (2, 15)):
                 field = compute_weight_field(as_img(arr), center, params)
@@ -663,7 +665,7 @@ class TestWeightField:
     def test_max_neighbor_self_weight(self):
         arr = textured_image(23, 16, 16)
         base = NlmParams(h=50.0, search_radius=3, patch_radius=1, self_weight="max_neighbor")
-        field = compute_weight_field(as_img(arr), (8, 8), RobustNlmParams(base=base, h2=20.0))
+        field = compute_weight_field(as_img(arr), (8, 8), RobustNlmParams(**asdict(base), h2=20.0))
         weights = dict(field.entries)
         self_w = weights.pop((0, 0))
         assert math.isclose(self_w, max(weights.values()), rel_tol=1e-12)
@@ -685,7 +687,7 @@ class TestParams:
         assert params.search_radius == 10
         assert params.patch_radius == 3
         assert params.self_weight == "natural"
-        robust = RobustNlmParams(base=params, h2=5.0)
+        robust = RobustNlmParams(**asdict(params), h2=5.0)
         assert robust.prefilter_sigma == 1.5
 
     def test_h_validation(self):
@@ -715,7 +717,7 @@ class TestParams:
     def test_oversized_radius_fails_fast_in_bounded_memory(self, search_radius, patch_radius):
         img = as_img(rand_image(25, 8, 8))
         base = NlmParams(h=40.0, search_radius=search_radius, patch_radius=patch_radius)
-        robust = RobustNlmParams(base=base, h2=25.0)
+        robust = RobustNlmParams(**asdict(base), h2=25.0)
         name = "search_radius" if search_radius > 1 else "patch_radius"
         for call in (lambda: nlm_denoise(img, base), lambda: robust_nlm_denoise(img, robust),
                      lambda: compute_weight_field(img, (3, 3), robust)):
@@ -737,7 +739,7 @@ class TestParams:
         tall = as_img(textured_image(26, 3, 12))
         for search_radius, patch_radius in ((24, 1), (1, 24)):
             base = NlmParams(h=40.0, search_radius=search_radius, patch_radius=patch_radius)
-            compute_weight_field(tall, (1, 5), RobustNlmParams(base=base, h2=25.0))
+            compute_weight_field(tall, (1, 5), RobustNlmParams(**asdict(base), h2=25.0))
         for search_radius, patch_radius in ((25, 1), (1, 25)):
             with pytest.raises(ParameterError):
                 nlm_denoise(tall, NlmParams(h=40.0, search_radius=search_radius,
@@ -752,17 +754,18 @@ class TestParams:
         # radius ceil(3 prefilter_sigma)
         tall = as_img(textured_image(26, 3, 12))
         base = NlmParams(h=40.0, search_radius=2, patch_radius=1, sigma_s=24.0)
-        at_bound = RobustNlmParams(base=base, h2=25.0, prefilter_sigma=8.0)
+        at_bound = RobustNlmParams(**asdict(base), h2=25.0, prefilter_sigma=8.0)
         nlm_denoise(tall, base)
         robust_nlm_denoise(tall, at_bound)
         compute_weight_field(tall, (1, 5), at_bound)
         wide = NlmParams(h=40.0, search_radius=2, patch_radius=1, sigma_s=1e200)
+        wide_robust = RobustNlmParams(**asdict(wide), h2=25.0)
         for run in (lambda: nlm_denoise(tall, wide),
-                    lambda: robust_nlm_denoise(tall, RobustNlmParams(base=wide, h2=25.0)),
-                    lambda: compute_weight_field(tall, (1, 5), RobustNlmParams(base=wide, h2=25.0))):
+                    lambda: robust_nlm_denoise(tall, wide_robust),
+                    lambda: compute_weight_field(tall, (1, 5), wide_robust)):
             with pytest.raises(ParameterError, match="^sigma_s for a 3x12 image must be a positive finite real <= 24,"):
                 run()
-        past = RobustNlmParams(base=base, h2=25.0, prefilter_sigma=8.01)
+        past = RobustNlmParams(**asdict(base), h2=25.0, prefilter_sigma=8.01)
         for run in (lambda: robust_nlm_denoise(tall, past),
                     lambda: compute_weight_field(tall, (1, 5), past)):
             with pytest.raises(ParameterError,
@@ -771,8 +774,36 @@ class TestParams:
 
     def test_h2_validation(self):
         with pytest.raises(ParameterError):
-            RobustNlmParams(base=NlmParams(h=10.0), h2=0.0)
+            RobustNlmParams(h=10.0, h2=0.0)
         with pytest.raises(ParameterError):
-            RobustNlmParams(base=NlmParams(h=10.0), h2=math.nan)
+            RobustNlmParams(h=10.0, h2=math.nan)
         with pytest.raises(ParameterError):
-            RobustNlmParams(base=NlmParams(h=10.0), h2=5.0, prefilter_sigma=0.0)
+            RobustNlmParams(h=10.0, h2=5.0, prefilter_sigma=0.0)
+
+    def test_robust_fields_are_the_classic_fields_then_two(self):
+        names = [field.name for field in fields(RobustNlmParams)]
+        assert names == [field.name for field in fields(NlmParams)] + ["h2", "prefilter_sigma"]
+        # the classic checks run too
+        with pytest.raises(ParameterError, match="^h must be"):
+            RobustNlmParams(h=0.0, h2=5.0)
+        with pytest.raises(ParameterError, match="^search_radius must be"):
+            RobustNlmParams(h=10.0, search_radius=0, h2=5.0)
+
+    def test_the_config_rebuilds_the_params_that_ran(self):
+        img = as_img(textured_image(48, 16, 16))
+        out, config = denoise(img, "robust-nlm", domain="linear", threads=1, search_radius=3,
+                              patch_radius=1, self_weight="max_neighbor")
+        params = RobustNlmParams(**{field.name: config[field.name]
+                                    for field in fields(RobustNlmParams)})
+        assert asdict(params) == {key: config[key] for key in asdict(params)}
+        assert np.array_equal(robust_nlm_denoise(img, params, threads=1).pixels, out.pixels)
+
+    def test_each_filter_refuses_the_others_params(self):
+        img = as_img(rand_image(49, 12, 12))
+        with pytest.raises(ParameterError, match="^params must be NlmParams, got RobustNlmParams$"):
+            nlm_denoise(img, SMALL_ROBUST)
+        for run in (lambda: robust_nlm_denoise(img, SMALL),
+                    lambda: compute_weight_field(img, (5, 5), SMALL)):
+            with pytest.raises(ParameterError,
+                               match="^params must be RobustNlmParams, got NlmParams$"):
+                run()

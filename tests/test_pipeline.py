@@ -2,6 +2,7 @@
 callers and the CLI's `denoise` and `bench` commands."""
 
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -24,6 +25,7 @@ FILTERS = {
     "srad": ({"iterations": 5}, ["--iterations", "5"]),
 }
 COMMAND_FIELDS = ("command", "input", "output", "maxval", "repeats")
+NOT_SIGMA_N = "sigma_n must be a non-negative finite real, got "
 
 
 def speckled(side=24, seed=7):
@@ -105,6 +107,12 @@ def test_defaults_come_from_the_parameter_classes_and_the_noise_level():
     (lambda img: denoise(img, "lee", domain="sqrt"), "domain must be one of"),
     (lambda img: denoise(img, "lee", epsilon=0.0), "epsilon must be"),
     (lambda img: denoise(img, "nlm", sigma_n=-1.0), "sigma_n must be"),
+    # a given sigma_n is checked for every filter, also where nothing reads it
+    (lambda img: denoise(img, "robust-nlm", sigma_n=math.nan), f"{NOT_SIGMA_N}nan"),
+    (lambda img: denoise(img, "lee", sigma_n=math.inf), f"{NOT_SIGMA_N}inf"),
+    (lambda img: denoise(img, "frost", sigma_n=-1.0), f"{NOT_SIGMA_N}-1.0"),
+    (lambda img: denoise(img, "srad", sigma_n=-2.0), f"{NOT_SIGMA_N}-2.0"),
+    (lambda img: denoise(img, "nlm", h=10.0, sigma_n=-3.0), f"{NOT_SIGMA_N}-3.0"),
     (lambda img: denoise(img, "frost", window_radius=0), "window_radius must be"),
     (lambda img: denoise(img, "lee", threads=-1), "threads (0 = auto) must be an integer >= 0"),
     (lambda img: denoise(img, "frost", threads="x"), "threads (0 = auto) must be an integer >= 0"),

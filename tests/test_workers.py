@@ -21,19 +21,20 @@ from despeckle.nlm import engine_plan
 from despeckle.workers import run_workers, worker_array
 
 SHIPPED = NlmParams(h=20.0)  # the default 21x21 search window and 7x7 patches
+SHIPPED_ROBUST = RobustNlmParams(h=20.0, h2=25.0)
 
 
 def test_plans_on_two_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     # batch-nlm-256, cli-denoise-512 (robust, one thread) and speckle-lab-256
-    assert engine_plan(0, 256, 256, SHIPPED, False) == (128, 2)
-    assert engine_plan(1, 512, 512, SHIPPED, True) == (64, 1)
+    assert engine_plan(0, 256, 256, SHIPPED) == (128, 2)
+    assert engine_plan(1, 512, 512, SHIPPED_ROBUST) == (64, 1)
     assert srad_plan(0, 256, 256, SradParams()) == (43, 2)
     # each side of the work floor
     for side in (16, 64):
-        assert engine_plan(0, side, side, SHIPPED, False)[1] == 1
-        assert engine_plan(0, side, side, SHIPPED, True)[1] == 1
-    assert engine_plan(0, 128, 128, SHIPPED, False)[1] == 2
+        assert engine_plan(0, side, side, SHIPPED)[1] == 1
+        assert engine_plan(0, side, side, SHIPPED_ROBUST)[1] == 1
+    assert engine_plan(0, 128, 128, SHIPPED)[1] == 2
     assert srad_plan(0, 128, 128, SradParams(iterations=100))[1] == 2
     assert srad_plan(0, 256, 256, SradParams(iterations=20))[1] == 2
 
@@ -42,7 +43,7 @@ def test_shares_are_cut_into_equal_chunks(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     # 150 rows per worker in two 75-row tiles, not 109 and 191 rows in
     # 109-row tiles; 128 rows in two 64-row strips, not 126 and 2
-    assert engine_plan(0, 300, 300, SHIPPED, False) == (75, 2)
+    assert engine_plan(0, 300, 300, SHIPPED) == (75, 2)
     assert srad_plan(1, 128, 128, SradParams()) == (64, 1)
 
 
@@ -76,7 +77,7 @@ def test_short_srad_runs_fork_nothing(monkeypatch, iterations):
 FILTERS = {
     "nlm": lambda img, threads: nlm_denoise(img, NlmParams(h=20.0, search_radius=3), threads),
     "robust": lambda img, threads: robust_nlm_denoise(
-        img, RobustNlmParams(NlmParams(h=20.0, search_radius=3), h2=10.0), threads),
+        img, RobustNlmParams(h=20.0, search_radius=3, h2=10.0), threads),
     "srad": lambda img, threads: srad(img, SradParams(iterations=3), threads),
 }
 
