@@ -39,15 +39,16 @@ _SRAD_PASSES = 35
 @dataclass(frozen=True)
 class LeeParams:
     """Lee filter configuration: window radius and noise coefficient of
-    variation (sigma expressed relative to the local mean)."""
+    variation (sigma expressed relative to the local mean); an infinite
+    noise_sigma gives the filter's limit, the window mean."""
 
     window_radius: int = 2
     noise_sigma: float = 0.2
 
     def __post_init__(self):
         object.__setattr__(self, "window_radius", check_int(self.window_radius, "window_radius", 1))
-        object.__setattr__(self, "noise_sigma",
-                           check_real(self.noise_sigma, "noise_sigma", nonnegative=True))
+        object.__setattr__(self, "noise_sigma", check_real(self.noise_sigma, "noise_sigma",
+                                                           nonnegative=True, allow_inf=True))
 
 
 @dataclass(frozen=True)

@@ -85,16 +85,13 @@ _NOISE_LED = {
 
 def _flag(name: str) -> dict:
     """The argparse keywords of parameter ``name``'s flag: its field's type
-    (`SELF_WEIGHT_MODES` spelled with "-" for ``self_weight``), and help
-    naming the filters that take it."""
+    (`SELF_WEIGHT_MODES` for ``self_weight``, which may also be spelled
+    with "-"), and help naming the filters that take it."""
     takers = [filter for filter, group in _FIELDS.items() if name in group]
     field = _FIELDS[takers[0]][name]
-    kind = ({"choices": tuple(mode.replace("_", "-") for mode in SELF_WEIGHT_MODES)}
+    kind = ({"choices": SELF_WEIGHT_MODES, "type": lambda mode: mode.replace("-", "_")}
             if name == "self_weight" else {"type": int if field.type == "int" else float})
     return {**kind, "help": "for " + ", ".join(takers)}
-
-
-_FLAGS = {name: _flag(name) for name in PARAM_NAMES}
 
 
 def _echo(pairs: dict) -> None:
@@ -142,7 +139,7 @@ def _prepare(img: GrayImage, filter: str = "robust-nlm", *, domain: str | None =
     params.update({name: _NOISE_LED[name](sigma_n, work.pixels) for name in needs})
     built = cls(**params)
     config: dict = {"domain": domain, "epsilon": epsilon, "filter": filter}
-    if "h" in _FIELDS[filter]:  # the non-local filters echo their decays' noise level
+    if _NOISE_LED.keys() & _FIELDS[filter]:  # the noise level behind the defaults
         config["sigma_n"] = sigma_n
     filtered = lambda: call(work, built, threads)
     if filter == "srad":
@@ -188,8 +185,6 @@ def _options(args: argparse.Namespace) -> dict:
     read no thread setting."""
     options = {name: value for name in ("filter", "domain", "epsilon", "sigma_n", *PARAM_NAMES)
                if (value := getattr(args, name)) is not None}
-    if args.self_weight is not None:
-        options["self_weight"] = args.self_weight.replace("-", "_")
     if args.filter not in ("lee", "frost"):
         options["threads"] = _resolve_threads(args.threads)
     return options
@@ -275,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     filter_args.add_argument("--epsilon", type=float, help="offset used by the log transform")
     filter_args.add_argument("--sigma-n", type=float,
                              help="noise level override; skips blind estimation")
-    for name, flag in _FLAGS.items():
-        filter_args.add_argument("--" + name.replace("_", "-"), **flag)
+    for name in PARAM_NAMES:
+        filter_args.add_argument("--" + name.replace("_", "-"), **_flag(name))
     filter_args.add_argument("--threads", type=int,
                              help=f"worker cap for nlm filters and srad, at most the CPU count; "
                                   f"0 = one per CPU; default from {THREADS_ENV_VAR}")

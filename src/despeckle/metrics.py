@@ -3,7 +3,7 @@
 Provides peak signal-to-noise ratio, the structural similarity index
 over a Gaussian window, and an edge preservation index based on
 correlating high-pass responses. All three take (reference, test) pairs
-of equal size.
+of equal size; an overflow raises `NumericError` instead of a score.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_real
+from .errors import NumericError, ParameterError, check_real
 from .image import GrayImage, blur_array
 
 CSV_HEADER = "image_id,filter_name,psnr_db,ssim,epi"
@@ -31,6 +31,12 @@ def _check_pair(reference: GrayImage, test: GrayImage) -> None:
         )
 
 
+def _finite(value: float, metric: str) -> float:
+    if not math.isfinite(value):
+        raise NumericError(f"{metric}: the images overflow float64 (got {value!r})")
+    return value
+
+
 def psnr(reference: GrayImage, test: GrayImage, peak: float = 255.0) -> float:
     """Peak signal-to-noise ratio in decibels.
 
@@ -38,10 +44,11 @@ def psnr(reference: GrayImage, test: GrayImage, peak: float = 255.0) -> float:
     """
     _check_pair(reference, test)
     peak = check_real(peak, "peak")
-    mse = float(np.mean((reference.pixels - test.pixels) ** 2))
+    with np.errstate(over="ignore"):
+        mse = float(np.mean((reference.pixels - test.pixels) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak ** 2 / mse)
+    return 10.0 * math.log10(peak ** 2 / _finite(mse, "psnr"))
 
 
 def ssim(reference: GrayImage, test: GrayImage, peak: float = 255.0) -> float:
@@ -64,17 +71,17 @@ def ssim(reference: GrayImage, test: GrayImage, peak: float = 255.0) -> float:
         )
     x = reference.pixels
     y = test.pixels
-    mu_x = blur_array(x, _SSIM_SIGMA)
-    mu_y = blur_array(y, _SSIM_SIGMA)
-    var_x = blur_array(x * x, _SSIM_SIGMA) - mu_x * mu_x
-    var_y = blur_array(y * y, _SSIM_SIGMA) - mu_y * mu_y
-    cov = blur_array(x * y, _SSIM_SIGMA) - mu_x * mu_y
     c1 = (_SSIM_K1 * peak) ** 2
     c2 = (_SSIM_K2 * peak) ** 2
-    score_map = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
-        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    )
-    return float(min(1.0, max(-1.0, float(score_map.mean()))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_x = blur_array(x, _SSIM_SIGMA)
+        mu_y = blur_array(y, _SSIM_SIGMA)
+        var_x = blur_array(x * x, _SSIM_SIGMA) - mu_x * mu_x
+        var_y = blur_array(y * y, _SSIM_SIGMA) - mu_y * mu_y
+        cov = blur_array(x * y, _SSIM_SIGMA) - mu_x * mu_y
+        score = float(np.mean(((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2))
+                              / ((mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2))))
+    return min(1.0, max(-1.0, _finite(score, "ssim")))  # the clamp absorbs rounding
 
 
 def _laplacian_interior(arr: np.ndarray) -> np.ndarray:
@@ -96,15 +103,17 @@ def epi(reference: GrayImage, test: GrayImage) -> float:
             f"edge preservation needs at least a 3x3 image, got "
             f"{reference.height}x{reference.width}"
         )
-    a = _laplacian_interior(reference.pixels)
-    b = _laplacian_interior(test.pixels)
-    a = a - a.mean()
-    b = b - b.mean()
-    sa = float(np.sum(a * a))
-    sb = float(np.sum(b * b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _laplacian_interior(reference.pixels)
+        b = _laplacian_interior(test.pixels)
+        a = a - a.mean()
+        b = b - b.mean()
+        sa = float(np.sum(a * a))
+        sb = float(np.sum(b * b))
     if sa == 0.0 or sb == 0.0:
         return 0.0
-    value = float(np.sum(a * b)) / math.sqrt(sa * sb)
+    scale = math.sqrt(_finite(sa * sb, "epi"))  # bounds |sum(a b)| (Cauchy-Schwarz)
+    value = float(np.sum(a * b)) / scale
     return float(min(1.0, max(-1.0, value)))
 
 

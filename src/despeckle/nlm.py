@@ -64,6 +64,14 @@ _TILE_PIXELS = 32768
 _BAND = 8
 # OpenBLAS runs a product of at most this many multiply-adds on one thread.
 _BLAS_SERIAL = 4 * 65536
+# The clamp of squared differences: an inf times a kernel's zero tap is NaN.
+_SQUARE_CLAMP = 1e300
+
+
+def _decay(h: float) -> float:
+    """-1/h^2, the weight exponent's factor of a patch distance. h^2 is
+    floored at the smallest normal float, as 0 * -1/0 would be NaN."""
+    return -1.0 / max(h * h, sys.float_info.min)
 
 
 def make_patch_kernel(radius: int, sigma_s: float) -> np.ndarray:
@@ -140,23 +148,13 @@ class WeightField:
 
     ``entries`` holds one ((dy, dx), weight) pair per search-window
     offset, in row-major offset order; ``normalizer`` is the
-    pre-normalization weight sum C(i).
+    pre-normalization weight sum C(i). It checks nothing: its producer,
+    `compute_weight_field`, guarantees the weights.
     """
 
     center: tuple[int, int]
     entries: tuple[tuple[tuple[int, int], float], ...]
     normalizer: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.normalizer) and self.normalizer > 0):
-            raise ParameterError(f"normalizer must be finite and > 0, got {self.normalizer!r}")
-        total = 0.0
-        for _, w in self.entries:
-            if not (-1e-12 <= w <= 1.0 + 1e-9):
-                raise ParameterError(f"normalized weight out of [0, 1]: {w!r}")
-            total += w
-        if abs(total - 1.0) > 1e-9:
-            raise ParameterError(f"normalized weights must sum to 1, got {total!r}")
 
 
 def _check_center(img: GrayImage, center: tuple[int, int], name: str) -> None:
@@ -241,7 +239,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
     from padded row r on: the squared differences of those rows and r
     more on each side (2 passes, into a), the column taps as a
     B x (B + 2r) band times each block of B + 2r rows of them, chunk by
-    chunk (into b), and the row taps, scaled by -1/h^2, as each block of
+    chunk (into b), and the row taps, scaled by `_decay`, as each block of
     B columns of that, r more on each side, times a (B + 2r) x B band
     (back into a). Then exp (1 pass), the +o candidate through b and the
     -o candidate, the last reader of E, in place in a (4 passes each:
@@ -275,14 +273,9 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
             (pad, stride - width - pad))
     padded = mirror_pad(v, spec).ravel()
     corr_padded = mirror_pad(corr, spec).ravel() if corr is not None else None
-    # Guard h*h against underflow to 0: -1/0 would be -inf and an
-    # exact-zero distance (identical patches) would produce 0 * -inf = NaN.
-    inv_h = -1.0 / max(params.h * params.h, sys.float_info.min)
     col_band = sum(t * np.eye(_BAND, inner, j) for j, t in enumerate(taps))
-    row_band = np.ascontiguousarray(col_band.T * inv_h)  # the decay rides on the row taps
-    # Squared differences are clamped at 1e300 (only reached where |v|
-    # exceeds 5e149): an inf times a band's zero would be NaN.
-    clamp = max(v.max(), -v.min()) > 5e149
+    row_band = np.ascontiguousarray(col_band.T * _decay(params.h))  # the decay rides the row taps
+    clamp = max(v.max(), -v.min()) > 5e149  # else no square reaches `_SQUARE_CLAMP`
     skip_self = params.self_weight == "max_neighbor"
     tile_rows, workers = engine_plan(threads, height, width, params)
     tile_blocks = (tile_rows + big_r + _BAND - 2) // _BAND + 1
@@ -331,7 +324,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
                                    out=a[:span])
                 np.multiply(diff, diff, out=diff)
                 if clamp:
-                    np.minimum(diff, 1e300, out=diff)
+                    np.minimum(diff, _SQUARE_CLAMP, out=diff)
                 np.matmul(col_band, d_blocks[:nblk], out=c_blocks[:nblk])
                 c, e = c_rows[:, : nblk * _BAND], e_rows[:, : nblk * _BAND]
                 for y in range(0, nblk * _BAND, most):
@@ -441,6 +434,9 @@ def compute_weight_field(img: GrayImage, center: tuple[int, int],
     offset in row-major offset order. They agree with the filter's to
     rounding, not bit for bit: the filter sums the same terms in a
     different order.
+    It shares the filter's guards, `_decay` and `_SQUARE_CLAMP`, and its
+    identity where C(i) = 0: weight 1 at (0, 0), ``normalizer`` 0.0. So
+    on every input the filter takes, the weights lie in [0, 1], sum 1.
     """
     _check_center(img, center, "center")
     _check_extent(img, params, RobustNlmParams)
@@ -448,19 +444,17 @@ def compute_weight_field(img: GrayImage, center: tuple[int, int],
     kernel = make_patch_kernel(r, params.sigma_s)
     v = img.pixels
     patches = sliding_window_view(_mirrored_blocks(v, big_r + r, center)[0], kernel.shape)
-    dist = np.sum(kernel * (patches - patches[big_r, big_r]) ** 2, axis=(-2, -1))
     corr = _corruption_factor(v, params.h2, params.prefilter_sigma)
-    hh1 = max(params.h * params.h, sys.float_info.min)  # mirror the engine's underflow guard
-    with np.errstate(under="ignore"):
-        raw = np.exp(-dist / hh1) * _mirrored_blocks(corr, big_r, center)[0]
+    with np.errstate(over="ignore", under="ignore"):
+        squares = np.minimum((patches - patches[big_r, big_r]) ** 2, _SQUARE_CLAMP)
+        dist = np.sum(kernel * squares, axis=(-2, -1))
+        raw = np.exp(dist * _decay(params.h)) * _mirrored_blocks(corr, big_r, center)[0]
     if params.self_weight == "max_neighbor":
         raw[big_r, big_r] = 0.0
         raw[big_r, big_r] = raw.max()
     normalizer = math.fsum(raw.ravel().tolist())
-    if normalizer <= 0.0:
-        raise ParameterError(
-            f"all weights underflowed to zero at pixel {center}; decay scales are too small"
-        )
+    if normalizer == 0.0:
+        raw[big_r, big_r] = 1.0
     offsets = itertools.product(range(-big_r, big_r + 1), repeat=2)
-    entries = tuple(zip(offsets, (raw / normalizer).ravel().tolist()))
+    entries = tuple(zip(offsets, (raw / (normalizer or 1.0)).ravel().tolist()))
     return WeightField(center=tuple(center), entries=entries, normalizer=normalizer)

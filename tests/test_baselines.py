@@ -72,7 +72,7 @@ class TestLee:
         assert out.std() < arr.std()
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("noise_sigma", [1e154, 1e200, 1e308])
+    @pytest.mark.parametrize("noise_sigma", [1e154, 1e200, 1e308, float("inf")])
     def test_huge_noise_sigma_gives_the_window_mean(self, noise_sigma):
         # the gain's limit is 0, although sigma^2 and m^2 sigma^2 overflow
         arr = textured_image(39, 12, 12)

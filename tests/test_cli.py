@@ -207,13 +207,13 @@ class TestDenoise:
         src = tmp_path / "in.pgm"
         write_pgm(src, rand_image(88, 16, 16, lo=50, hi=220))
         outputs = []
-        for value in ("1e150", "1e154", "1e200", "1e308"):
+        for value in ("1e150", "1e154", "1e200", "1e308", "inf"):
             dst = tmp_path / f"{value}.pgm"
             assert main(["denoise", str(src), str(dst), "--filter", "lee",
                          "--noise-sigma", value]) == 0
             assert "error" not in capsys.readouterr().err
             outputs.append(dst.read_bytes())
-        assert outputs[1:] == outputs[:1] * 3
+        assert outputs[1:] == outputs[:1] * 4
 
     def test_16bit_output(self, tmp_path):
         src = tmp_path / "in.pgm"

@@ -6,6 +6,7 @@ import pytest
 from conftest import as_img, make_phantom, make_step, rand_image
 from despeckle import (
     MetricReport,
+    NumericError,
     ParameterError,
     add_gaussian_noise,
     epi,
@@ -152,6 +153,26 @@ class TestEpi:
     def test_needs_interior(self):
         with pytest.raises(ParameterError):
             epi(as_img(np.zeros((2, 5))), as_img(np.zeros((2, 5))))
+
+
+class TestOverflow:
+    # Samples this large overflow the squares inside every metric; the
+    # suite turns warnings into errors, so the overflow must stay silent
+    # and end in a NumericError, never in a score such as a NaN clamped to -1.
+    HUGE = as_img(rand_image(51, 16, 16, 1e199, 1e200))
+
+    @pytest.mark.parametrize("metric", [ssim, epi])
+    def test_identical_huge_images_raise_not_score(self, metric):
+        with pytest.raises(NumericError, match=f"^{metric.__name__}: "):
+            metric(self.HUGE, self.HUGE)
+
+    def test_overflowing_mse_raises(self):
+        with pytest.raises(NumericError, match="^psnr: "):
+            psnr(as_img(np.array([[1e200]])), as_img(np.array([[-1e200]])))
+
+    def test_evaluate_raises(self):
+        with pytest.raises(NumericError):
+            evaluate(self.HUGE, self.HUGE)
 
 
 class TestReportAndEvaluate:

@@ -675,6 +675,34 @@ class TestWeightField:
         with pytest.raises(ParameterError):
             self._field(arr, (8, 0))
 
+    @pytest.mark.parametrize("decay", [dict(h=1e150, sigma_s=0.5), dict(h=1e200),
+                                       dict(h=math.inf), dict(h=1e150, sigma_s=0.01)])
+    def test_shares_the_filters_guards_at_huge_samples(self, decay):
+        # Every squared difference here exceeds 1e300 and meets the clamp;
+        # h = 1e200 and inf floor the decay to -0, and sigma_s = 0.01
+        # gives the kernel zero taps, which must not meet an inf.
+        arr = rand_image(25, 16, 16, 1e199, 1e200)
+        params = RobustNlmParams(search_radius=2, patch_radius=1, h2=1e200, **decay)
+        field = compute_weight_field(as_img(arr), (8, 8), params)
+        assert all(0.0 <= w <= 1.0 for _, w in field.entries)
+        assert abs(math.fsum(w for _, w in field.entries) - 1.0) < 1e-9
+        pad = np.pad(arr, 2, mode="symmetric")
+        acc = math.fsum(w * pad[10 + dy, 10 + dx] for (dy, dx), w in field.entries)
+        want = robust_nlm_denoise(as_img(arr), params).pixels[8, 8]
+        assert abs(acc - want) <= 1e-9 * abs(want)
+
+    def test_total_underflow_keeps_the_pixel_as_the_filter_does(self):
+        # every cross weight underflows and max_neighbor's self weight is
+        # their maximum, 0: C(i) = 0, and the filter returns its input
+        arr = rand_image(26, 16, 16, 50.0, 200.0)
+        params = RobustNlmParams(search_radius=2, patch_radius=1, h=1e-3, h2=1e200,
+                                 self_weight="max_neighbor")
+        assert np.array_equal(robust_nlm_denoise(as_img(arr), params).pixels, arr)
+        field = compute_weight_field(as_img(arr), (8, 8), params)
+        assert field.normalizer == 0.0
+        identity = {offset: float(offset == (0, 0)) for offset, _ in field.entries}
+        assert dict(field.entries) == identity
+
 
 class TestParams:
     def test_sigma_s_defaults_to_half_patch_radius(self):

@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import as_img, child_env, make_phantom
 from despeckle import ParameterError, SpeckleParams, add_multiplicative_speckle, load_pgm, save_pgm
@@ -145,6 +147,56 @@ def test_sigma_n_sets_lees_noise_sigma(tmp_path, capsys, src):
             assert noise_sigma == f"{want:g}"
         outputs.append((noise_sigma, dst.read_bytes()))
     assert outputs[0][0] != outputs[1][0] and outputs[0][1] != outputs[1][1]
+
+
+def test_lee_echoes_the_noise_level_behind_its_noise_sigma(tmp_path, capsys, src):
+    dst = tmp_path / "out.pgm"
+    _, estimated = denoise(load_pgm(src), "lee")
+    for flags, want in (([], f"{estimated['sigma_n']:g}"), (["--sigma-n", "3"], "3"),
+                        (["--noise-sigma", "0.3"], "-")):
+        assert main(["denoise", str(src), str(dst), "--filter", "lee", *flags]) == 0
+        echo = echo_of(capsys.readouterr().err)
+        assert list(echo)[4:9] == ["domain", "epsilon", "filter", "sigma_n", "window_radius"]
+        assert echo["sigma_n"] == want
+
+
+def test_an_overflowing_lee_noise_sigma_gives_the_window_mean():
+    # sigma_n / mean is inf here, the limit that LeeParams accepts
+    out, config = denoise(as_img(np.full((8, 8), 0.5)), "lee", sigma_n=1e308)
+    assert config["noise_sigma"] == math.inf
+    assert np.array_equal(out.pixels, np.full((8, 8), 0.5))
+
+
+def test_self_weight_takes_both_spellings(tmp_path, capsys, src):
+    want = tmp_path / "lib.pgm"
+    save_pgm(denoise(load_pgm(src), "nlm", threads=1, self_weight="max_neighbor", **SMALL)[0], want)
+    for spelling in ("max_neighbor", "max-neighbor"):
+        dst = tmp_path / f"{spelling}.pgm"
+        assert main(["denoise", str(src), str(dst), "--filter", "nlm", "--threads", "1",
+                     "--self-weight", spelling, "--search-radius", "3", "--patch-radius", "1"]) == 0
+        assert echo_of(capsys.readouterr().err)["self_weight"] == "max_neighbor"
+        assert dst.read_bytes() == want.read_bytes()
+    assert main(["denoise", str(src), str(dst), "--filter", "nlm", "--self-weight", "max"]) == 2
+    assert "invalid choice: 'max'" in capsys.readouterr().err
+
+
+# robust-nlm is left out: its h2 = 148 / sigma_n does not scale with the
+# image, so its outputs are not equivariant. ROADMAP item 1C, which gives
+# the decays their noise-level formulas, must extend the property to it.
+@pytest.mark.parametrize("name", ["nlm", "lee", "frost", "srad"])
+@settings(max_examples=5, deadline=None)
+@given(k=st.integers(-2, 2), seed=st.integers(0, 2**32 - 1))
+def test_power_of_two_scaling_commutes_with_the_filters(name, k, seed):
+    # Rayleigh speckle keeps the phantom strictly positive: SRAD's shift
+    # is 0, and sigma_n stays far above H1_FLOOR, so every default scales
+    # exactly with the image.
+    img = add_multiplicative_speckle(as_img(make_phantom(side=48)),
+                                     SpeckleParams("rayleigh", 0.2, seed))
+    options = {"domain": "linear", "threads": 1, "search_radius": 2, "patch_radius": 1,
+               "window_radius": 1, "iterations": 5}
+    out, _ = denoise(img, name, **options)
+    scaled, _ = denoise(as_img(2.0**k * img.pixels), name, **options)
+    assert np.array_equal(scaled.pixels, 2.0**k * out.pixels)
 
 
 STAGES = ("log_compress", "estimate_noise_sigma", "robust_nlm_denoise", "exp_expand")
