@@ -190,15 +190,21 @@ def _options(args: argparse.Namespace) -> dict:
     return options
 
 
+def _maxval(args: argparse.Namespace, img: GrayImage) -> int:
+    """--maxval, else 255 if every sample of the input is at most 255, else 65535."""
+    return args.maxval or (255 if img.pixels.max() <= 255 else 65535)
+
+
 def run_synth(args: argparse.Namespace) -> int:
     img = load_pgm(args.input)
     params = SpeckleParams(model=MODEL_CHOICES[args.model], sigma=args.sigma,
                            seed=args.seed)
+    maxval = _maxval(args, img)
     _echo({"command": "synth", "input": args.input, "output": args.output,
            "model": args.model, "sigma": params.sigma, "seed": params.seed,
-           "maxval": args.maxval})
+           "maxval": maxval})
     noisy = add_multiplicative_speckle(img, params)
-    save_pgm(noisy, args.output, maxval=args.maxval)
+    save_pgm(noisy, args.output, maxval=maxval)
     Path(str(args.output) + ".noise.txt").write_text(
         f"model={args.model}\nsigma={params.sigma:g}\nseed={params.seed}\n", encoding="ascii")
     return 0
@@ -206,8 +212,7 @@ def run_synth(args: argparse.Namespace) -> int:
 
 def run_denoise(args: argparse.Namespace) -> int:
     img = load_pgm(args.input)
-    # every filter keeps its output within the input's range
-    maxval = args.maxval or (255 if img.pixels.max() <= 255 else 65535)
+    maxval = _maxval(args, img)  # every filter keeps its output within the input's range
     run, config = _prepare(img, **_options(args))
     del img  # the input need not outlive the run
     _echo({"command": "denoise", "input": args.input, "output": args.output,
@@ -263,6 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    output_args = argparse.ArgumentParser(add_help=False)
+    output_args.add_argument("--maxval", type=int, choices=(255, 65535),
+                             help="output maxval, above which samples are clipped; default 255 "
+                                  "if every input sample is at most 255, else 65535")
+
     filter_args = argparse.ArgumentParser(add_help=False)
     filter_args.add_argument("--filter", choices=tuple(FILTERS))
     filter_args.add_argument("--domain", choices=DOMAIN_CHOICES,
@@ -276,21 +286,18 @@ def build_parser() -> argparse.ArgumentParser:
                              help=f"worker cap for nlm filters and srad, at most the CPU count; "
                                   f"0 = one per CPU; default from {THREADS_ENV_VAR}")
 
-    synth = sub.add_parser("synth", help="corrupt a clean PGM with synthetic speckle")
+    synth = sub.add_parser("synth", parents=[output_args],
+                           help="corrupt a clean PGM with synthetic speckle")
     synth.add_argument("input")
     synth.add_argument("output")
     synth.add_argument("--model", choices=tuple(MODEL_CHOICES), default="mult-gauss")
     synth.add_argument("--sigma", type=float, default=0.2)
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--maxval", type=int, choices=(255, 65535), default=255,
-                       help="output maxval; noisy samples above it are clipped")
 
-    denoise = sub.add_parser("denoise", parents=[filter_args], help="run one filter over a PGM")
+    denoise = sub.add_parser("denoise", parents=[filter_args, output_args],
+                             help="run one filter over a PGM")
     denoise.add_argument("input")
     denoise.add_argument("output")
-    denoise.add_argument("--maxval", type=int, choices=(255, 65535),
-                         help="output maxval; default 255 if every input sample is at most 255, "
-                              "else 65535")
 
     evaluate_cmd = sub.add_parser("eval", help="score a denoised image against its reference")
     evaluate_cmd.add_argument("reference")

@@ -9,6 +9,7 @@ of equal size; an overflow raises `NumericError` instead of a score.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +38,22 @@ def _finite(value: float, metric: str) -> float:
     return value
 
 
+def _check_peak(peak) -> float:
+    """``peak`` as a float, if peak^2 is a finite normal float (PSNR and SSIM square it)."""
+    peak = check_real(peak, "peak")
+    if not sys.float_info.min <= peak * peak < math.inf:
+        raise ParameterError(f"peak must lie in about [1.49e-154, 1.34e154], got {peak!r}")
+    return peak
+
+
 def psnr(reference: GrayImage, test: GrayImage, peak: float = 255.0) -> float:
     """Peak signal-to-noise ratio in decibels.
 
-    10 * log10(peak^2 / MSE); identical images give +inf.
+    10 * log10(peak^2 / MSE); identical images give +inf. ``peak`` must
+    lie in about [1.49e-154, 1.34e154], where its square is a normal float.
     """
     _check_pair(reference, test)
-    peak = check_real(peak, "peak")
+    peak = _check_peak(peak)
     with np.errstate(over="ignore"):
         mse = float(np.mean((reference.pixels - test.pixels) ** 2))
     if mse == 0.0:
@@ -56,13 +66,13 @@ def ssim(reference: GrayImage, test: GrayImage, peak: float = 255.0) -> float:
 
     The window, 11x11 of sigma 1.5, and the stabilizers
     C1 = (0.01 peak)^2 and C2 = (0.03 peak)^2 are those of Wang, Bovik,
-    Sheikh & Simoncelli (2004); ``peak`` is the dynamic range L. Local
-    means, variances, and covariance use mirror boundary, so the score
-    averages over the full image without border cropping. Identical
-    images score 1; the result lies in [-1, 1].
+    Sheikh & Simoncelli (2004); ``peak``, bounded as for `psnr`, is the
+    dynamic range L. Local means, variances, and covariance use mirror
+    boundary, so the score averages over the full image without border
+    cropping. Identical images score 1; the result lies in [-1, 1].
     """
     _check_pair(reference, test)
-    peak = check_real(peak, "peak")
+    peak = _check_peak(peak)
     side = 2 * math.ceil(3.0 * _SSIM_SIGMA) + 1
     if reference.height < side or reference.width < side:
         raise ParameterError(
@@ -84,10 +94,20 @@ def ssim(reference: GrayImage, test: GrayImage, peak: float = 255.0) -> float:
     return min(1.0, max(-1.0, _finite(score, "ssim")))  # the clamp absorbs rounding
 
 
-def _laplacian_interior(arr: np.ndarray) -> np.ndarray:
-    # 4-neighbor high-pass response over the interior (mask fully inside).
-    return (arr[0:-2, 1:-1] + arr[2:, 1:-1] + arr[1:-1, 0:-2] + arr[1:-1, 2:]
-            - 4.0 * arr[1:-1, 1:-1])
+def _response(img: GrayImage) -> tuple[np.ndarray, float]:
+    """The mean-removed 4-neighbor Laplacian of ``img`` over the interior
+    (mask fully inside), and its energy, the sum of its squares. Below
+    energy 1 it is scaled by the power of two that takes its largest
+    magnitude into [0.5, 1): exactly, so a correlation is unchanged but
+    for squares that no longer underflow."""
+    arr = img.pixels
+    r = arr[0:-2, 1:-1] + arr[2:, 1:-1] + arr[1:-1, 0:-2] + arr[1:-1, 2:] - 4.0 * arr[1:-1, 1:-1]
+    r = r - r.mean()
+    energy = float(np.sum(r * r))
+    if energy < 1.0:
+        r = np.ldexp(r, -math.frexp(float(np.abs(r).max()))[1])
+        energy = float(np.sum(r * r))
+    return r, energy
 
 
 def epi(reference: GrayImage, test: GrayImage) -> float:
@@ -104,12 +124,7 @@ def epi(reference: GrayImage, test: GrayImage) -> float:
             f"{reference.height}x{reference.width}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        a = _laplacian_interior(reference.pixels)
-        b = _laplacian_interior(test.pixels)
-        a = a - a.mean()
-        b = b - b.mean()
-        sa = float(np.sum(a * a))
-        sb = float(np.sum(b * b))
+        (a, sa), (b, sb) = _response(reference), _response(test)
     if sa == 0.0 or sb == 0.0:
         return 0.0
     scale = math.sqrt(_finite(sa * sb, "epi"))  # bounds |sum(a b)| (Cauchy-Schwarz)

@@ -78,14 +78,13 @@ def make_patch_kernel(radius: int, sigma_s: float) -> np.ndarray:
     """The read-only (2 radius + 1)^2 Gaussian weighting of patch positions.
 
     It is the outer product of the engine's taps, proportional to
-    exp(-(dx^2 + dy^2) / (2 sigma_s^2)) and normalized to sum 1. The
-    unit sum is what makes patch distances commensurable across kernel
-    sizes (and makes the additive-noise distance offset come out as
-    exactly twice the noise variance).
+    exp(-(dx^2 + dy^2) / (2 sigma_s^2)); the taps sum to 1, so it does
+    too, to rounding. The unit sum is what makes patch distances
+    commensurable across kernel sizes (and makes the additive-noise
+    distance offset come out as exactly twice the noise variance).
     """
     taps = gaussian_axis_weights(sigma_s, radius)
     weights = np.outer(taps, taps)
-    weights /= weights.sum()
     weights.setflags(write=False)
     return weights
 
@@ -111,7 +110,9 @@ class NlmParams:
         # an infinite h is allowed: it makes the filter a flat box average
         object.__setattr__(self, "h", check_real(self.h, "h", allow_inf=True))
         object.__setattr__(self, "search_radius", check_int(self.search_radius, "search_radius", 1))
-        object.__setattr__(self, "patch_radius", check_int(self.patch_radius, "patch_radius", 1))
+        # no array is wider than sys.maxsize, and the default sigma_s needs a float radius
+        object.__setattr__(self, "patch_radius",
+                           check_int(self.patch_radius, "patch_radius", 1, sys.maxsize))
         sigma_s = self.patch_radius / 2.0 if self.sigma_s is None else self.sigma_s
         object.__setattr__(self, "sigma_s", check_real(sigma_s, "sigma_s"))
         if self.self_weight not in SELF_WEIGHT_MODES:
@@ -157,11 +158,6 @@ class WeightField:
     normalizer: float
 
 
-def _check_center(img: GrayImage, center: tuple[int, int], name: str) -> None:
-    if not (0 <= center[0] < img.height and 0 <= center[1] < img.width):
-        raise ParameterError(f"{name} {center} is outside a {img.height}x{img.width} image")
-
-
 @functools.lru_cache(maxsize=32)
 def _folded(n: int, radius: int) -> np.ndarray:
     """The read-only indices of an axis of length n, padded by ``radius``
@@ -171,12 +167,15 @@ def _folded(n: int, radius: int) -> np.ndarray:
     return folded
 
 
-def _mirrored_blocks(v: np.ndarray, radius: int, *centers: tuple[int, int]) -> list[np.ndarray]:
-    """The (2 radius + 1)^2 blocks around in-bounds ``centers`` of the
-    mirror-extended surface."""
+def _mirrored_blocks(v: np.ndarray, radius: int, **centers: tuple[int, int]) -> list[np.ndarray]:
+    """The (2 radius + 1)^2 blocks around the named ``centers`` of the
+    mirror-extended surface; a center outside ``v`` is a ParameterError."""
+    for name, center in centers.items():
+        if not (0 <= center[0] < v.shape[0] and 0 <= center[1] < v.shape[1]):
+            raise ParameterError(f"{name} {center} is outside a {v.shape[0]}x{v.shape[1]} image")
     rows, cols = (_folded(n, radius) for n in v.shape)
     side = 2 * radius + 1
-    return [v[np.ix_(rows[y : y + side], cols[x : x + side])] for y, x in centers]
+    return [v[np.ix_(rows[y : y + side], cols[x : x + side])] for y, x in centers.values()]
 
 
 def patch_distance(img: GrayImage, i: tuple[int, int], j: tuple[int, int],
@@ -184,8 +183,8 @@ def patch_distance(img: GrayImage, i: tuple[int, int], j: tuple[int, int],
     """Kernel-weighted squared distance between the patches around i and j.
 
     ``kernel`` is a square 2-D array of odd side, as `make_patch_kernel`
-    returns. Patch positions outside the image are read through mirror
-    reflection. Both centers must be in bounds.
+    returns. Patch positions past the border are mirror reflections; both
+    centers must be in bounds. Squares are clamped as in the filter.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     side = kernel.shape[0] if kernel.ndim == 2 else 0
@@ -193,10 +192,9 @@ def patch_distance(img: GrayImage, i: tuple[int, int], j: tuple[int, int],
         raise ParameterError(
             f"patch kernel must be a square 2-D array of odd side, got shape {kernel.shape}"
         )
-    _check_center(img, i, "i")
-    _check_center(img, j, "j")
-    a, b = _mirrored_blocks(img.pixels, side // 2, i, j)
-    return float(np.sum(kernel * (a - b) ** 2))
+    a, b = _mirrored_blocks(img.pixels, side // 2, i=i, j=j)
+    with np.errstate(over="ignore"):
+        return float(np.sum(kernel * np.minimum((a - b) ** 2, _SQUARE_CLAMP)))
 
 
 def _check_extent(img: GrayImage, params: NlmParams, kind: type) -> None:
@@ -396,8 +394,9 @@ def _corruption_factor(v: np.ndarray, h2: float, sigma: float) -> np.ndarray:
     tau *= 3.0 * math.sqrt(math.pi / 2.0)
     excess = np.subtract(dev, tau, out=tau)
     np.maximum(excess, 0.0, out=excess)
-    excess /= -h2
-    with np.errstate(under="ignore"):
+    # for tiny h2 the quotient saturates to -inf, whose exp is the intended factor 0
+    with np.errstate(over="ignore", under="ignore"):
+        excess /= -h2
         return np.exp(excess, out=excess)
 
 
@@ -438,17 +437,16 @@ def compute_weight_field(img: GrayImage, center: tuple[int, int],
     identity where C(i) = 0: weight 1 at (0, 0), ``normalizer`` 0.0. So
     on every input the filter takes, the weights lie in [0, 1], sum 1.
     """
-    _check_center(img, center, "center")
     _check_extent(img, params, RobustNlmParams)
     big_r, r = params.search_radius, params.patch_radius
     kernel = make_patch_kernel(r, params.sigma_s)
     v = img.pixels
-    patches = sliding_window_view(_mirrored_blocks(v, big_r + r, center)[0], kernel.shape)
+    patches = sliding_window_view(_mirrored_blocks(v, big_r + r, center=center)[0], kernel.shape)
     corr = _corruption_factor(v, params.h2, params.prefilter_sigma)
     with np.errstate(over="ignore", under="ignore"):
         squares = np.minimum((patches - patches[big_r, big_r]) ** 2, _SQUARE_CLAMP)
         dist = np.sum(kernel * squares, axis=(-2, -1))
-        raw = np.exp(dist * _decay(params.h)) * _mirrored_blocks(corr, big_r, center)[0]
+        raw = np.exp(dist * _decay(params.h)) * _mirrored_blocks(corr, big_r, center=center)[0]
     if params.self_weight == "max_neighbor":
         raw[big_r, big_r] = 0.0
         raw[big_r, big_r] = raw.max()

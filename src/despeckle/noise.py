@@ -56,7 +56,8 @@ def add_multiplicative_speckle(img: GrayImage, params: SpeckleParams) -> GrayIma
     standard normal. model "rayleigh": v = u * r / E[r] with r drawn
     Rayleigh(scale=sigma); the division makes the noise field unit-mean
     so image brightness is preserved in expectation. sigma = 0 returns
-    the input unchanged for both models.
+    the input unchanged for both models. A draw that overflows float64
+    (a huge sigma) raises `NumericError`.
     """
     u = img.pixels
     if np.any(u < 0):
@@ -64,12 +65,15 @@ def add_multiplicative_speckle(img: GrayImage, params: SpeckleParams) -> GrayIma
     if params.sigma == 0.0:
         return img
     rng = _generator(params.seed)
-    if params.model == "multiplicative_gaussian":
-        xi = rng.standard_normal(u.shape)
-        out = u * (1.0 + params.sigma * xi)
-    else:
-        r = rng.rayleigh(scale=params.sigma, size=u.shape)
-        out = u * (r / (params.sigma * math.sqrt(math.pi / 2.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if params.model == "multiplicative_gaussian":
+            xi = rng.standard_normal(u.shape)
+            out = u * (1.0 + params.sigma * xi)
+        else:
+            r = rng.rayleigh(scale=params.sigma, size=u.shape)
+            out = u * (r / (params.sigma * math.sqrt(math.pi / 2.0)))
+    if not np.isfinite(out).all():
+        raise NumericError(f"speckle of sigma {params.sigma:g} overflows float64 on this image")
     return GrayImage(out)
 
 

@@ -96,6 +96,32 @@ class TestSynth:
         err = capsys.readouterr().err
         assert str(out) in err and "missing input" not in err
 
+    def test_16bit_input_keeps_its_range_by_default(self, tmp_path, capsys):
+        clean, noisy = tmp_path / "c16.pgm", tmp_path / "n16.pgm"
+        write_pgm(clean, np.full((16, 16), 40000.0), maxval=65535)
+        assert main(["synth", str(clean), str(noisy)]) == 0
+        assert parse_echo(capsys.readouterr().err)["maxval"] == "65535"
+        assert noisy.read_bytes().startswith(b"P5\n16 16\n65535\n")
+        samples = load_pgm(noisy).pixels
+        assert samples.min() > 255 and len(np.unique(samples)) > 100
+        assert main(["synth", str(clean), str(noisy), "--maxval", "255"]) == 0
+        assert parse_echo(capsys.readouterr().err)["maxval"] == "255"
+        assert noisy.read_bytes() == b"P5\n16 16\n255\n" + b"\xff" * 256
+        write_pgm(clean, np.full((16, 16), 255.0))
+        assert main(["synth", str(clean), str(noisy)]) == 0
+        assert parse_echo(capsys.readouterr().err)["maxval"] == "255"
+        assert noisy.read_bytes().startswith(b"P5\n16 16\n255\n")
+
+    @pytest.mark.parametrize("model", ["mult-gauss", "rayleigh"])
+    def test_overflowing_sigma_ends_in_one_error_line(self, tmp_path, capsys, model):
+        clean = tmp_path / "clean.pgm"
+        write_pgm(clean, rand_image(72, 12, 12, lo=10, hi=240))
+        argv = ["synth", str(clean), str(tmp_path / "noisy.pgm"), "--model", model]
+        assert main([*argv, "--sigma", "1.7e308"]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if not line.startswith("resolved-config:")]
+        assert errors == ["error: speckle of sigma 1.7e+308 overflows float64 on this image"]
+
     def test_rayleigh_model(self, tmp_path):
         clean = tmp_path / "clean.pgm"
         out = tmp_path / "noisy.pgm"
@@ -331,6 +357,14 @@ class TestDenoise:
                           f"<= {bound:g}, got {float(flags[-1])!r}"]
         assert peak < 2**20
 
+    @pytest.mark.parametrize("name", ["nlm", "robust-nlm"])
+    def test_patch_radius_past_any_array_exits_2(self, tmp_path, capsys, name):
+        src = tmp_path / "in.pgm"
+        write_pgm(src, rand_image(83, 8, 8, lo=60, hi=200))
+        argv = ["denoise", str(src), str(tmp_path / "out.pgm"), "--filter", name]
+        assert main([*argv, "--patch-radius", str(10**400)]) == 2
+        assert "error: patch_radius must be an integer" in capsys.readouterr().err
+
     def test_sigmas_at_the_bound_run(self, tmp_path):
         src = tmp_path / "in.pgm"
         write_pgm(src, rand_image(89, 32, 32, lo=60, hi=200))
@@ -531,6 +565,14 @@ class TestEval:
         assert score == f"{ssim(*pair, peak=65535.0):.6f}"
         assert score != f"{ssim(*pair):.6f}"
 
+    @pytest.mark.parametrize("peak", ["5e-324", "1e-300", "1e300", "1.7e308"])
+    def test_peak_past_its_range_exits_2(self, tmp_path, capsys, peak):
+        ref, test = tmp_path / "ref.pgm", tmp_path / "test.pgm"
+        write_pgm(ref, rand_image(89, 16, 16))
+        write_pgm(test, rand_image(90, 16, 16))
+        assert main(["eval", str(ref), str(test), "--peak", peak]) == 2
+        assert "error: peak must lie in" in capsys.readouterr().err
+
     def test_missing_report_directory_exits_1(self, tmp_path, capsys):
         ref, test = self._pair(tmp_path)
         report = tmp_path / "gone" / "scores.csv"
@@ -595,6 +637,62 @@ def test_bad_sigma_n_exits_2(tmp_path, capsys, command, name, sigma_n):
     rc = main([command, str(src), *outputs, "--filter", name, "--sigma-n", sigma_n])
     assert rc == 2
     assert "error: sigma_n must be a non-negative finite real" in capsys.readouterr().err
+
+
+_FLOATS = ("0", "5e-324", "1e-300", "1e-6", "1", "1e6", "1e150", "1e300", "1.7e308",
+           "inf", "-inf", "nan", "-1")
+_INTS = ("-1", "0", "1", str(10**6), str(2**63), str(10**400))
+# small radii and few iterations keep each run short; the sweep replaces one at a time
+_QUICK = {"search_radius": "1", "patch_radius": "1", "window_radius": "1", "iterations": "3"}
+
+
+def _extreme_runs(clean, noisy, out):
+    """The argv of each run of the extreme-value sweep: every numeric flag
+    at the values above, for each command, model and filter that takes
+    it, in both domains; --iterations and --repeats at small values."""
+    for value in _FLOATS:
+        for model in ("mult-gauss", "rayleigh"):
+            yield ["synth", clean, out, f"--model={model}", f"--sigma={value}"]
+        for test in (clean, noisy):
+            yield ["eval", clean, test, f"--peak={value}"]
+    for value in _INTS:
+        yield ["synth", clean, out, f"--seed={value}"]
+    for value in ("-1", "0", "1", "2"):
+        yield ["bench", noisy, "--filter=lee", f"--repeats={value}"]
+        yield ["denoise", noisy, out, "--filter=srad", f"--iterations={value}"]
+    for name, (cls, *_) in FILTERS.items():
+        hints = typing.get_type_hints(cls)
+        swept = {"epsilon": _FLOATS, "sigma_n": _FLOATS, "threads": _INTS}
+        swept.update({field: _FLOATS if float in (typing.get_args(hint) or (hint,)) else _INTS
+                      for field, hint in hints.items() if field not in ("iterations", "self_weight")})
+        for domain in ("linear", "log"):
+            for flag, values in swept.items():
+                for value in values:
+                    options = {**{k: v for k, v in _QUICK.items() if k in hints},
+                               "threads": "1", flag: value}
+                    yield ["denoise", noisy, out, f"--filter={name}", f"--domain={domain}",
+                           *(f"--{k.replace('_', '-')}={v}" for k, v in options.items())]
+
+
+def test_every_numeric_flag_ends_in_an_exit_code(tmp_path, capsys):
+    # no exception or warning (an error in this suite) may leave main
+    clean, noisy, out = (str(tmp_path / name) for name in ("clean.pgm", "noisy.pgm", "out.pgm"))
+    write_pgm(clean, rand_image(87, 12, 12, lo=20, hi=230))
+    speckled = rand_image(88, 12, 12, lo=90, hi=110)
+    speckled[4, 7] = 250.0  # an outlier, so that the robust penalty acts
+    write_pgm(noisy, speckled)
+    escapes = []
+    for argv in _extreme_runs(clean, noisy, out):
+        shown = " ".join(arg for arg in argv if not arg.startswith(str(tmp_path)))
+        try:
+            rc = main(argv)
+        except Exception as exc:
+            escapes.append(f"{shown}: {type(exc).__name__}: {exc}")
+        else:
+            if rc not in (0, 1, 2):
+                escapes.append(f"{shown}: exit {rc}")
+    capsys.readouterr()
+    assert not escapes, "\n".join(escapes)
 
 
 class TestParsing:

@@ -154,6 +154,33 @@ class TestEpi:
         with pytest.raises(ParameterError):
             epi(as_img(np.zeros((2, 5))), as_img(np.zeros((2, 5))))
 
+    @pytest.mark.parametrize("k", [600, 1000])
+    def test_faint_images_score_as_their_scaled_copies(self, k):
+        # the squares of responses this faint underflow; the score must not
+        a, b = rand_image(53, 16, 16, 1.0, 2.0), rand_image(54, 16, 16, 1.0, 2.0)
+        faint = 2.0 ** -k
+        for x, y in ((a, a), (a, b)):
+            assert epi(as_img(x * faint), as_img(y * faint)) == epi(as_img(x), as_img(y))
+        assert epi(as_img(a), as_img(b * faint)) == epi(as_img(a), as_img(b))
+        tiny = as_img(a * 1e-170)
+        assert math.isclose(epi(tiny, tiny), 1.0, abs_tol=1e-12)
+
+
+class TestPeakRange:
+    # PSNR and SSIM square peak: it must square to a finite normal float
+    @pytest.mark.parametrize("metric", [psnr, ssim])
+    @pytest.mark.parametrize("peak", [5e-324, 1e-300, 1.49e-154, 1.35e154, 1e300, 1.7e308])
+    def test_out_of_range_peak_is_a_parameter_error(self, metric, peak):
+        a, b = as_img(rand_image(55, 16, 16)), as_img(rand_image(56, 16, 16))
+        with pytest.raises(ParameterError, match="^peak must lie in"):
+            metric(a, b, peak=peak)
+
+    def test_peak_at_the_ends_scores(self):
+        a, b = as_img(rand_image(55, 16, 16)), as_img(rand_image(56, 16, 16))
+        assert math.isfinite(psnr(a, b, peak=1.5e-154))
+        assert math.isfinite(psnr(a, b, peak=1.34e154))
+        assert -1.0 <= ssim(a, b, peak=1.5e-154) <= 1.0
+
 
 class TestOverflow:
     # Samples this large overflow the squares inside every metric; the

@@ -139,6 +139,26 @@ class TestPatchDistance:
                 want = naive_patch_distance(arr, i, j, 2, 1.0)
                 assert math.isclose(got, want, rel_tol=1e-11, abs_tol=1e-11)
 
+    def test_clamps_huge_squares_as_the_filter_does(self):
+        # (1e200)^2 overflows; each square is clamped at 1e300, so the
+        # kernel's zero taps meet no inf and the distance stays finite
+        arr = np.zeros((9, 3))
+        arr[4] = 1e200
+        img = as_img(arr)
+        assert patch_distance(img, (4, 1), (3, 1), make_patch_kernel(1, 0.01)) == 1e300
+        assert math.isfinite(patch_distance(img, (4, 1), (3, 1), make_patch_kernel(1, 0.5)))
+
+    def test_names_the_center_outside_the_image(self):
+        img = as_img(rand_image(3, 9, 3))
+        kern = make_patch_kernel(1, 0.5)
+        with pytest.raises(ParameterError, match=r"^i \(9, 0\) is outside a 9x3 image$"):
+            patch_distance(img, (9, 0), (1, 1), kern)
+        with pytest.raises(ParameterError, match=r"^j \[1, -1\] is outside a 9x3 image$"):
+            patch_distance(img, (1, 1), [1, -1], kern)
+        params = RobustNlmParams(h=10.0, h2=10.0, search_radius=1, patch_radius=1)
+        with pytest.raises(ParameterError, match=r"^center \(0, 3\) is outside a 9x3 image$"):
+            compute_weight_field(img, (0, 3), params)
+
     def test_rejects_out_of_bounds_center(self):
         img = as_img(rand_image(3, 6, 6))
         kern = make_patch_kernel(1, 0.5)
@@ -736,6 +756,11 @@ class TestParams:
             NlmParams(h=10.0, patch_radius=0)
         # patch windows may exceed the search window; they pad independently
         NlmParams(h=10.0, search_radius=1, patch_radius=4)
+
+    def test_patch_radius_past_any_array_is_a_parameter_error(self):
+        # the default sigma_s, patch_radius / 2, would not fit a float
+        with pytest.raises(ParameterError, match="^patch_radius must be an integer"):
+            NlmParams(h=10.0, patch_radius=10**400)
 
     def test_self_weight_validation(self):
         with pytest.raises(ParameterError):

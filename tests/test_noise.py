@@ -39,6 +39,13 @@ def test_seed_determinism_is_bit_exact():
     assert a.pixels.tobytes() != c.pixels.tobytes()
 
 
+@pytest.mark.parametrize("model", ["multiplicative_gaussian", "rayleigh"])
+def test_overflowing_draw_raises_numeric_error(model):
+    img = as_img(rand_image(4, 16, 16, lo=10, hi=200))
+    with pytest.raises(NumericError, match="^speckle of sigma 1.7e\\+308 overflows"):
+        add_multiplicative_speckle(img, SpeckleParams(model=model, sigma=1.7e308, seed=5))
+
+
 def test_sigma_zero_returns_input_unchanged():
     img = as_img(rand_image(4, 16, 16))
     for model in ("multiplicative_gaussian", "rayleigh"):
