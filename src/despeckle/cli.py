@@ -251,13 +251,22 @@ def run_bench(args: argparse.Namespace) -> int:
         digests.append(hashlib.sha256(out.pixels.tobytes()).hexdigest())
     if len(set(digests)) != 1:
         raise NumericError("filter outputs differ across bench repeats")
-    best = min(times)
-    med = statistics.median(times)
-    pixels = out.pixels.size
-    rate = pixels / best if best > 0 else math.inf
-    print(f"bench: filter={config['filter']} repeats={repeats} threads={config.get('threads', 1)} "
-          f"pixels={pixels} min_s={best:.6f} median_s={med:.6f} "
-          f"pixels_per_second={rate:.0f} checksum={digests[0]}")
+    best, pixels = min(times), out.pixels.size
+    record = {"filter": config["filter"], "pixels": pixels, "threads": config.get("threads", 1),
+              "repeats": repeats, "min_s": best, "median_s": statistics.median(times),
+              "checksum": digests[0], "config": config}
+    print(f"bench: filter={record['filter']} repeats={repeats} threads={record['threads']} "
+          f"pixels={pixels} min_s={best:.6f} median_s={record['median_s']:.6f} "
+          f"pixels_per_second={pixels / best if best > 0 else math.inf:.0f} checksum={digests[0]}")
+    if args.json:  # the file holds a JSON list of these records, one per run
+        import json  # here: `denoise` and the library need not load it
+        path = Path(args.json)
+        try:
+            records = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+            records.append(record)
+        except (ValueError, AttributeError):
+            raise ParameterError(f"--json {args.json} does not hold a JSON list") from None
+        path.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
@@ -312,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", parents=[filter_args], help="time a filter on one input")
     bench.add_argument("input")
     bench.add_argument("--repeats", type=int, default=3)
+    bench.add_argument("--json", help="append this run's record to the JSON list in this file")
 
     return parser
 

@@ -6,7 +6,9 @@ maps back to ``width - 1``. The fold is defined once, by `mirror_pad`,
 which is NumPy's ``symmetric`` pad; patch reads fold their indices by
 padding ``np.arange(n)`` with it, so all modules agree about boundary
 values, and `check_radii` bounds the filters' window radii by its period,
-as `check_sigmas` bounds the reach of their Gaussians.
+as `check_sigmas` bounds the reach of their Gaussians. Gaussian taps are
+applied as banded matrix products (`tap_band`), by the blur here and by
+the NLM engine, each small enough to run on the calling thread.
 """
 
 from __future__ import annotations
@@ -15,8 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParameterError, check_int, check_real
+
+_BAND = 8  # rows, or columns, of output per block of a banded product
+_BLAS_SERIAL = 4 * 65536  # OpenBLAS runs a product of at most this many multiply-adds on one thread
 
 
 @dataclass(frozen=True)
@@ -112,35 +118,47 @@ def gaussian_axis_weights(sigma: float, radius: int | None = None) -> np.ndarray
     return w / w.sum()
 
 
+def tap_band(taps: np.ndarray) -> np.ndarray:
+    """The B x (B + 2c) band, B = `_BAND`, whose row i holds the 2c + 1 ``taps`` at columns i .. i + 2c."""
+    wide = np.zeros((_BAND, _BAND + taps.size))  # read one column narrower, row i starts i later
+    wide[:, : taps.size] = taps
+    return wide.ravel()[: _BAND * (_BAND + taps.size - 1)].reshape(_BAND, -1)
+
+
 def correlate1d_valid(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     """Valid-mode 1-D correlation (or convolution: the taps are symmetric)
     of a 2-D array along ``axis``, into one new array.
 
-    The 2c + 1 taps t must be symmetric. Horner's rule sums the windows
-    x_k from the outside in, ((x_0 + x_2c) q_0 + x_1 + x_(2c-1)) q_1 ...
-    + x_c, times t_c, with q_k = t_k / t_(k+1) (0 where t_k is 0: taps
-    that underflowed give no 0/0): 3c + 1 passes, all but the first in
-    place. Every element gets the same operations, so bits do not depend
-    on how the caller slices the input.
+    Along axis 1 each block of B = `_BAND` outputs is its B + 2c input
+    columns times the transposed `tap_band`, in products of at most
+    `_BLAS_SERIAL` multiply-adds (for c up to 8188); along axis 0, the
+    same on ``arr.T``. The last block and a product's last rows overlap
+    the ones before, and fewer than B outputs or one row are zero-padded
+    to a block of two rows, so every product has B columns and two rows
+    or more. BLAS sums an output alike wherever it sits in one (held by
+    `tests/test_image.py`), so bits do not depend on how ``arr`` is sliced.
     """
-    n, t = arr.shape[axis] - taps.size + 1, taps.tolist()
-    c = len(t) // 2
-    x = [arr[k : k + n] if axis == 0 else arr[:, k : k + n] for k in range(2 * c + 1)]
-    out = np.add(x[0], x[2 * c]) if c else x[0].copy()
-    for k in range(1, c + 1):
-        out *= t[k - 1] / t[k] if t[k - 1] else 0.0
-        out += x[k]
-        if k < c:
-            out += x[2 * c - k]
-    out *= t[c]
+    if axis == 0:
+        return correlate1d_valid(arr.T, taps, 1).T
+    rows, n, inner = arr.shape[0], arr.shape[1] - taps.size + 1, _BAND + taps.size - 1
+    if n < _BAND or rows < 2:
+        block = np.zeros((max(rows, 2), max(arr.shape[1], inner)))
+        block[:rows, : arr.shape[1]] = arr
+        return correlate1d_valid(block, taps, 1)[:rows, :n]
+    right, out, most = tap_band(taps).T, np.empty((rows, n)), max(2, _BLAS_SERIAL // (_BAND * inner))
+    blocks = as_strided(arr, (n // _BAND, rows, inner), (_BAND * arr.strides[1], *arr.strides))
+    outs = out[:, : n - n % _BAND].reshape(rows, -1, _BAND).transpose(1, 0, 2)
+    for y in (max(0, min(y, rows - most)) for y in range(0, rows, most)):
+        np.matmul(blocks[:, y : y + most], right, out=outs[:, y : y + most])
+        if n % _BAND:
+            np.matmul(arr[y : y + most, n - _BAND :], right, out=out[y : y + most, n - _BAND :])
     return out
 
 
 def blur_array(arr: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian smoothing of a raw array with mirror boundary."""
     taps = gaussian_axis_weights(sigma)
-    padded = mirror_pad(arr, taps.size // 2)
-    return correlate1d_valid(correlate1d_valid(padded, taps, 0), taps, 1)
+    return correlate1d_valid(correlate1d_valid(mirror_pad(arr, taps.size // 2), taps, 0), taps, 1)
 
 
 def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:

@@ -70,27 +70,34 @@ def ssim(reference: GrayImage, test: GrayImage, peak: float = 255.0) -> float:
     dynamic range L. Local means, variances, and covariance use mirror
     boundary, so the score averages over the full image without border
     cropping. Identical images score 1; the result lies in [-1, 1].
+    The five planes are blurred one at a time into a few reused buffers,
+    and each pixel's score is the luminance ratio times the
+    contrast-structure ratio, so no product of C1 and C2 can overflow.
     """
     _check_pair(reference, test)
     peak = _check_peak(peak)
     side = 2 * math.ceil(3.0 * _SSIM_SIGMA) + 1
-    if reference.height < side or reference.width < side:
-        raise ParameterError(
-            f"images must be at least {side}x{side} for window sigma "
-            f"{_SSIM_SIGMA}, got {reference.height}x{reference.width}"
-        )
-    x = reference.pixels
-    y = test.pixels
-    c1 = (_SSIM_K1 * peak) ** 2
-    c2 = (_SSIM_K2 * peak) ** 2
+    if min(reference.height, reference.width) < side:
+        raise ParameterError(f"images must be at least {side}x{side} for window sigma "
+                             f"{_SSIM_SIGMA}, got {reference.height}x{reference.width}")
+    x, y = reference.pixels, test.pixels
+    c1, c2 = (_SSIM_K1 * peak) ** 2, (_SSIM_K2 * peak) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
-        mu_x = blur_array(x, _SSIM_SIGMA)
-        mu_y = blur_array(y, _SSIM_SIGMA)
-        var_x = blur_array(x * x, _SSIM_SIGMA) - mu_x * mu_x
-        var_y = blur_array(y * y, _SSIM_SIGMA) - mu_y * mu_y
-        cov = blur_array(x * y, _SSIM_SIGMA) - mu_x * mu_y
-        score = float(np.mean(((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2))
-                              / ((mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2))))
+        mu_x, mu_y, plane = blur_array(x, _SSIM_SIGMA), blur_array(y, _SSIM_SIGMA), np.empty_like(x)
+
+        def centered(a, b, mu_a, mu_b):  # blur(a b) - mu_a mu_b, with the products in ``plane``
+            moment = blur_array(np.multiply(a, b, out=plane), _SSIM_SIGMA)
+            return np.subtract(moment, np.multiply(mu_a, mu_b, out=plane), out=moment)
+
+        var = centered(x, x, mu_x, mu_x)
+        var += centered(y, y, mu_y, mu_y)
+        cs = centered(x, y, mu_x, mu_y)  # and ``plane`` keeps mu_x mu_y
+        cs = np.add(np.multiply(cs, 2.0, out=cs), c2, out=cs)
+        cs /= np.add(var, c2, out=var)  # the contrast-structure term
+        lum = np.add(np.multiply(plane, 2.0, out=plane), c1, out=plane)
+        den = np.add(np.multiply(mu_x, mu_x, out=mu_x), np.multiply(mu_y, mu_y, out=var), out=mu_x)
+        lum /= np.add(den, c1, out=den)  # the luminance term
+        score = float(np.mean(np.multiply(lum, cs, out=lum)))
     return min(1.0, max(-1.0, _finite(score, "ssim")))  # the clamp absorbs rounding
 
 

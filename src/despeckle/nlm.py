@@ -46,24 +46,14 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ParameterError, check_int, check_real
-from .image import (
-    GrayImage,
-    blur_array,
-    check_radii,
-    check_sigmas,
-    correlate1d_valid,  # noqa: F401  (perfbench/tracing.py wraps this binding)
-    gaussian_axis_weights,
-    mirror_pad,
-)
+from .image import (_BAND, _BLAS_SERIAL, GrayImage, blur_array, check_radii, check_sigmas,
+                    gaussian_axis_weights, mirror_pad, tap_band)
+from .image import correlate1d_valid  # noqa: F401  (perfbench/tracing.py wraps this binding)
 from .workers import plan, run_workers, worker_array
 
 SELF_WEIGHT_MODES = ("natural", "max_neighbor")
 # Pixels per row tile: 256 KiB per tile-sized float64 array.
 _TILE_PIXELS = 32768
-# Rows, and columns, of patch distances per block of a banded product.
-_BAND = 8
-# OpenBLAS runs a product of at most this many multiply-adds on one thread.
-_BLAS_SERIAL = 4 * 65536
 # The clamp of squared differences: an inf times a kernel's zero tap is NaN.
 _SQUARE_CLAMP = 1e300
 
@@ -271,7 +261,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
             (pad, stride - width - pad))
     padded = mirror_pad(v, spec).ravel()
     corr_padded = mirror_pad(corr, spec).ravel() if corr is not None else None
-    col_band = sum(t * np.eye(_BAND, inner, j) for j, t in enumerate(taps))
+    col_band = tap_band(taps)
     row_band = np.ascontiguousarray(col_band.T * _decay(params.h))  # the decay rides the row taps
     clamp = max(v.max(), -v.min()) > 5e149  # else no square reaches `_SQUARE_CLAMP`
     skip_self = params.self_weight == "max_neighbor"

@@ -12,6 +12,21 @@ import pytest
 from despeckle import GrayImage
 
 
+class MatmulSpy:
+    """Stands in for a module's ``np``; ``hook(x, y)`` runs before each
+    of its matrix products x @ y."""
+
+    def __init__(self, hook):
+        self._hook = hook
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, x, y, **kwargs):
+        self._hook(x, y)
+        return np.matmul(x, y, **kwargs)
+
+
 def rand_image(seed, height, width, lo=0.0, hi=255.0):
     """Seeded uniform-random test image (plain array)."""
     rng = np.random.Generator(np.random.Philox(seed))

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import shutil
@@ -612,6 +613,40 @@ class TestBench:
         src = tmp_path / "in.pgm"
         write_pgm(src, rand_image(84, 8, 8))
         assert main(["bench", str(src), "--filter", "lee", "--repeats", "0"]) == 2
+
+    def test_json_appends_one_record_per_run(self, tmp_path, capsys):
+        src, path = tmp_path / "in.pgm", tmp_path / "bench.json"
+        write_pgm(src, rand_image(85, 16, 16, lo=60, hi=200))
+        lines = []
+        for name in ("nlm", "lee"):
+            argv = ["bench", str(src), "--filter", name, "--repeats", "2", "--threads", "1",
+                    "--json", str(path), *FAST]
+            assert main(argv) == 0
+            lines.append(capsys.readouterr())
+        records = json.loads(path.read_text(encoding="utf-8"))
+        assert [record["filter"] for record in records] == ["nlm", "lee"]
+        for record, captured in zip(records, lines):
+            assert set(record) == {"filter", "pixels", "threads", "repeats", "min_s", "median_s",
+                                   "checksum", "config"}
+            assert (record["pixels"], record["threads"], record["repeats"]) == (256, 1, 2)
+            assert 0.0 < record["min_s"] <= record["median_s"]
+            assert captured.out.rstrip().endswith(f"checksum={record['checksum']}")
+            # the config is the resolved-config line's, less the command, input and repeats
+            echoed = dict(pair.split("=", 1)
+                          for pair in captured.err.split("resolved-config: ", 1)[1].split())
+            assert record["config"]["filter"] == echoed["filter"] == record["filter"]
+            assert set(echoed) - set(record["config"]) == {"command", "input", "repeats"}
+        assert records[0]["config"]["search_radius"] == 3
+
+    @pytest.mark.parametrize("content", ["{}", "[1, 2", "1.5"])
+    def test_json_file_without_a_list_exits_2(self, tmp_path, capsys, content):
+        src, path = tmp_path / "in.pgm", tmp_path / "bench.json"
+        write_pgm(src, rand_image(86, 8, 8))
+        path.write_text(content, encoding="utf-8")
+        assert main(["bench", str(src), "--filter", "lee", "--repeats", "1",
+                     "--json", str(path)]) == 2
+        assert capsys.readouterr().err.endswith("does not hold a JSON list\n")
+        assert path.read_text(encoding="utf-8") == content
 
 
 @pytest.mark.parametrize("command", ["denoise", "bench"])

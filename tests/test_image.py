@@ -1,19 +1,21 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rand_image
+from conftest import MatmulSpy, rand_image
 from despeckle import (
     GrayImage,
     ParameterError,
     gaussian_axis_weights,
     gaussian_blur,
 )
-from despeckle.image import correlate1d_valid, mirror_pad
+from despeckle import image
+from despeckle.image import blur_array, correlate1d_valid, mirror_pad, tap_band
 from reference import conv2_full_mirror, naive_blur, reflect
 
 
@@ -112,7 +114,7 @@ class TestAxisWeights:
             assert w.tobytes() == np.full(2 * radius + 1, 1.0 / (2 * radius + 1)).tobytes()
 
     def test_exactly_symmetric(self):
-        # the correlation's Horner form pairs tap k with tap 2c - k
+        # so correlating with the taps is convolving with them
         for sigma in (0.01, 0.05, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.3, 5.0, 11.0):
             for radius in (None, 0, 1, 2, 3, 4, 5, 6, 9):
                 w = gaussian_axis_weights(sigma, radius)
@@ -187,12 +189,70 @@ class TestCorrelation:
                 tracemalloc.stop()
 
         arr = rand_image(9, 600, 1000)  # each output is about 4.6 MiB
-        # a few small Python objects: the windows are views and every
-        # pass but the first writes the output in place
-        assert peak(arr, 0) < 4096
-        # along rows NumPy's ufunc iterator may hold its fixed buffers of
-        # 8192 elements per operand, whatever the array size
-        assert peak(arr, 1) < 2 * 8192 * 8 + 4096
+        # the tap band and a few small Python objects: the blocks are
+        # views and the products write the output in place
+        band = tap_band(taps).nbytes
+        assert peak(arr, 0) < band + 4096
+        assert peak(arr, 1) < band + 4096
+
+
+def mirror_gauss_oracle(arr, sigma, radius):
+    """The 2-D Gaussian blur as one weighted sum of mirror-folded reads
+    (`reference.reflect`) per window offset: weights
+    exp(-(dx^2 + dy^2) / (2 sigma^2)) normalized over the (2 radius + 1)^2
+    window. Python floats take the limits: at sigma 0.01 every weight but
+    the center's underflows to 0, and where 2 sigma^2 overflows all are 1."""
+    h, w = arr.shape
+    span = range(-radius, radius + 1)
+    rows = [reflect(y, h) for y in range(-radius, h + radius)]
+    folded = arr[rows][:, [reflect(x, w) for x in range(-radius, w + radius)]]
+    weights = {(dy, dx): math.exp(-(dy * dy + dx * dx) / (2.0 * sigma * sigma))
+               for dy in span for dx in span}
+    total, out = math.fsum(weights.values()), np.zeros((h, w))
+    for (dy, dx), weight in weights.items():
+        out += weight / total * folded[radius + dy : radius + dy + h, radius + dx : radius + dx + w]
+    return out
+
+
+class TestBlurArray:
+    @pytest.mark.parametrize("shape, sigma", [
+        ((1, 17), 1.5), ((17, 1), 1.5),  # one row, one column
+        ((3, 3), 2.0),                   # a reach of 6 folds past the sides, twice
+        ((12, 9), 0.01),                 # the unit impulse
+        ((2, 21), 3.3), ((21, 5), 0.7),
+    ])
+    def test_matches_mirror_fold_oracle(self, shape, sigma):
+        arr = rand_image(71, *shape)
+        want = mirror_gauss_oracle(arr, sigma, math.ceil(3.0 * sigma))
+        got = blur_array(arr, sigma)
+        assert got.shape == shape
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("sigma", [2e154, 1e300])
+    def test_huge_sigma_taps_blur_as_the_box(self, sigma):
+        # no image admits a reach of 3 sigma here, so these taps get a
+        # radius of their own, as the patch kernel's do, and run through
+        # blur_array's two passes
+        arr = rand_image(72, 5, 7)
+        taps = gaussian_axis_weights(sigma, 4)
+        got = correlate1d_valid(correlate1d_valid(mirror_pad(arr, 4), taps, 0), taps, 1)
+        want = mirror_gauss_oracle(arr, sigma, 4)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("shape", [(16, 200_000), (3000, 40)])
+    def test_products_stay_on_the_calling_thread(self, shape):
+        # each product, m n k multiply-adds, is small enough that OpenBLAS
+        # runs it on the calling thread (none may run on BLAS threads in a
+        # process that forks engine workers later); a wide row or a tall
+        # column in one product would not be
+        sizes = []
+        spy = MatmulSpy(lambda x, y: sizes.append(x.shape[-2] * x.shape[-1] * y.shape[-1]))
+        arr = rand_image(73, *shape)
+        with mock.patch.object(image, "np", spy):
+            got = blur_array(arr, 1.0)
+        assert sizes and max(sizes) <= image._BLAS_SERIAL
+        want = mirror_gauss_oracle(arr, 1.0, 3)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
 class TestGaussianBlur:

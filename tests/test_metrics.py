@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,19 @@ class TestSsim:
         with pytest.raises(ParameterError):
             ssim(as_img(np.zeros((16, 16))), as_img(np.zeros((16, 17))))
 
+    def test_peak_memory_is_under_seven_and_a_half_images(self):
+        # the means, the variance sum, the covariance and one plane buffer,
+        # plus one blur's padded input and first pass
+        a, b = as_img(rand_image(59, 256, 256)), as_img(rand_image(60, 256, 256))
+        ssim(a, b)  # warm up
+        tracemalloc.start()
+        try:
+            ssim(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * a.pixels.nbytes
+
 
 class TestEpi:
     def test_identical_images_score_one(self):
@@ -179,7 +193,9 @@ class TestPeakRange:
         a, b = as_img(rand_image(55, 16, 16)), as_img(rand_image(56, 16, 16))
         assert math.isfinite(psnr(a, b, peak=1.5e-154))
         assert math.isfinite(psnr(a, b, peak=1.34e154))
-        assert -1.0 <= ssim(a, b, peak=1.5e-154) <= 1.0
+        for peak in (1.5e-154, 1e100, 1.34e154):
+            # C1 C2 ~ 9e-8 peak^4 overflows from a peak of ~2e77; each term on its own does not
+            assert -1.0 <= ssim(a, b, peak=peak) <= 1.0
 
 
 class TestOverflow:

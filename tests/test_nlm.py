@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    MatmulSpy,
     as_img,
     assert_children_of_a_killed_caller_stop,
     assert_no_children,
@@ -63,21 +64,6 @@ def with_impulses(arr, seed, rate):
     out[hit & salt] = 255.0
     out[hit & ~salt] = 0.0
     return out
-
-
-class EngineNumpy:
-    """Stands in for the engine module's ``np``; ``hook(x, y)`` runs
-    before each of its matrix products x @ y."""
-
-    def __init__(self, hook):
-        self._hook = hook
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def matmul(self, x, y, **kwargs):
-        self._hook(x, y)
-        return np.matmul(x, y, **kwargs)
 
 
 class TestPatchKernel:
@@ -476,7 +462,7 @@ class TestEngine:
         sizes = []
         arr = np.random.Generator(np.random.Philox(45)).uniform(0, 255, (height, width))
         base = NlmParams(h=40.0, search_radius=search_radius, patch_radius=patch_radius)
-        record = EngineNumpy(lambda x, y: sizes.append(x.shape[-2] * x.shape[-1] * y.shape[-1]))
+        record = MatmulSpy(lambda x, y: sizes.append(x.shape[-2] * x.shape[-1] * y.shape[-1]))
         with mock.patch.object(engine, "np", record):
             out = nlm_denoise(as_img(arr), base, threads=1)
         assert hashlib.sha256(out.pixels.tobytes()).hexdigest() == digests[0][0]
@@ -497,7 +483,7 @@ class TestEngine:
             bands.update({"col": x} if x.ndim == 2 else {"row": y})
 
         params = NlmParams(h=40.0, search_radius=1, patch_radius=patch_radius)
-        with mock.patch.object(engine, "np", EngineNumpy(grab)):
+        with mock.patch.object(engine, "np", MatmulSpy(grab)):
             nlm_denoise(as_img(rand_image(46, 8, 8)), params)
         col_band, row_band = bands["col"].copy(), bands["row"].copy()
         band, inner = engine._BAND, col_band.shape[1]
@@ -560,7 +546,7 @@ class TestForkedWorkers:
         """Run ``caller_action`` or ``child_action`` before each of the
         engine's matrix products, by the process that makes it."""
         caller = os.getpid()
-        monkeypatch.setattr(engine, "np", EngineNumpy(
+        monkeypatch.setattr(engine, "np", MatmulSpy(
             lambda x, y: (caller_action if os.getpid() == caller else child_action)()))
 
     def test_child_failure_raises_numeric_error_and_leaks_nothing(self, monkeypatch, tmp_path,
