@@ -119,19 +119,14 @@ def lee_filter(img: GrayImage, params: LeeParams) -> GrayImage:
     k = max(0, (s^2 - m^2 sigma^2) / (s^2 (1 + sigma^2))) clamped to
     [0, 1], where m and s^2 are the window mean and population variance.
     Flat windows (s^2 = 0) get k = 0 and return the local mean, as does
-    every window at a sigma so large that these products overflow. The
-    window radius may be at most 2 max(H, W, 10).
+    every window at sigma = inf. The window radius is at most 2 max(H, W, 10).
     """
     check_radii(img, window_radius=params.window_radius)
     v = img.pixels
     m, s2 = _window_stats(mirror_pad(v, params.window_radius), params.window_radius)
-    try:
-        sig2 = params.noise_sigma ** 2
-    except OverflowError:  # noise_sigma above ~1.34e154
-        sig2 = math.inf
-    # At a huge sigma, m^2 sigma^2 and s^2 (1 + sigma^2) overflow and the
-    # quotient is -inf / inf, 0 inf (m = 0) or finite / inf: the gain is
-    # then at its limit, 0, and fmax turns the NaNs into that 0.
+    sig2 = params.noise_sigma ** 2
+    # At sigma = inf, or on huge samples, m^2 sigma^2 and s^2 (1 + sigma^2) overflow: the quotient
+    # is -inf / inf, 0 inf (m = 0) or finite / inf, the gain's limit is 0 and fmax turns NaNs into it.
     with np.errstate(over="ignore", invalid="ignore"):
         num = np.multiply(m, m)
         num *= sig2
@@ -169,7 +164,7 @@ def frost_filter(img: GrayImage, params: FrostParams) -> GrayImage:
     m, s2 = _window_stats(padded, radius)
     m2 = np.multiply(m, m, out=m)
     kcv2 = np.divide(s2, m2, out=np.zeros_like(s2), where=m2 > 0)
-    with np.errstate(over="ignore"):  # -inf at a huge damping: its weight exp(-inf) = 0 is meant
+    with np.errstate(over="ignore"):  # -inf at a huge Cv^2 (a mean near 0): weight exp(-inf) = 0
         kcv2 *= -params.damping
     # the center sample has weight exp(0) = 1
     num = v.copy()
@@ -209,15 +204,15 @@ def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
     gradient and Laplacian, from which the instantaneous coefficient of
     variation q is formed; the diffusion coefficient
     c = 1 / (1 + (q^2 - q0(t)^2) / (q0(t)^2 (1 + q0(t)^2))) is clamped
-    to [0, 1], and takes its limits where q0(t)^2 overflows (c = 1) or
-    is too small for 1 + q0(t)^2 to exceed 1 (c = 1 where q = 0, else
-    0); the image steps by (dt / 4) * div(c grad v). Pixels must
-    be strictly positive (shift the image first if needed); positivity
-    is preserved by the scheme for dt <= 0.25. An iteration that leaves
-    a pixel non-finite raises `NumericError`. ``threads`` caps the worker
-    processes as for `nlm_denoise`: 0, the default, means one per CPU,
-    and a call starts no more workers than its work fills (a 256x256
-    image runs on one worker for up to 15 iterations).
+    to [0, 1], and takes its limit where q0(t)^2 is too small for
+    1 + q0(t)^2 to exceed 1 (c = 1 where q = 0, else 0); the image steps
+    by (dt / 4) * div(c grad v). Pixels must be strictly positive (shift
+    the image first if needed); positivity is preserved by the scheme for
+    dt <= 0.25. An iteration that leaves a pixel non-finite raises
+    `NumericError`. ``threads`` caps the worker processes as for
+    `nlm_denoise`: 0, the default, means one per CPU, and a call starts
+    no more workers than its work fills (a 256x256 image runs on one
+    worker for up to 15 iterations).
 
     The image is mirror-padded by one pixel and flattened, and the
     differences and c are kept on the same row stride S = W + 2, so a
@@ -337,9 +332,7 @@ def _srad_form(s: SimpleNamespace, q0_sq: float) -> None:
     np.multiply(lap, 0.25, out=s.tmp)
     s.tmp += 1.0
     q2 /= np.multiply(s.tmp, s.tmp, out=s.tmp)
-    if q0_sq == math.inf:  # c's limits, where the formula gives NaN
-        s.c.fill(1.0)
-    elif 1.0 + q0_sq == 1.0:  # or 1 / 0 on a flat window; q2 <= 0 is q = 0 rounded
+    if 1.0 + q0_sq == 1.0:  # c's limit (the formula is 1 / 0 on a flat window); q2 <= 0 is q = 0
         np.less_equal(q2, 0.0, out=s.c)
     else:
         q2 -= q0_sq

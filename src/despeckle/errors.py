@@ -9,6 +9,8 @@ usage errors (exit 2), numeric and parse failures are runtime errors
 import math
 import numbers
 
+REAL_RANGE = (1e-100, 1e100)  # of a finite real parameter (`check_real`)
+
 
 class ParameterError(ValueError):
     """An argument is outside its documented domain (wrong type, range, or combination)."""
@@ -36,17 +38,18 @@ class PgmParseError(ValueError):
 
 def check_real(value, name: str, *, nonnegative: bool = False, at_most: float = math.inf,
                allow_inf: bool = False) -> float:
-    """``value`` as a float if it is a real number (not a bool) that is
-    positive, or non-negative, at most ``at_most``, and finite unless
-    ``allow_inf`` admits +inf."""
-    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (math.isfinite(value) or (allow_inf and value == math.inf))
-            and (value >= 0 if nonnegative else value > 0) and value <= at_most):
+    """``value`` as a float if it is a real number (not a bool) in `REAL_RANGE`,
+    where its square and reciprocal square are normal floats, and at most
+    ``at_most``; or 0 where ``nonnegative``, or +inf where ``allow_inf``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and (REAL_RANGE[0] <= value <= min(at_most, REAL_RANGE[1])
+                 or (nonnegative and value == 0) or (allow_inf and value == math.inf)):
         return float(value)
     sign = "non-negative" if nonnegative else "positive"
     bound = f" <= {at_most:g}" if at_most < math.inf else ""
     kind = "real" if allow_inf else "finite real"
-    raise ParameterError(f"{name} must be a {sign} {kind}{bound}, got {value!r}")
+    span = f" (finite values lie in {list(REAL_RANGE)})" if real and 0 < value < at_most else ""
+    raise ParameterError(f"{name} must be a {sign} {kind}{bound}, got {value!r}{span}")
 
 
 def check_int(value, name: str, low: int = 0, high: int | None = None) -> int:

@@ -101,19 +101,15 @@ def _radius_bound(img: GrayImage) -> int:
 def gaussian_axis_weights(sigma: float, radius: int | None = None) -> np.ndarray:
     """1-D Gaussian tap weights, normalized to sum 1.
 
-    When ``radius`` is not given the kernel is truncated at
-    ceil(3 * sigma). The 2-D kernels used by the blur, the similarity
-    metric window, and the patch kernel are all outer products of these
-    taps, which equals normalizing exp(-(dx^2 + dy^2) / (2 sigma^2))
-    over the full square support.
+    When ``radius`` is not given the kernel is truncated at ceil(3 * sigma).
+    The 2-D kernels used by the blur, the similarity metric window, and the
+    patch kernel are all outer products of these taps, which equals
+    normalizing exp(-(dx^2 + dy^2) / (2 sigma^2)) over the full square
+    support. Below sigma = 0.02 they are the unit impulse; at 1e100, a box.
     """
     sigma = check_real(sigma, "sigma")
     radius = math.ceil(3.0 * sigma) if radius is None else check_int(radius, "radius")
     k = np.arange(-radius, radius + 1, dtype=np.float64)
-    if sigma < 0.02:  # every tap but the center underflows: the unit impulse, the limit
-        return (k == 0).astype(np.float64)
-    if sigma > 1e154:  # sigma ** 2 overflows from ~1.34e154: the normalized box, the limit
-        return np.full(k.size, 1.0 / k.size)
     w = np.exp(-(k * k) / (2.0 * sigma ** 2))
     return w / w.sum()
 

@@ -38,44 +38,37 @@ def _finite(value: float, metric: str) -> float:
     return value
 
 
-def _check_peak(peak) -> float:
-    """``peak`` as a float, if peak^2 is a finite normal float (PSNR and SSIM square it)."""
-    peak = check_real(peak, "peak")
-    if not sys.float_info.min <= peak * peak < math.inf:
-        raise ParameterError(f"peak must lie in about [1.49e-154, 1.34e154], got {peak!r}")
-    return peak
-
-
 def psnr(reference: GrayImage, test: GrayImage, peak: float = 255.0) -> float:
     """Peak signal-to-noise ratio in decibels.
 
-    10 * log10(peak^2 / MSE); identical images give +inf. ``peak`` must
-    lie in about [1.49e-154, 1.34e154], where its square is a normal float.
+    10 * log10(peak^2 / MSE), or 10 * (2 log10(peak) - log10(MSE)) where
+    the quotient is not a normal float; identical images give +inf.
     """
     _check_pair(reference, test)
-    peak = _check_peak(peak)
+    peak = check_real(peak, "peak")
     with np.errstate(over="ignore"):
         mse = float(np.mean((reference.pixels - test.pixels) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak ** 2 / _finite(mse, "psnr"))
+    ratio = peak ** 2 / _finite(mse, "psnr")
+    normal = sys.float_info.min <= ratio < math.inf
+    return 10.0 * (math.log10(ratio) if normal else 2.0 * math.log10(peak) - math.log10(mse))
 
 
 def ssim(reference: GrayImage, test: GrayImage, peak: float = 255.0) -> float:
     """Mean structural similarity over Gaussian-windowed local statistics.
 
-    The window, 11x11 of sigma 1.5, and the stabilizers
-    C1 = (0.01 peak)^2 and C2 = (0.03 peak)^2 are those of Wang, Bovik,
-    Sheikh & Simoncelli (2004); ``peak``, bounded as for `psnr`, is the
-    dynamic range L. Local means, variances, and covariance use mirror
-    boundary, so the score averages over the full image without border
-    cropping. Identical images score 1; the result lies in [-1, 1].
-    The five planes are blurred one at a time into a few reused buffers,
-    and each pixel's score is the luminance ratio times the
-    contrast-structure ratio, so no product of C1 and C2 can overflow.
+    The window, 11x11 of sigma 1.5, and the stabilizers C1 = (0.01 peak)^2
+    and C2 = (0.03 peak)^2 are those of Wang, Bovik, Sheikh & Simoncelli
+    (2004); ``peak`` is the dynamic range L. Local means, variances, and
+    covariance use mirror boundary, so the score averages over the full
+    image without border cropping. Identical images score 1; the result
+    lies in [-1, 1]. The five planes are blurred one at a time into a few
+    reused buffers, and each pixel's score is the luminance ratio times
+    the contrast-structure ratio, so no product of C1 and C2 can overflow.
     """
     _check_pair(reference, test)
-    peak = _check_peak(peak)
+    peak = check_real(peak, "peak")
     side = 2 * math.ceil(3.0 * _SSIM_SIGMA) + 1
     if min(reference.height, reference.width) < side:
         raise ParameterError(f"images must be at least {side}x{side} for window sigma "

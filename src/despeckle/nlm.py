@@ -59,9 +59,8 @@ _SQUARE_CLAMP = 1e300
 
 
 def _decay(h: float) -> float:
-    """-1/h^2, the weight exponent's factor of a patch distance. h^2 is
-    floored at the smallest normal float, as 0 * -1/0 would be NaN."""
-    return -1.0 / max(h * h, sys.float_info.min)
+    """-1/h^2, the weight exponent's factor of a patch distance."""
+    return -1.0 / (h * h)
 
 
 def make_patch_kernel(radius: int, sigma_s: float) -> np.ndarray:
@@ -340,8 +339,8 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
         b = worker_array(tile_blocks * _BAND * stride + 2 * r)  # the r values at each end stay 0
         acc, norm = worker_array(tile_rows * stride), worker_array(tile_rows * stride)
         wmax = worker_array(tile_rows * stride) if skip_self else None
-        # For tiny h the scaled distances saturate to -inf and exp flushes
-        # them to the intended weight 0, so the overflow is not an error.
+        # Distances huge against h^2 (huge samples) saturate to -inf and exp
+        # flushes them to the intended weight 0, so the overflow is not an error.
         with np.errstate(over="ignore"):
             for y0 in range(first, end, tile_rows):
                 link.check()
@@ -384,7 +383,7 @@ def _corruption_factor(v: np.ndarray, h2: float, sigma: float) -> np.ndarray:
     tau *= 3.0 * math.sqrt(math.pi / 2.0)
     excess = np.subtract(dev, tau, out=tau)
     np.maximum(excess, 0.0, out=excess)
-    # for tiny h2 the quotient saturates to -inf, whose exp is the intended factor 0
+    # for a huge excess (huge samples) the quotient saturates to -inf, whose exp is the factor 0
     with np.errstate(over="ignore", under="ignore"):
         excess /= -h2
         return np.exp(excess, out=excess)

@@ -45,8 +45,9 @@ class NoiseEstimate:
 
     sigma_n: float
 
-    def __post_init__(self):
-        check_real(self.sigma_n, "sigma_n", nonnegative=True)
+    def __post_init__(self):  # a measurement at any image scale, not held to `REAL_RANGE`
+        if not 0 <= self.sigma_n < math.inf:
+            raise ParameterError(f"sigma_n must be a non-negative finite real, got {self.sigma_n!r}")
 
 
 def add_multiplicative_speckle(img: GrayImage, params: SpeckleParams) -> GrayImage:
@@ -57,7 +58,7 @@ def add_multiplicative_speckle(img: GrayImage, params: SpeckleParams) -> GrayIma
     Rayleigh(scale=sigma); the division makes the noise field unit-mean
     so image brightness is preserved in expectation. sigma = 0 returns
     the input unchanged for both models. A draw that overflows float64
-    (a huge sigma) raises `NumericError`.
+    (on huge samples) raises `NumericError`.
     """
     u = img.pixels
     if np.any(u < 0):

@@ -72,9 +72,10 @@ class TestLee:
         assert out.std() < arr.std()
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("noise_sigma", [1e154, 1e200, 1e308, float("inf")])
+    @pytest.mark.parametrize("noise_sigma", [1e100, float("inf")])
     def test_huge_noise_sigma_gives_the_window_mean(self, noise_sigma):
-        # the gain's limit is 0, although sigma^2 and m^2 sigma^2 overflow
+        # the gain is its limit 0 at the top of the range, and at inf,
+        # although sigma^2 and m^2 sigma^2 overflow there
         arr = textured_image(39, 12, 12)
         out = lee_filter(as_img(arr), LeeParams(window_radius=2, noise_sigma=noise_sigma)).pixels
         assert np.max(np.abs(out - box_mean(arr, 2))) < 1e-9
@@ -112,12 +113,14 @@ class TestFrost:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("damping", [1e308, 1.7e308])
-    def test_overflowing_damping_gives_the_bits_of_a_huge_one(self, damping):
-        # -K Cv^2 d overflows to -inf, whose weight exp(-inf) = 0 is meant
+    def test_an_overflowing_damping_is_a_parameter_error(self, damping):
+        # past the range the damping is refused; at its top the kernel is
+        # the center sample alone, bit for bit
+        with pytest.raises(ParameterError, match="^damping must be a positive finite real, got "):
+            FrostParams(damping=damping)
         img = as_img(make_step(12, 12, low=1.0, high=250.0))
-        want = frost_filter(img, FrostParams(window_radius=2, damping=1e306)).pixels
-        got = frost_filter(img, FrostParams(window_radius=2, damping=damping)).pixels
-        assert np.array_equal(got, want)
+        got = frost_filter(img, FrostParams(window_radius=2, damping=1e100)).pixels
+        assert np.array_equal(got, img.pixels)
 
     def test_edges_survive_better_than_box_mean(self):
         arr = make_step()
@@ -214,26 +217,24 @@ class TestSrad:
         return as_img(arr)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("q0", [1e200, 1e155])
+    @pytest.mark.parametrize("q0", [1e100, 1e80])
     def test_overflowing_q0_gives_c_its_limit_1(self, q0):
-        # q0(t)^2 = inf must not reach the formula, whose NaN ended the
-        # run as a divergence. At q0 = 1e100 the formula's denominator
-        # overflows instead, and c is exactly 1 too.
+        # the formula's denominator q0(t)^2 (1 + q0(t)^2) overflows, and c
+        # is exactly 1, as at q0 = 1e60, where it rounds to 1 without overflow
         img = self.flat_block_image()
         got = srad(img, SradParams(iterations=20, q0=q0), threads=1).pixels
-        assert np.array_equal(got, srad(img, SradParams(iterations=20, q0=1e100), threads=1).pixels)
+        assert np.array_equal(got, srad(img, SradParams(iterations=20, q0=1e60), threads=1).pixels)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("params", [dict(q0=1e-100), dict(q0=1e-160), dict(q0=1e-200),
-                                        dict(rho=700.0), dict(rho=1e300)])
+    @pytest.mark.parametrize("params", [dict(q0=1e-100), dict(q0=1e-60), dict(q0=1e-9),
+                                        dict(rho=700.0), dict(rho=1e100)])
     def test_vanishing_q0_gives_c_its_limit(self, params):
         # once 1 + q0(t)^2 rounds to 1 the formula divides by zero on the
-        # flat block (at 1e-160 it overflows first, and 1e-200 and
-        # rho = 1e300 make q0(t)^2 exactly 0); the limit is c = 1 where
-        # q = 0 and 0 elsewhere
+        # flat block (rho = 1e100 makes q0(t)^2 exactly 0); the limit is
+        # c = 1 where q = 0 and 0 elsewhere
         img = self.flat_block_image()
         got = srad(img, SradParams(iterations=20, **params), threads=1).pixels
-        limit = srad(img, SradParams(iterations=20, q0=1e-200), threads=1).pixels
+        limit = srad(img, SradParams(iterations=20, rho=1e100), threads=1).pixels
         assert np.array_equal(got, limit)
         assert np.array_equal(got[9:15, 9:15], img.pixels[9:15, 9:15])
         # the formula just above the cut-over comes within 1e-9 of the limit
@@ -249,7 +250,7 @@ class TestSrad:
         arr = np.full((3, 3), 1e308)
         arr[1, 1] = 1.0
         with pytest.raises(NumericError, match="non-finite values at iteration 1$"):
-            srad(as_img(arr), SradParams(iterations=3, q0=1e200))
+            srad(as_img(arr), SradParams(iterations=3, q0=1e100))
 
     def test_smooths_speckle(self):
         rng = np.random.Generator(np.random.Philox(44))

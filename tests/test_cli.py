@@ -29,6 +29,7 @@ from despeckle import (
 from despeckle import workers
 from despeckle.baselines import srad_plan
 from despeckle.cli import FILTERS, PARAM_NAMES, build_parser, denoise, main
+from despeckle.errors import REAL_RANGE
 from despeckle.nlm import engine_plan
 
 FAST = ["--search-radius", "3", "--patch-radius", "1"]
@@ -115,13 +116,15 @@ class TestSynth:
 
     @pytest.mark.parametrize("model", ["mult-gauss", "rayleigh"])
     def test_overflowing_sigma_ends_in_one_error_line(self, tmp_path, capsys, model):
+        # a sigma whose draw overflows on a PGM is past the parameter range
         clean = tmp_path / "clean.pgm"
         write_pgm(clean, rand_image(72, 12, 12, lo=10, hi=240))
         argv = ["synth", str(clean), str(tmp_path / "noisy.pgm"), "--model", model]
-        assert main([*argv, "--sigma", "1.7e308"]) == 1
+        assert main([*argv, "--sigma", "1.7e308"]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if not line.startswith("resolved-config:")]
-        assert errors == ["error: speckle of sigma 1.7e+308 overflows float64 on this image"]
+        assert errors == ["error: sigma must be a non-negative finite real, got 1.7e+308 "
+                          "(finite values lie in [1e-100, 1e+100])"]
 
     def test_rayleigh_model(self, tmp_path):
         clean = tmp_path / "clean.pgm"
@@ -186,11 +189,12 @@ class TestDenoise:
 
     @pytest.mark.filterwarnings("error")
     def test_srad_at_an_overflowing_q0_exits_0(self, tmp_path, capsys):
-        # q0(t)^2 overflows: c takes its limit 1, as it does at q0 = 1e100
+        # q0(t)^2 (1 + q0(t)^2) overflows: c is its limit 1 at the top of
+        # the range, as at q0 = 1e80
         src = tmp_path / "in.pgm"
         write_pgm(src, rand_image(89, 16, 16, lo=60, hi=200))
         outputs = []
-        for q0 in ("1e200", "1e100"):
+        for q0 in ("1e100", "1e80"):
             dst = tmp_path / f"out{q0}.pgm"
             assert main(["denoise", str(src), str(dst), "--filter", "srad", "--q0", q0]) == 0
             assert float(parse_echo(capsys.readouterr().err)["q0"]) == float(q0)
@@ -229,18 +233,18 @@ class TestDenoise:
             assert dst.exists()
 
     def test_huge_lee_noise_sigma_gives_the_window_mean(self, tmp_path, capsys):
-        # at 1e150 the gain is already 0 without overflow; above, sigma^2 or
-        # m^2 sigma^2 overflow and must give that limit too
+        # at the top of the range the gain is already 0 without overflow;
+        # at inf, sigma^2 and m^2 sigma^2 overflow and give that limit too
         src = tmp_path / "in.pgm"
         write_pgm(src, rand_image(88, 16, 16, lo=50, hi=220))
         outputs = []
-        for value in ("1e150", "1e154", "1e200", "1e308", "inf"):
+        for value in ("1e100", "inf"):
             dst = tmp_path / f"{value}.pgm"
             assert main(["denoise", str(src), str(dst), "--filter", "lee",
                          "--noise-sigma", value]) == 0
             assert "error" not in capsys.readouterr().err
             outputs.append(dst.read_bytes())
-        assert outputs[1:] == outputs[:1] * 4
+        assert outputs[1:] == outputs[:1]
 
     def test_16bit_output(self, tmp_path):
         src = tmp_path / "in.pgm"
@@ -352,10 +356,14 @@ class TestDenoise:
         assert rc == 2
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if not line.startswith("resolved-config:")]
-        name = flags[-2][2:].replace("-", "_")
+        name, value = flags[-2][2:].replace("-", "_"), float(flags[-1])
         bound = 64 if name == "sigma_s" else 64 / 3
-        assert errors == [f"error: {name} for a 32x32 image must be a positive finite real "
-                          f"<= {bound:g}, got {float(flags[-1])!r}"]
+        if value > REAL_RANGE[1]:  # past the range of every parameter, before the image's bound
+            assert errors == [f"error: {name} must be a positive finite real, got {value!r} "
+                              f"(finite values lie in [1e-100, 1e+100])"]
+        else:
+            assert errors == [f"error: {name} for a 32x32 image must be a positive finite real "
+                              f"<= {bound:g}, got {value!r}"]
         assert peak < 2**20
 
     @pytest.mark.parametrize("name", ["nlm", "robust-nlm"])
@@ -373,12 +381,12 @@ class TestDenoise:
             assert main(["denoise", str(src), str(tmp_path / "out.pgm"), *FAST, *flags]) == 0
 
     def test_tiny_sigmas_run_as_the_unit_impulse(self, tmp_path, capsys):
-        # Gaussian taps at sigma 1e-300 are those at 0.01, with no warning
+        # Gaussian taps at sigma 1e-100 are those at 0.01, with no warning
         src = tmp_path / "in.pgm"
         write_pgm(src, rand_image(87, 16, 16, lo=60, hi=200))
         outputs = []
-        for flags in (["--sigma-s", "1e-300"], ["--sigma-s", "0.01"],
-                      ["--prefilter-sigma", "1e-300"]):
+        for flags in (["--sigma-s", "1e-100"], ["--sigma-s", "0.01"],
+                      ["--prefilter-sigma", "1e-100"]):
             dst = tmp_path / "out.pgm"
             assert main(["denoise", str(src), str(dst), *FAST, *flags]) == 0
             outputs.append(dst.read_bytes())
@@ -572,7 +580,9 @@ class TestEval:
         write_pgm(ref, rand_image(89, 16, 16))
         write_pgm(test, rand_image(90, 16, 16))
         assert main(["eval", str(ref), str(test), "--peak", peak]) == 2
-        assert "error: peak must lie in" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            f"error: peak must be a positive finite real, got {float(peak)!r} "
+            f"(finite values lie in [1e-100, 1e+100])\n")
 
     def test_missing_report_directory_exits_1(self, tmp_path, capsys):
         ref, test = self._pair(tmp_path)
@@ -728,6 +738,50 @@ def test_every_numeric_flag_ends_in_an_exit_code(tmp_path, capsys):
                 escapes.append(f"{shown}: exit {rc}")
     capsys.readouterr()
     assert not escapes, "\n".join(escapes)
+
+
+def _real_flag_runs(clean, noisy, out):
+    """(argv, flag, fields) of each run that sets one real flag of synth,
+    eval and denoise: every filter that takes the flag, in both domains,
+    with the filter's fields (the noise-led defaults among them)."""
+    for model in ("mult-gauss", "rayleigh"):
+        yield ["synth", clean, out, f"--model={model}"], "sigma", ()
+    yield ["eval", clean, noisy], "peak", ()
+    for name, (cls, *_) in FILTERS.items():
+        hints = typing.get_type_hints(cls)
+        quick = [f"--{k.replace('_', '-')}={v}" for k, v in _QUICK.items() if k in hints]
+        reals = [field for field, hint in hints.items() if float in (typing.get_args(hint) or (hint,))]
+        for domain in ("linear", "log"):
+            for flag in ("epsilon", "sigma_n", *reals):
+                argv = ["denoise", noisy, out, f"--filter={name}", f"--domain={domain}", *quick]
+                yield argv, flag, tuple(hints)
+
+
+def test_the_real_range_bounds_every_real_flag(tmp_path, capsys):
+    # The ends of REAL_RANGE pass the range: they run (exit 0 or 1), unless
+    # the flag's own bound is lower (dt <= 0.25, a sigma's reach on 12x12)
+    # or a noise-led default that sigma_n sets leaves the range (h = 9e100,
+    # Lee's noise_sigma = 1e-100 / mean), which names that field. Just past
+    # the ends a run exits 2 with one error line that names the flag.
+    clean, noisy, out = (str(tmp_path / name) for name in ("clean.pgm", "noisy.pgm", "out.pgm"))
+    write_pgm(clean, rand_image(87, 12, 12, lo=20, hi=230))
+    write_pgm(noisy, rand_image(88, 12, 12, lo=90, hi=110))
+    wrong = []
+    for argv, flag, fields in _real_flag_runs(clean, noisy, out):
+        derived = {"h", "h2", "noise_sigma"} & set(fields) if flag == "sigma_n" else set()
+        for value in ("1e-100", "1e100", "9.9e-101", "1.01e100"):
+            rc = main([*argv, f"--{flag.replace('_', '-')}={value}"])
+            errors = [line for line in capsys.readouterr().err.splitlines()
+                      if not line.startswith("resolved-config:")]
+            named = len(errors) == 1 and re.match(r"error: (\w+)", errors[0])[1]
+            if value in ("1e-100", "1e100"):
+                ok = rc in (0, 1) or rc == 2 and (named == flag and "<= " in errors[0]
+                                                  or named in derived)
+            else:
+                ok = rc == 2 and named == flag
+            if not ok:
+                wrong.append(f"{' '.join(argv[3:])} --{flag}={value}: exit {rc} {errors}")
+    assert not wrong, "\n".join(wrong)
 
 
 class TestParsing:

@@ -91,24 +91,24 @@ class TestAxisWeights:
         w = gaussian_axis_weights(2.0, radius=1)
         assert w.size == 3
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 9.9e-101, 1.01e100])
     def test_bad_sigma(self, sigma):
         with pytest.raises(ParameterError):
             gaussian_axis_weights(sigma)
 
-    @pytest.mark.parametrize("sigma", [1e-160, 1e-300, 5e-324])
+    @pytest.mark.parametrize("sigma", [1e-100])
     def test_tiny_sigma_gives_the_unit_impulse(self, sigma):
-        # 2 sigma^2 overflows the division or underflows to 0 here; the
-        # taps are still the limit, as at sigma = 0.01, with no warning
+        # at the bottom of the range the plain formula gives the limit, as
+        # at sigma = 0.01, with no warning
         for radius in (None, 0, 1, 3):
             w = gaussian_axis_weights(sigma, radius)
             c = w.size // 2
             assert w.tolist() == [0.0] * c + [1.0] + [0.0] * c
             assert w.tobytes() == gaussian_axis_weights(0.01, radius).tobytes()
 
-    @pytest.mark.parametrize("sigma", [1.2e154, 1.35e154, 1e200, 1.7976931348623157e308])
+    @pytest.mark.parametrize("sigma", [1e100])
     def test_huge_sigma_gives_the_normalized_box(self, sigma):
-        # sigma ** 2 overflows past ~1.34e154; the taps are still the limit
+        # at the top of the range the plain formula gives the limit
         for radius in (0, 1, 3, 10):
             w = gaussian_axis_weights(sigma, radius)
             assert w.tobytes() == np.full(2 * radius + 1, 1.0 / (2 * radius + 1)).tobytes()
@@ -201,7 +201,7 @@ def mirror_gauss_oracle(arr, sigma, radius):
     (`reference.reflect`) per window offset: weights
     exp(-(dx^2 + dy^2) / (2 sigma^2)) normalized over the (2 radius + 1)^2
     window. Python floats take the limits: at sigma 0.01 every weight but
-    the center's underflows to 0, and where 2 sigma^2 overflows all are 1."""
+    the center's underflows to 0, and at sigma 1e100 all are 1."""
     h, w = arr.shape
     span = range(-radius, radius + 1)
     rows = [reflect(y, h) for y in range(-radius, h + radius)]
@@ -228,7 +228,7 @@ class TestBlurArray:
         assert got.shape == shape
         assert np.all(np.abs(got - want) <= 1e-12 * want)
 
-    @pytest.mark.parametrize("sigma", [2e154, 1e300])
+    @pytest.mark.parametrize("sigma", [1e100])
     def test_huge_sigma_taps_blur_as_the_box(self, sigma):
         # no image admits a reach of 3 sigma here, so these taps get a
         # radius of their own, as the patch kernel's do, and run through

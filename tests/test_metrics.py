@@ -181,21 +181,35 @@ class TestEpi:
 
 
 class TestPeakRange:
-    # PSNR and SSIM square peak: it must square to a finite normal float
+    # peak is a parameter like any other: it must lie in errors.REAL_RANGE
     @pytest.mark.parametrize("metric", [psnr, ssim])
     @pytest.mark.parametrize("peak", [5e-324, 1e-300, 1.49e-154, 1.35e154, 1e300, 1.7e308])
     def test_out_of_range_peak_is_a_parameter_error(self, metric, peak):
         a, b = as_img(rand_image(55, 16, 16)), as_img(rand_image(56, 16, 16))
-        with pytest.raises(ParameterError, match="^peak must lie in"):
+        with pytest.raises(ParameterError, match="^peak must be a positive finite real, got "):
             metric(a, b, peak=peak)
 
     def test_peak_at_the_ends_scores(self):
         a, b = as_img(rand_image(55, 16, 16)), as_img(rand_image(56, 16, 16))
-        assert math.isfinite(psnr(a, b, peak=1.5e-154))
-        assert math.isfinite(psnr(a, b, peak=1.34e154))
-        for peak in (1.5e-154, 1e100, 1.34e154):
+        assert math.isfinite(psnr(a, b, peak=1e-100))
+        assert math.isfinite(psnr(a, b, peak=1e100))
+        for peak in (1e-100, 1e80, 1e100):
             # C1 C2 ~ 9e-8 peak^4 overflows from a peak of ~2e77; each term on its own does not
             assert -1.0 <= ssim(a, b, peak=peak) <= 1.0
+
+    @pytest.mark.parametrize("test, peak, score", [(1e-100, 1e100, 4000.0), (1e70, 1e-100, -3400.0)])
+    def test_differing_images_score_finite_where_the_quotient_leaves_the_floats(
+            self, test, peak, score):
+        # peak^2 / MSE overflows to inf (the identical-images score) or
+        # underflows to 0 (no log); the score is then taken in logs
+        zeros = as_img(np.zeros((16, 16)))
+        assert psnr(zeros, as_img(np.full((16, 16), test)), peak=peak) == pytest.approx(score)
+
+    def test_ordinary_scores_keep_the_quotients_bits(self):
+        a, b = as_img(rand_image(55, 16, 16)), as_img(rand_image(56, 16, 16))
+        mse = float(np.mean((a.pixels - b.pixels) ** 2))
+        for peak in (1.0, 255.0, 65535.0):
+            assert psnr(a, b, peak=peak) == 10.0 * math.log10(peak ** 2 / mse)
 
 
 class TestOverflow:

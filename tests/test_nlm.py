@@ -90,7 +90,7 @@ class TestPatchKernel:
         assert kern[0, 0] == 1.0
 
     def test_tiny_sigma_gives_the_center_weight(self):
-        kern = make_patch_kernel(3, 1e-300)
+        kern = make_patch_kernel(3, 1e-100)
         assert kern.tobytes() == make_patch_kernel(3, 0.01).tobytes()
         assert kern[3, 3] == 1.0 and kern.sum() == 1.0
 
@@ -279,7 +279,7 @@ class TestFilterInvariants:
         # all cross weights underflow to 0 while the self weight stays
         # exp(-0) == 1, so each pixel averages only with itself
         arr = rand_image(16, 10, 10)
-        out = nlm_denoise(as_img(arr), NlmParams(h=1e-300, search_radius=3, patch_radius=1))
+        out = nlm_denoise(as_img(arr), NlmParams(h=1e-100, search_radius=3, patch_radius=1))
         assert np.array_equal(out.pixels, arr)
 
     def test_extreme_finite_inputs_match_the_oracles(self):
@@ -681,14 +681,15 @@ class TestWeightField:
         with pytest.raises(ParameterError):
             self._field(arr, (8, 0))
 
-    @pytest.mark.parametrize("decay", [dict(h=1e150, sigma_s=0.5), dict(h=1e200),
-                                       dict(h=math.inf), dict(h=1e150, sigma_s=0.01)])
+    @pytest.mark.parametrize("decay", [dict(h=1e100, sigma_s=0.5), dict(h=1e100, sigma_s=1e-100),
+                                       dict(h=math.inf), dict(h=math.inf, sigma_s=0.01)])
     def test_shares_the_filters_guards_at_huge_samples(self, decay):
         # Every squared difference here exceeds 1e300 and meets the clamp;
-        # h = 1e200 and inf floor the decay to -0, and sigma_s = 0.01
-        # gives the kernel zero taps, which must not meet an inf.
+        # h = 1e100 weighs every candidate 0 and h = inf makes the decay
+        # -0, and the tiny sigma_s give the kernel zero taps, which must
+        # not meet an inf; h2 = 1e100 penalizes the outliers fully.
         arr = rand_image(25, 16, 16, 1e199, 1e200)
-        params = RobustNlmParams(search_radius=2, patch_radius=1, h2=1e200, **decay)
+        params = RobustNlmParams(search_radius=2, patch_radius=1, h2=1e100, **decay)
         field = compute_weight_field(as_img(arr), (8, 8), params)
         assert all(0.0 <= w <= 1.0 for _, w in field.entries)
         assert abs(math.fsum(w for _, w in field.entries) - 1.0) < 1e-9
@@ -701,7 +702,7 @@ class TestWeightField:
         # every cross weight underflows and max_neighbor's self weight is
         # their maximum, 0: C(i) = 0, and the filter returns its input
         arr = rand_image(26, 16, 16, 50.0, 200.0)
-        params = RobustNlmParams(search_radius=2, patch_radius=1, h=1e-3, h2=1e200,
+        params = RobustNlmParams(search_radius=2, patch_radius=1, h=1e-3, h2=math.inf,
                                  self_weight="max_neighbor")
         assert np.array_equal(robust_nlm_denoise(as_img(arr), params).pixels, arr)
         field = compute_weight_field(as_img(arr), (8, 8), params)
@@ -797,7 +798,7 @@ class TestParams:
         nlm_denoise(tall, base)
         robust_nlm_denoise(tall, at_bound)
         compute_weight_field(tall, (1, 5), at_bound)
-        wide = NlmParams(h=40.0, search_radius=2, patch_radius=1, sigma_s=1e200)
+        wide = NlmParams(h=40.0, search_radius=2, patch_radius=1, sigma_s=1e100)
         wide_robust = RobustNlmParams(**asdict(wide), h2=25.0)
         for run in (lambda: nlm_denoise(tall, wide),
                     lambda: robust_nlm_denoise(tall, wide_robust),

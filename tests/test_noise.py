@@ -41,9 +41,20 @@ def test_seed_determinism_is_bit_exact():
 
 @pytest.mark.parametrize("model", ["multiplicative_gaussian", "rayleigh"])
 def test_overflowing_draw_raises_numeric_error(model):
-    img = as_img(rand_image(4, 16, 16, lo=10, hi=200))
-    with pytest.raises(NumericError, match="^speckle of sigma 1.7e\\+308 overflows"):
-        add_multiplicative_speckle(img, SpeckleParams(model=model, sigma=1.7e308, seed=5))
+    # sigma is in the parameter range; the samples are what overflow
+    img = as_img(rand_image(4, 16, 16, lo=1e308, hi=1.7e308))
+    with pytest.raises(NumericError, match="^speckle of sigma 1 overflows"):
+        add_multiplicative_speckle(img, SpeckleParams(model=model, sigma=1.0, seed=5))
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_noise_sigma_is_held_to_the_range():
+    # past the range sigma is refused by name, before any draw; at the top
+    # of the range the draw is finite on an 8-bit image
+    img = as_img(rand_image(4, 16, 16, lo=0, hi=255))
+    with pytest.raises(ParameterError, match="^sigma must be a non-negative finite real, got 1.7e\\+308"):
+        add_gaussian_noise(img, 1.7e308, 1)
+    assert np.isfinite(add_gaussian_noise(img, 1e100, 1).pixels).all()
 
 
 def test_sigma_zero_returns_input_unchanged():
@@ -161,6 +172,13 @@ class TestNoiseEstimate:
         base = estimate_noise_sigma(as_img(arr)).sigma_n
         scaled = estimate_noise_sigma(as_img(arr * scale)).sigma_n
         assert math.isclose(scaled, base * scale, rel_tol=1e-9, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-120, 1e120])
+    def test_faint_and_bright_images_are_measured(self, scale):
+        # a measurement is not a parameter: it is not held to the range
+        arr = rand_image(42, 16, 16)
+        est = estimate_noise_sigma(as_img(arr * scale)).sigma_n
+        assert est == pytest.approx(estimate_noise_sigma(as_img(arr)).sigma_n * scale, rel=1e-9)
 
     def test_too_small_image_rejected(self):
         with pytest.raises(ParameterError):

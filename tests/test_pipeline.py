@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_img, child_env, make_phantom
-from despeckle import ParameterError, SpeckleParams, add_multiplicative_speckle, load_pgm, save_pgm
+from conftest import as_img, child_env, make_phantom, rand_image
+from despeckle import (ParameterError, SpeckleParams, add_multiplicative_speckle, estimate_noise_sigma,
+                       load_pgm, save_pgm)
 from despeckle import cli, workers
 from despeckle.cli import denoise, main
 
@@ -162,9 +163,23 @@ def test_lee_echoes_the_noise_level_behind_its_noise_sigma(tmp_path, capsys, src
 
 def test_an_overflowing_lee_noise_sigma_gives_the_window_mean():
     # sigma_n / mean is inf here, the limit that LeeParams accepts
-    out, config = denoise(as_img(np.full((8, 8), 0.5)), "lee", sigma_n=1e308)
+    tiny = 2.0 ** -830  # ~1.4e-250, a power of two, so the window mean is exact
+    out, config = denoise(as_img(np.full((8, 8), tiny)), "lee", sigma_n=1e100)
     assert config["noise_sigma"] == math.inf
-    assert np.array_equal(out.pixels, np.full((8, 8), 0.5))
+    assert np.array_equal(out.pixels, np.full((8, 8), tiny))
+
+
+def test_a_noise_led_default_past_the_range_names_its_field():
+    # the estimate on a bright image is a measurement, outside the range;
+    # the h it sets is a parameter, and is refused by name
+    arr = rand_image(43, 16, 16, lo=60, hi=200) * 1e120
+    sigma_n = estimate_noise_sigma(as_img(arr)).sigma_n
+    with pytest.raises(ParameterError, match=re.escape(
+            f"h must be a positive real, got {9.0 * sigma_n!r} (finite values lie in")):
+        denoise(as_img(arr), "nlm", domain="linear")
+    # on a faint image the defaults stay in the range, and the filter runs
+    out, config = denoise(as_img(arr * 1e-240), "nlm", domain="linear", search_radius=2)
+    assert config["h"] == 1e-6 and np.isfinite(out.pixels).all()
 
 
 def test_self_weight_takes_both_spellings(tmp_path, capsys, src):
