@@ -139,7 +139,7 @@ def lee_filter(img: GrayImage, params: LeeParams) -> GrayImage:
     out = np.subtract(v, m, out=num)
     out *= gain
     out += m
-    return GrayImage(out)
+    return GrayImage._adopt(out)
 
 
 def frost_filter(img: GrayImage, params: FrostParams) -> GrayImage:
@@ -186,7 +186,7 @@ def frost_filter(img: GrayImage, params: FrostParams) -> GrayImage:
         weight *= count
         den += weight
     num /= den
-    return GrayImage(num)
+    return GrayImage._adopt(num)
 
 
 def srad_plan(threads, height: int, width: int, params: SradParams) -> tuple[int, int]:

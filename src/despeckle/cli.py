@@ -46,7 +46,8 @@ from .baselines import (
     srad,
     srad_plan,
 )
-from .errors import DomainError, NumericError, ParameterError, PgmParseError, check_int, check_real
+from .errors import (DomainError, NumericError, ParameterError, PgmParseError, check_int, check_real,
+                     nearest_real)
 from .image import GrayImage
 from .metrics import CSV_HEADER, evaluate
 from .nlm import SELF_WEIGHT_MODES, NlmParams, RobustNlmParams, engine_plan, nlm_denoise, robust_nlm_denoise
@@ -75,11 +76,13 @@ MODEL_CHOICES = {"mult-gauss": "multiplicative_gaussian", "rayleigh": "rayleigh"
 _FIELDS = {name: {field.name: field for field in fields(row[0])} for name, row in FILTERS.items()}
 # The pipeline's parameter keywords, one per filter flag.
 PARAM_NAMES = tuple(dict.fromkeys(name for group in _FIELDS.values() for name in group))
-# The defaults that follow from the noise level, by field: f(sigma_n, filtered pixels).
+# The defaults that follow from the noise level, by field: f(sigma_n, filtered pixels),
+# each the nearest value its field accepts.
 _NOISE_LED = {
-    "h": lambda sigma_n, v: max(9.0 * sigma_n, H1_FLOOR),
-    "h2": lambda sigma_n, v: H2_CAP if sigma_n < 1e-6 else min(148.0 / sigma_n, H2_CAP),
-    "noise_sigma": lambda sigma_n, v: sigma_n / mean if (mean := float(v.mean())) > 0 else 0.0,
+    "h": lambda sigma_n, v: nearest_real(max(9.0 * sigma_n, H1_FLOOR)),
+    "h2": lambda sigma_n, v: H2_CAP if sigma_n < 1e-6 else nearest_real(min(148.0 / sigma_n, H2_CAP)),
+    "noise_sigma": lambda sigma_n, v: (nearest_real(sigma_n / mean, nonnegative=True)
+                                       if (mean := float(v.mean())) > 0 else 0.0),
 }
 
 
@@ -171,9 +174,10 @@ def denoise(img: GrayImage, filter: str = "robust-nlm", **options) -> tuple[Gray
     estimated on the filtering-domain image when absent and needed, sets
     ``h`` = max(9 sigma_n, `H1_FLOOR`), ``h2`` = 148 / sigma_n (`H2_CAP`
     above it or for sigma_n < 1e-6) and Lee's ``noise_sigma`` = sigma_n /
-    mean. SRAD's input is shifted to strictly positive pixels and back.
-    An unknown filter, domain or keyword, or a bad value, is a
-    ParameterError.
+    mean, each the nearest value its field accepts (`errors.nearest_real`:
+    h = 9e100 becomes 1e100, noise_sigma = 1e-102 becomes 0). SRAD's
+    input is shifted to strictly positive pixels and back. An unknown
+    filter, domain or keyword, or a bad value, is a ParameterError.
     """
     run, config = _prepare(img, filter, **options)
     return run(), config

@@ -52,6 +52,18 @@ def check_real(value, name: str, *, nonnegative: bool = False, at_most: float = 
     raise ParameterError(f"{name} must be a {sign} {kind}{bound}, got {value!r}{span}")
 
 
+def nearest_real(value: float, *, nonnegative: bool = False) -> float:
+    """The value nearest to ``value`` >= 0 that `check_real` accepts with
+    ``allow_inf`` (and ``nonnegative``): ``value`` itself if in `REAL_RANGE`
+    or +inf, else the nearer end of the range (or 0, where ``nonnegative``)."""
+    low, high = REAL_RANGE
+    if low <= value <= high or value == math.inf:
+        return value
+    if value > high:
+        return high
+    return 0.0 if nonnegative and value < low / 2 else low
+
+
 def check_int(value, name: str, low: int = 0, high: int | None = None) -> int:
     """``value`` as an int if it is an integer (not a bool) in [low, high]."""
     if (isinstance(value, numbers.Integral) and not isinstance(value, bool)

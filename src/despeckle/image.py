@@ -33,13 +33,25 @@ class GrayImage:
     nominally in [0, 255] but are not clamped here; clamping and
     quantization happen only on PGM export. Construction rejects empty
     shapes and non-finite values, so any `GrayImage` handed around the
-    package is known to be finite.
+    package is known to be finite. The constructor copies what it is
+    given, so no caller's array is ever aliased.
     """
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.pixels, dtype=np.float64, order="C")
+        self._seal(np.array(self.pixels, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> GrayImage:
+        """The image of ``arr``, a float64 array in C order that the
+        package has just made and no one else holds: the constructor's
+        checks without its copy, and ``arr`` becomes read-only."""
+        img = object.__new__(cls)
+        img._seal(arr)
+        return img
+
+    def _seal(self, arr: np.ndarray) -> None:
         if arr.ndim != 2:
             raise ParameterError(f"image must be 2-D, got {arr.ndim} dimension(s)")
         if arr.shape[0] < 1 or arr.shape[1] < 1:

@@ -43,13 +43,22 @@ def psnr(reference: GrayImage, test: GrayImage, peak: float = 255.0) -> float:
 
     10 * log10(peak^2 / MSE), or 10 * (2 log10(peak) - log10(MSE)) where
     the quotient is not a normal float; identical images give +inf.
+    Where the images differ but every square underflows, the MSE is
+    taken of the differences scaled by the power of two that takes the
+    largest magnitude into [0.5, 1), exactly, and the scale is added back
+    to its logarithm.
     """
     _check_pair(reference, test)
     peak = check_real(peak, "peak")
+    diff = reference.pixels - test.pixels
     with np.errstate(over="ignore"):
-        mse = float(np.mean((reference.pixels - test.pixels) ** 2))
+        mse = float(np.mean(diff ** 2))
     if mse == 0.0:
-        return math.inf
+        if not diff.any():
+            return math.inf
+        exponent = math.frexp(float(np.abs(diff).max()))[1]
+        scaled = float(np.mean(np.ldexp(diff, -exponent) ** 2))
+        return 10.0 * (2.0 * math.log10(peak) - math.log10(scaled) - 2 * exponent * math.log10(2.0))
     ratio = peak ** 2 / _finite(mse, "psnr")
     normal = sys.float_info.min <= ratio < math.inf
     return 10.0 * (math.log10(ratio) if normal else 2.0 * math.log10(peak) - math.log10(mse))

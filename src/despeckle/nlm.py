@@ -244,7 +244,9 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
     Memory: besides the padded input and penalty and the output (shared
     by forked workers), each worker holds 2 x (tile + R + 2B + 2r) x S
     float64 scratch values at most, plus tile x S for each of ``acc``,
-    ``norm`` and, for ``max_neighbor``, ``wmax``.
+    ``norm`` and, for ``max_neighbor``, ``wmax``. The penalty ``corr`` is
+    freed once padded, unless the caller holds it too, and the output
+    becomes the returned image without a copy.
     """
     v = img.pixels
     big_r, r = params.search_radius, params.patch_radius
@@ -260,6 +262,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
             (pad, stride - width - pad))
     padded = mirror_pad(v, spec).ravel()
     corr_padded = mirror_pad(corr, spec).ravel() if corr is not None else None
+    del corr  # the caller holds no other reference: free it before ``out`` and the scratch
     col_band = tap_band(taps)
     row_band = np.ascontiguousarray(col_band.T * _decay(params.h))  # the decay rides the row taps
     clamp = max(v.max(), -v.min()) > 5e149  # else no square reaches `_SQUARE_CLAMP`
@@ -347,8 +350,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
                 run_tile(y0, min(y0 + tile_rows, end), a, b, acc, norm, wmax)
 
     run_workers(work, height, workers, "NLM")
-    del padded, corr_padded  # free them before GrayImage copies ``out``
-    return GrayImage(out)
+    return GrayImage._adopt(out)
 
 
 def nlm_denoise(img: GrayImage, params: NlmParams, threads: int = 0) -> GrayImage:
@@ -406,8 +408,9 @@ def robust_nlm_denoise(img: GrayImage, params: RobustNlmParams, threads: int = 0
     and the bits do not depend on it.
     """
     _check_extent(img, params, RobustNlmParams)
-    corr = _corruption_factor(img.pixels, params.h2, params.prefilter_sigma)
-    return _filter_engine(img, params, corr, threads)
+    # the engine gets the only reference to the penalty, and frees it once padded
+    return _filter_engine(img, params, _corruption_factor(img.pixels, params.h2,
+                                                          params.prefilter_sigma), threads)
 
 
 def compute_weight_field(img: GrayImage, center: tuple[int, int],

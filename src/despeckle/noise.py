@@ -124,7 +124,8 @@ def estimate_noise_sigma(img: GrayImage) -> NoiseEstimate:
     and rescales the median absolute response: for pure Gaussian noise
     the response is N(0, 36 sigma^2) and median(|N(0, s)|) = 0.6745 s.
     The estimate is scale-equivariant and exactly zero on constant
-    images.
+    images. It holds two interior-sized arrays: the response and one
+    temporary.
     """
     if img.height < 3 or img.width < 3:
         raise ParameterError(
@@ -132,8 +133,10 @@ def estimate_noise_sigma(img: GrayImage) -> NoiseEstimate:
         )
     a = img.pixels
     res = np.zeros((img.height - 2, img.width - 2))
+    term = np.empty_like(res)  # the one temporary: each tap's term, then added
     for dy, row in enumerate(_RESIDUAL_TAPS):
         for dx, tap in enumerate(row):
-            res += tap * a[dy : dy + res.shape[0], dx : dx + res.shape[1]]
-    sigma = float(np.median(np.abs(res)) / (0.6745 * 6.0))
+            res += np.multiply(tap, a[dy : dy + res.shape[0], dx : dx + res.shape[1]], out=term)
+    np.abs(res, out=res)
+    sigma = float(np.median(res, overwrite_input=True) / (0.6745 * 6.0))
     return NoiseEstimate(sigma_n=sigma)

@@ -22,6 +22,10 @@ _COMMENT = re.compile(rb"#[^\n\r]*")
 # whitespace and comments, which may separate any two tokens
 _SEPARATORS = re.compile(rb"(?:[" + re.escape(_WHITESPACE) + rb"]+|" + _COMMENT.pattern + rb")*")
 _DIGITS = re.compile(rb"[0-9]*")
+_DIGIT_BYTES = b"0123456789"
+# the bytes a raster parsed in bulk may hold: digits and whitespace
+_RASTER_BYTE = np.zeros(256, dtype=bool)
+_RASTER_BYTE[list(_DIGIT_BYTES + _WHITESPACE)] = True
 
 
 def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
@@ -36,21 +40,35 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
         raise PgmParseError(f"integer {what} has too many digits ({pos - start})", start) from None
 
 
-def _bulk_samples(body: bytes, count: int, maxval: int) -> np.ndarray | None:
-    """The first ``count`` samples of a raster of digits, whitespace and
-    ``#`` comments, parsed in one call; None where the sample scanner
-    must decide."""
+def _bulk_samples(body: bytes, count: int, maxval: int) -> tuple[np.ndarray, int]:
+    """The leading samples of a raster of digits, whitespace and ``#``
+    comments that whole-array passes take, and the offset in ``body``
+    where the sample scanner goes on: all ``count`` samples (and the end
+    of ``body``), or those before the first that the scanner must decide
+    (a stray byte, a sample above maxval or with too many digits, or the
+    end of the data) and the end of the last of them."""
     if b"#" in body:
         # same-length blanks keep every byte offset
         body = _COMMENT.sub(lambda m: b" " * len(m[0]), body)
+    clean = body
+    if body.translate(None, _DIGIT_BYTES + _WHITESPACE):  # up to the first stray byte
+        clean = body[: int(np.argmin(_RASTER_BYTE[np.frombuffer(body, dtype=np.uint8)]))]
     # A sample with more digits than the interpreter converts (a limit of
     # at least 640) that still reads as at most 65535 starts with 636 zeros.
-    if body.translate(None, b"0123456789" + _WHITESPACE) or b"0" * 636 in body:
-        return None
-    samples = np.fromstring(body, dtype=np.float64, sep=" ")[:count]
-    if samples.size < count or samples.max() > maxval:
-        return None
-    return samples
+    zeros = clean.find(b"0" * 636)
+    if zeros >= 0:
+        clean = clean[:zeros].rstrip(_DIGIT_BYTES)
+    # (NumPy reads whitespace alone as the one sample -1)
+    samples = np.empty(0) if clean.isspace() else np.fromstring(clean, dtype=np.float64, sep=" ")
+    samples = samples[:count]
+    if samples.size and samples.max() > maxval:
+        samples = samples[: int(np.argmax(samples > maxval))]
+    if samples.size == count:
+        return samples, len(body)
+    # the end of the last sample taken (clean holds digits and whitespace, which sorts below "0")
+    codes = np.frombuffer(clean + b" ", dtype=np.uint8)
+    ends = np.flatnonzero((codes[:-1] >= ord("0")) & (codes[1:] < ord("0"))) + 1
+    return samples, int(ends[samples.size - 1]) if samples.size else 0
 
 
 def load_pgm(path) -> GrayImage:
@@ -101,12 +119,13 @@ def load_pgm(path) -> GrayImage:
                 f"{len(data) - pos} bytes after offset {pos}",
                 len(data),
             )
-        samples = _bulk_samples(data[pos:], count, maxval)
-        if samples is None:
-            # stray bytes and bad samples: one sample at a time, so that
-            # errors carry the offending sample's byte offset
-            samples = np.empty(count, dtype=np.float64)
-            for k in range(count):
+        samples, offset = _bulk_samples(data[pos:], count, maxval)
+        if samples.size < count:
+            # from the first sample the bulk passes left on, one sample at a
+            # time, so that errors carry the offending sample's byte offset
+            taken, pos = samples.size, pos + offset
+            samples = np.concatenate([samples, np.empty(count - taken)])
+            for k in range(taken, count):
                 pos = _SEPARATORS.match(data, pos).end()
                 if pos >= len(data):
                     raise PgmParseError(

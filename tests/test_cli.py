@@ -741,12 +741,11 @@ def test_every_numeric_flag_ends_in_an_exit_code(tmp_path, capsys):
 
 
 def _real_flag_runs(clean, noisy, out):
-    """(argv, flag, fields) of each run that sets one real flag of synth,
-    eval and denoise: every filter that takes the flag, in both domains,
-    with the filter's fields (the noise-led defaults among them)."""
+    """(argv, flag) of each run that sets one real flag of synth, eval and
+    denoise: every filter that takes the flag, in both domains."""
     for model in ("mult-gauss", "rayleigh"):
-        yield ["synth", clean, out, f"--model={model}"], "sigma", ()
-    yield ["eval", clean, noisy], "peak", ()
+        yield ["synth", clean, out, f"--model={model}"], "sigma"
+    yield ["eval", clean, noisy], "peak"
     for name, (cls, *_) in FILTERS.items():
         hints = typing.get_type_hints(cls)
         quick = [f"--{k.replace('_', '-')}={v}" for k, v in _QUICK.items() if k in hints]
@@ -754,29 +753,51 @@ def _real_flag_runs(clean, noisy, out):
         for domain in ("linear", "log"):
             for flag in ("epsilon", "sigma_n", *reals):
                 argv = ["denoise", noisy, out, f"--filter={name}", f"--domain={domain}", *quick]
-                yield argv, flag, tuple(hints)
+                yield argv, flag
+
+
+# The traced peak of `denoise --threads 1` on a 256x256 P5, in image sizes
+# (H x W float64 values): the level each filter runs at, and a small margin.
+_PEAK_IMAGES = {"robust-nlm": 7.55, "lee": 5.4, "frost": 7.4, "nlm": 6.3, "srad": 6.2}
+
+
+@pytest.mark.parametrize("name", list(_PEAK_IMAGES))
+def test_each_filter_stays_under_its_traced_peak(tmp_path, capsys, name):
+    src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
+    speckle = np.random.Generator(np.random.Philox(89)).standard_normal((256, 256))
+    write_pgm(src, make_phantom(256) * (1.0 + 0.2 * speckle))
+    argv = ["denoise", str(src), str(dst), "--filter", name, "--threads", "1"]
+    assert main(argv) == 0  # lazy imports on first use are not the filter's memory
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    images = peak / (256 * 256 * 8)
+    assert images < _PEAK_IMAGES[name], f"{name}: {images:.2f} image sizes"
 
 
 def test_the_real_range_bounds_every_real_flag(tmp_path, capsys):
     # The ends of REAL_RANGE pass the range: they run (exit 0 or 1), unless
-    # the flag's own bound is lower (dt <= 0.25, a sigma's reach on 12x12)
-    # or a noise-led default that sigma_n sets leaves the range (h = 9e100,
-    # Lee's noise_sigma = 1e-100 / mean), which names that field. Just past
-    # the ends a run exits 2 with one error line that names the flag.
+    # the flag's own bound is lower (dt <= 0.25, a sigma's reach on 12x12).
+    # A noise-led default that sigma_n sets past the range (h = 9e100, Lee's
+    # noise_sigma = 1e-100 / mean) takes the nearest value its field
+    # accepts, so it runs too. Just past the ends a run exits 2 with one
+    # error line that names the flag.
     clean, noisy, out = (str(tmp_path / name) for name in ("clean.pgm", "noisy.pgm", "out.pgm"))
     write_pgm(clean, rand_image(87, 12, 12, lo=20, hi=230))
     write_pgm(noisy, rand_image(88, 12, 12, lo=90, hi=110))
     wrong = []
-    for argv, flag, fields in _real_flag_runs(clean, noisy, out):
-        derived = {"h", "h2", "noise_sigma"} & set(fields) if flag == "sigma_n" else set()
+    for argv, flag in _real_flag_runs(clean, noisy, out):
         for value in ("1e-100", "1e100", "9.9e-101", "1.01e100"):
             rc = main([*argv, f"--{flag.replace('_', '-')}={value}"])
             errors = [line for line in capsys.readouterr().err.splitlines()
                       if not line.startswith("resolved-config:")]
             named = len(errors) == 1 and re.match(r"error: (\w+)", errors[0])[1]
             if value in ("1e-100", "1e100"):
-                ok = rc in (0, 1) or rc == 2 and (named == flag and "<= " in errors[0]
-                                                  or named in derived)
+                ok = rc in (0, 1) or rc == 2 and named == flag and "<= " in errors[0]
             else:
                 ok = rc == 2 and named == flag
             if not ok:

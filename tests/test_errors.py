@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from despeckle.errors import REAL_RANGE, ParameterError, check_real
+from despeckle.errors import REAL_RANGE, ParameterError, check_real, nearest_real
 
 LOW, HIGH = REAL_RANGE
 PAST = "(finite values lie in [1e-100, 1e+100])"
@@ -46,3 +46,14 @@ def test_an_upper_bound_keeps_its_wording():
     with pytest.raises(ParameterError) as info:
         check_real(9.9e-101, "dt", at_most=0.25)
     assert str(info.value) == f"dt must be a positive finite real <= 0.25, got 9.9e-101 {PAST}"
+
+
+@pytest.mark.parametrize("value, nonnegative, nearest", [
+    (1.0, False, 1.0), (LOW, True, LOW), (HIGH, False, HIGH), (math.inf, False, math.inf),
+    (9e100, False, HIGH), (1.7e308, True, HIGH), (5e-324, False, LOW), (0.0, False, LOW),
+    (1.1e-102, True, 0.0), (0.0, True, 0.0), (4.9e-101, True, 0.0), (5e-101, True, LOW),
+])
+def test_nearest_real_is_the_nearest_value_check_real_takes(value, nonnegative, nearest):
+    got = nearest_real(value, nonnegative=nonnegative)
+    assert got == nearest
+    assert check_real(got, "p", nonnegative=nonnegative, allow_inf=True) == got

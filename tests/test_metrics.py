@@ -49,6 +49,18 @@ class TestPsnr:
         with pytest.raises(ParameterError):
             psnr(as_img(np.zeros((4, 4))), as_img(np.zeros((4, 5))))
 
+    @pytest.mark.parametrize("peak", [1e-100, 255.0, 1e100])
+    def test_differences_whose_squares_underflow_still_score(self, peak):
+        # every square of 1e-170 flushes to 0, but the images differ: 20
+        # log10(peak / 1e-170), not the identical-images score
+        zeros = as_img(np.zeros((16, 16)))
+        faint = rand_image(57, 16, 16, 1.0, 2.0)
+        want = 10.0 * math.log10(peak ** 2 / float(np.mean(faint ** 2))) + 3400.0
+        assert psnr(zeros, as_img(np.full((16, 16), 1e-170)), peak=peak) == pytest.approx(
+            20.0 * math.log10(peak) + 3400.0, rel=1e-12)
+        assert psnr(zeros, as_img(faint * 1e-170), peak=peak) == pytest.approx(want, rel=1e-12)
+        assert psnr(zeros, zeros, peak=peak) == math.inf
+
     def test_peak_validation(self):
         img = as_img(np.zeros((4, 4)))
         with pytest.raises(ParameterError):

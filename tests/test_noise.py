@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,16 @@ class TestNoiseEstimate:
         arr = rand_image(42, 16, 16)
         est = estimate_noise_sigma(as_img(arr * scale)).sigma_n
         assert est == pytest.approx(estimate_noise_sigma(as_img(arr)).sigma_n * scale, rel=1e-9)
+
+    def test_holds_the_response_and_one_temporary(self):
+        img = as_img(rand_image(44, 256, 256))
+        tracemalloc.start()
+        try:
+            estimate_noise_sigma(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * img.pixels.nbytes, f"{peak / img.pixels.nbytes:.2f} image sizes"
 
     def test_too_small_image_rejected(self):
         with pytest.raises(ParameterError):

@@ -213,14 +213,14 @@ def test_bulk_and_scanned_ascii_rasters_agree(tmp_path_factory, data):
                  + b"".join(s + t for s, t in zip(seps[cut:], tokens[cut:])) + seps[-1])
     count = width * height
     # both rasters are parsed in bulk
-    assert pgm._bulk_samples(raster, count, maxval).tolist() == values
-    assert pgm._bulk_samples(commented, count, maxval).tolist() == values
+    assert pgm._bulk_samples(raster, count, maxval)[0].tolist() == values
+    assert pgm._bulk_samples(commented, count, maxval)[0].tolist() == values
     header = b"P2\n%d %d\n%d" % (width, height, maxval)
     base = tmp_path_factory.getbasetemp()
     (base / "bulk.pgm").write_bytes(header + raster)
     (base / "scanned.pgm").write_bytes(header + commented)
     bulk = load_pgm(base / "bulk.pgm")
-    with mock.patch.object(pgm, "_bulk_samples", return_value=None):
+    with mock.patch.object(pgm, "_bulk_samples", return_value=(np.empty(0), 0)):
         scanned = load_pgm(base / "scanned.pgm")
     assert bulk.pixels.tobytes() == scanned.pixels.tobytes()
     assert bulk.pixels.tolist() == np.reshape(values, (height, width)).tolist()
@@ -230,13 +230,36 @@ def test_commented_raster_is_parsed_in_bulk(tmp_path):
     # comments right after maxval, touching a sample, ending at "\r", holding
     # digits or "#", past the last sample, and at the end of the file
     body = b"# c1 7\r1#2\n 2 # x # 9\r\n3\n4 5 6 # tail\n# last"
-    assert pgm._bulk_samples(body, 6, 255).tolist() == [1, 2, 3, 4, 5, 6]
+    assert pgm._bulk_samples(body, 6, 255)[0].tolist() == [1, 2, 3, 4, 5, 6]
     path = tmp_path / "commented.pgm"
     path.write_bytes(b"P2 3 2 255" + body)
     with mock.patch.object(pgm, "_read_int", wraps=pgm._read_int) as read_int:
         img = load_pgm(path)
     assert img.pixels.tolist() == [[1, 2, 3], [4, 5, 6]]
     assert read_int.call_count == 3  # the header's three integers only
+
+
+@pytest.mark.parametrize("last, message", [(b"x7", "malformed header: expected integer sample 4095"),
+                                           (b"256", "sample 4095 exceeds maxval 255")])
+def test_a_bad_last_sample_is_found_in_bulk(tmp_path, last, message):
+    # the scanner starts at the bad sample, not at the first
+    samples = [b"%d" % v for v in rand_image(58, 64, 64, lo=0, hi=255).astype(int).ravel()]
+    head = b"P2\n64 64\n# a comment 1 2\n255\n" + b"\n".join(samples[:-1]) + b" # 9 x\n"
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(head + last + b"\n")
+    with mock.patch.object(pgm, "_read_int", wraps=pgm._read_int) as read_int:
+        with pytest.raises(PgmParseError) as info:
+            load_pgm(path)
+    assert str(info.value) == f"{message} (byte offset {len(head)})"
+    assert read_int.call_count == 4  # the header's three integers, and the bad sample
+
+
+@pytest.mark.parametrize("raster", [b"   ", b"\n# only a comment\n", b"\x0b"])
+def test_a_raster_of_whitespace_alone_is_truncated(tmp_path, raster):
+    path = tmp_path / "empty.pgm"
+    path.write_bytes(b"P2 1 1 255" + raster)
+    with pytest.raises(PgmParseError, match=r"^truncated raster: expected 1 samples, got 0"):
+        load_pgm(path)
 
 
 def test_commented_raster_errors_keep_their_offsets(tmp_path):

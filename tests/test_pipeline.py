@@ -169,17 +169,27 @@ def test_an_overflowing_lee_noise_sigma_gives_the_window_mean():
     assert np.array_equal(out.pixels, np.full((8, 8), tiny))
 
 
-def test_a_noise_led_default_past_the_range_names_its_field():
+def test_a_noise_led_default_past_the_range_takes_the_nearest_value(tmp_path, capsys, src):
     # the estimate on a bright image is a measurement, outside the range;
-    # the h it sets is a parameter, and is refused by name
+    # the h it sets, 9 sigma_n, is a parameter, and takes the range's end
     arr = rand_image(43, 16, 16, lo=60, hi=200) * 1e120
-    sigma_n = estimate_noise_sigma(as_img(arr)).sigma_n
-    with pytest.raises(ParameterError, match=re.escape(
-            f"h must be a positive real, got {9.0 * sigma_n!r} (finite values lie in")):
-        denoise(as_img(arr), "nlm", domain="linear")
+    out, config = denoise(as_img(arr), "nlm", domain="linear", search_radius=2)
+    assert config["h"] == 1e100 and np.isfinite(out.pixels).all()
     # on a faint image the defaults stay in the range, and the filter runs
     out, config = denoise(as_img(arr * 1e-240), "nlm", domain="linear", search_radius=2)
     assert config["h"] == 1e-6 and np.isfinite(out.pixels).all()
+    # a given sigma_n at the ends of the range: h = 9e100 and noise_sigma =
+    # 1e-100 / mean become 1e100 and 0, the runs of those values as given
+    dst, want = tmp_path / "out.pgm", tmp_path / "want.pgm"
+    for flags, field, value, given in ((["--filter", "nlm", "--sigma-n", "1e100"], "h", "1e+100",
+                                        ["--filter", "nlm", "--h", "1e100"]),
+                                       (["--filter", "lee", "--sigma-n", "1e-100"], "noise_sigma",
+                                        "0", ["--filter", "lee", "--noise-sigma", "0"])):
+        assert main(["denoise", str(src), str(dst), *flags]) == 0
+        assert echo_of(capsys.readouterr().err)[field] == value
+        assert main(["denoise", str(src), str(want), *given]) == 0
+        capsys.readouterr()
+        assert dst.read_bytes() == want.read_bytes()
 
 
 def test_self_weight_takes_both_spellings(tmp_path, capsys, src):
