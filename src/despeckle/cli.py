@@ -245,6 +245,17 @@ def run_eval(args: argparse.Namespace) -> int:
 
 def run_bench(args: argparse.Namespace) -> int:
     repeats = check_int(args.repeats, "--repeats", 1)
+    if args.json:  # the file holds a JSON list of records, one per run; checked before the runs
+        import json  # here: `denoise` and the library need not load it
+        path = Path(args.json)
+        try:
+            records = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+        except ValueError:
+            records = None
+        if not isinstance(records, list):
+            raise ParameterError(f"--json {args.json} does not hold a JSON list")
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"--json {args.json}: no directory {path.parent}")
     run, config = _prepare(load_pgm(args.input), **_options(args))
     _echo({"command": "bench", "input": args.input, "repeats": repeats, **config})
     times, digests = [], []
@@ -262,15 +273,8 @@ def run_bench(args: argparse.Namespace) -> int:
     print(f"bench: filter={record['filter']} repeats={repeats} threads={record['threads']} "
           f"pixels={pixels} min_s={best:.6f} median_s={record['median_s']:.6f} "
           f"pixels_per_second={pixels / best if best > 0 else math.inf:.0f} checksum={digests[0]}")
-    if args.json:  # the file holds a JSON list of these records, one per run
-        import json  # here: `denoise` and the library need not load it
-        path = Path(args.json)
-        try:
-            records = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
-            records.append(record)
-        except (ValueError, AttributeError):
-            raise ParameterError(f"--json {args.json} does not hold a JSON list") from None
-        path.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    if args.json:
+        path.write_text(json.dumps(records + [record], indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -2,13 +2,15 @@
 
 Reads both the binary (P5) and ASCII (P2) variants with maxval up to
 65535; two-byte binary samples are big-endian as the format requires.
-Writing always produces binary P5. Parse failures raise
+A P2 raster is read in whole-array passes, which also find its first
+bad sample. Writing always produces binary P5. Parse failures raise
 `PgmParseError` with the byte offset where decoding stopped.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ _COMMENT = re.compile(rb"#[^\n\r]*")
 _SEPARATORS = re.compile(rb"(?:[" + re.escape(_WHITESPACE) + rb"]+|" + _COMMENT.pattern + rb")*")
 _DIGITS = re.compile(rb"[0-9]*")
 _DIGIT_BYTES = b"0123456789"
-# the bytes a raster parsed in bulk may hold: digits and whitespace
+# the bytes a raster may hold once its comments are blanked: digits and whitespace
 _RASTER_BYTE = np.zeros(256, dtype=bool)
 _RASTER_BYTE[list(_DIGIT_BYTES + _WHITESPACE)] = True
 
@@ -40,35 +42,37 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
         raise PgmParseError(f"integer {what} has too many digits ({pos - start})", start) from None
 
 
-def _bulk_samples(body: bytes, count: int, maxval: int) -> tuple[np.ndarray, int]:
-    """The leading samples of a raster of digits, whitespace and ``#``
-    comments that whole-array passes take, and the offset in ``body``
-    where the sample scanner goes on: all ``count`` samples (and the end
-    of ``body``), or those before the first that the scanner must decide
-    (a stray byte, a sample above maxval or with too many digits, or the
-    end of the data) and the end of the last of them."""
+def _ascii_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
+    """The first ``count`` samples of the P2 raster at ``data[pos:]``, read
+    in whole-array passes. Raises the error of the first sample that is
+    missing, above maxval or too long to convert, at its byte offset."""
+    body = data[pos:]
     if b"#" in body:
         # same-length blanks keep every byte offset
         body = _COMMENT.sub(lambda m: b" " * len(m[0]), body)
-    clean = body
-    if body.translate(None, _DIGIT_BYTES + _WHITESPACE):  # up to the first stray byte
-        clean = body[: int(np.argmin(_RASTER_BYTE[np.frombuffer(body, dtype=np.uint8)]))]
+    if body.translate(None, _DIGIT_BYTES + _WHITESPACE):  # cut at the first stray byte
+        body = body[: int(np.argmin(_RASTER_BYTE[np.frombuffer(body, dtype=np.uint8)]))]
+    # (NumPy reads whitespace alone as the one sample -1)
+    samples = np.empty(0) if body.isspace() else np.fromstring(body, dtype=np.float64, sep=" ")
+    samples = samples[:count]
     # A sample with more digits than the interpreter converts (a limit of
     # at least 640) that still reads as at most 65535 starts with 636 zeros.
-    zeros = clean.find(b"0" * 636)
-    if zeros >= 0:
-        clean = clean[:zeros].rstrip(_DIGIT_BYTES)
-    # (NumPy reads whitespace alone as the one sample -1)
-    samples = np.empty(0) if clean.isspace() else np.fromstring(clean, dtype=np.float64, sep=" ")
-    samples = samples[:count]
-    if samples.size and samples.max() > maxval:
-        samples = samples[: int(np.argmax(samples > maxval))]
-    if samples.size == count:
-        return samples, len(body)
-    # the end of the last sample taken (clean holds digits and whitespace, which sorts below "0")
-    codes = np.frombuffer(clean + b" ", dtype=np.uint8)
-    ends = np.flatnonzero((codes[:-1] >= ord("0")) & (codes[1:] < ord("0"))) + 1
-    return samples, int(ends[samples.size - 1]) if samples.size else 0
+    if samples.size == count and samples.max() <= maxval and b"0" * 636 not in body:
+        return samples
+    # token bounds, where digits (at or above "0") meet whitespace (below it)
+    digit = np.frombuffer(b" " + body + b" ", dtype=np.uint8) >= ord("0")
+    bounds = np.flatnonzero(digit[1:] != digit[:-1]).reshape(-1, 2)[:count]
+    limit = getattr(sys, "get_int_max_str_digits", int)() or len(body)  # 0: no limit
+    bad = (samples > maxval) | (bounds[:, 1] - bounds[:, 0] > limit)
+    k = int(np.argmax(bad)) if bad.any() else samples.size
+    if k == count:
+        return samples
+    if k == samples.size and pos + len(body) == len(data):  # no stray byte: the data ends
+        raise PgmParseError(f"truncated raster: expected {count} samples, got {k}", len(data))
+    # the bad sample, or the stray byte where the missing one should start
+    start = int(bounds[k, 0]) if k < samples.size else len(body)
+    _, start, _ = _read_int(data, pos + start, f"sample {k}")
+    raise PgmParseError(f"sample {k} exceeds maxval {maxval}", start)
 
 
 def load_pgm(path) -> GrayImage:
@@ -114,27 +118,9 @@ def load_pgm(path) -> GrayImage:
     else:
         # every sample but the last needs a digit and a separator
         if count > (len(data) - pos + 1) // 2:
-            raise PgmParseError(
-                f"truncated raster: {count} samples cannot fit in the "
-                f"{len(data) - pos} bytes after offset {pos}",
-                len(data),
-            )
-        samples, offset = _bulk_samples(data[pos:], count, maxval)
-        if samples.size < count:
-            # from the first sample the bulk passes left on, one sample at a
-            # time, so that errors carry the offending sample's byte offset
-            taken, pos = samples.size, pos + offset
-            samples = np.concatenate([samples, np.empty(count - taken)])
-            for k in range(taken, count):
-                pos = _SEPARATORS.match(data, pos).end()
-                if pos >= len(data):
-                    raise PgmParseError(
-                        f"truncated raster: expected {count} samples, got {k}", len(data)
-                    )
-                value, start, pos = _read_int(data, pos, f"sample {k}")
-                if value > maxval:
-                    raise PgmParseError(f"sample {k} exceeds maxval {maxval}", start)
-                samples[k] = value
+            raise PgmParseError(f"truncated raster: {count} samples cannot fit in the "
+                                f"{len(data) - pos} bytes after offset {pos}", len(data))
+        samples = _ascii_samples(data, pos, count, maxval)
     return GrayImage(samples.reshape(height, width))
 
 

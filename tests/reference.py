@@ -3,11 +3,13 @@
 Everything here is written the slow, obvious way and shares no code
 with the package: reflection folds iteratively instead of using modular
 arithmetic, kernels are built as full 2-D grids, filters loop over
-pixels and window offsets directly. Keep it that way; these are the
-oracles.
+pixels and window offsets directly, and the P2 raster is read one
+token at a time. Keep it that way; these are the oracles.
 """
 
 import math
+import re
+import sys
 
 import numpy as np
 
@@ -268,3 +270,30 @@ def srad_reference(arr, iterations, dt, q0, rho):
                 nxt[y, x] = v[y, x] + (dt / 4.0) * div
         v = nxt
     return v
+
+
+# whitespace and "#" comments, then the digits of one sample
+_P2_TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\r\n]*)*([0-9]*)")
+
+
+def naive_p2_samples(data, pos, count, maxval):
+    """The ``count`` samples of the P2 raster at ``data[pos:]``, read one
+    token at a time, or the (message, byte offset) of the first error."""
+    if 2 * count - 1 > len(data) - pos:  # each sample but the last needs a digit and a separator
+        return (f"truncated raster: {count} samples cannot fit in the "
+                f"{len(data) - pos} bytes after offset {pos}", len(data))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    samples = []
+    for k in range(count):
+        match = _P2_TOKEN.match(data, pos)
+        digits, start, pos = match[1], match.start(1), match.end(1)
+        if start == len(data):
+            return f"truncated raster: expected {count} samples, got {k}", len(data)
+        if not digits:
+            return f"malformed header: expected integer sample {k}", start
+        if limit and len(digits) > limit:
+            return f"integer sample {k} has too many digits ({len(digits)})", start
+        if int(digits) > maxval:
+            return f"sample {k} exceeds maxval {maxval}", start
+        samples.append(int(digits))
+    return samples

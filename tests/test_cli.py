@@ -658,6 +658,19 @@ class TestBench:
         assert capsys.readouterr().err.endswith("does not hold a JSON list\n")
         assert path.read_text(encoding="utf-8") == content
 
+    @pytest.mark.parametrize("content, code", [("{}", 2), (None, 1)], ids=["not-a-list", "no-directory"])
+    def test_a_bad_json_file_is_refused_before_the_runs(self, tmp_path, capsys, content, code):
+        src, path = tmp_path / "in.pgm", tmp_path / "bench.json"
+        write_pgm(src, rand_image(87, 8, 8))
+        if content is None:
+            path = tmp_path / "missing" / "bench.json"
+        else:
+            path.write_text(content, encoding="utf-8")
+        assert main(["bench", str(src), "--filter", "lee", "--json", str(path)]) == code
+        captured = capsys.readouterr()
+        assert "bench:" not in captured.out
+        assert captured.err.startswith("error: --json ")
+
 
 @pytest.mark.parametrize("command", ["denoise", "bench"])
 @pytest.mark.parametrize("epsilon", ["0", "nan"])

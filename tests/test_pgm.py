@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import rand_image
 from despeckle import GrayImage, ParameterError, PgmParseError, load_pgm, save_pgm
 from despeckle import pgm
+from reference import naive_p2_samples
 
 
 def test_roundtrip_8bit(tmp_path):
@@ -199,7 +200,7 @@ _SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b" \x0b ", b"\x0c", 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_bulk_and_scanned_ascii_rasters_agree(tmp_path_factory, data):
+def test_plain_and_commented_ascii_rasters_load_the_drawn_values(tmp_path_factory, data):
     width, height = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
     maxval = data.draw(st.sampled_from([1, 9, 255, 65535]))
     values = data.draw(st.lists(st.integers(0, maxval), min_size=width * height,
@@ -211,32 +212,65 @@ def test_bulk_and_scanned_ascii_rasters_agree(tmp_path_factory, data):
     commented = (b"".join(s + t for s, t in zip(seps[:cut], tokens[:cut]))
                  + b"\n# a comment 12 x\n"
                  + b"".join(s + t for s, t in zip(seps[cut:], tokens[cut:])) + seps[-1])
-    count = width * height
-    # both rasters are parsed in bulk
-    assert pgm._bulk_samples(raster, count, maxval)[0].tolist() == values
-    assert pgm._bulk_samples(commented, count, maxval)[0].tolist() == values
     header = b"P2\n%d %d\n%d" % (width, height, maxval)
-    base = tmp_path_factory.getbasetemp()
-    (base / "bulk.pgm").write_bytes(header + raster)
-    (base / "scanned.pgm").write_bytes(header + commented)
-    bulk = load_pgm(base / "bulk.pgm")
-    with mock.patch.object(pgm, "_bulk_samples", return_value=(np.empty(0), 0)):
-        scanned = load_pgm(base / "scanned.pgm")
-    assert bulk.pixels.tobytes() == scanned.pixels.tobytes()
-    assert bulk.pixels.tolist() == np.reshape(values, (height, width)).tolist()
+    path = tmp_path_factory.getbasetemp() / "drawn.pgm"
+    for body in (raster, commented):
+        path.write_bytes(header + body)
+        assert load_pgm(path).pixels.tolist() == np.reshape(values, (height, width)).tolist()
+
+
+_P2_TOKENS = st.sampled_from([b"0", b"7", b"255", b"256", b"65535", b"65536", b"0" * 700 + b"3",
+                              b"0" * 5000 + b"1", b"9" * 5000, b"0" * 4299 + b"9"])
+_P2_STRAYS = st.sampled_from([b"x", b"-1", b"12x", b"#", b"# c 5\n", b"\x0b"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ascii_rasters_load_as_the_token_by_token_oracle_reads_them(tmp_path_factory, data):
+    # the pixels, or the first error's message and byte offset
+    width, height = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    maxval = data.draw(st.sampled_from([1, 9, 255, 65535]))
+    tokens = data.draw(st.lists(_P2_TOKENS, max_size=width * height + 2))
+    for _ in range(data.draw(st.integers(0, 2))):
+        tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(_P2_STRAYS))
+    seps = data.draw(st.lists(st.sampled_from([b"", b" ", b"\n", b"\t", b" \x0b ", b"\n# 1\n"]),
+                              min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    header = b"P2\n%d %d\n%d" % (width, height, maxval)  # the raster starts at the newline
+    payload = header + b"\n" + b"".join(s + t for s, t in zip(seps, tokens)) + seps[-1]
+    path = tmp_path_factory.getbasetemp() / "oracle.pgm"
+    path.write_bytes(payload)
+    expected = naive_p2_samples(payload, len(header), width * height, maxval)
+    if isinstance(expected, tuple):
+        with pytest.raises(PgmParseError) as info:
+            load_pgm(path)
+        assert (str(info.value), info.value.byte_offset) == \
+            (f"{expected[0]} (byte offset {expected[1]})", expected[1])
+    else:
+        assert load_pgm(path).pixels.ravel().tolist() == expected
 
 
 def test_commented_raster_is_parsed_in_bulk(tmp_path):
     # comments right after maxval, touching a sample, ending at "\r", holding
     # digits or "#", past the last sample, and at the end of the file
     body = b"# c1 7\r1#2\n 2 # x # 9\r\n3\n4 5 6 # tail\n# last"
-    assert pgm._bulk_samples(body, 6, 255)[0].tolist() == [1, 2, 3, 4, 5, 6]
     path = tmp_path / "commented.pgm"
     path.write_bytes(b"P2 3 2 255" + body)
     with mock.patch.object(pgm, "_read_int", wraps=pgm._read_int) as read_int:
         img = load_pgm(path)
     assert img.pixels.tolist() == [[1, 2, 3], [4, 5, 6]]
     assert read_int.call_count == 3  # the header's three integers only
+
+
+def test_a_zero_padded_first_sample_keeps_the_raster_in_bulk(tmp_path):
+    # the zeros send the raster to the token-bound passes, which stay whole-array
+    pixels = rand_image(59, 64, 64, lo=0, hi=255).astype(int)
+    samples = [b"%d" % v for v in pixels.ravel()]
+    path = tmp_path / "padded.pgm"
+    path.write_bytes(b"P2\n64 64\n255\n" + b"0" * 700 + b"\n".join(samples) + b"\n")
+    with mock.patch.object(pgm, "_read_int", wraps=pgm._read_int) as read_int:
+        img = load_pgm(path)
+    assert img.pixels.tolist() == pixels.tolist()
+    assert read_int.call_count <= 4
 
 
 @pytest.mark.parametrize("last, message", [(b"x7", "malformed header: expected integer sample 4095"),
