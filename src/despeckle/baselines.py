@@ -206,9 +206,12 @@ def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
     c = 1 / (1 + (q^2 - q0(t)^2) / (q0(t)^2 (1 + q0(t)^2))) is clamped
     to [0, 1], and takes its limit where q0(t)^2 is too small for
     1 + q0(t)^2 to exceed 1 (c = 1 where q = 0, else 0); the image steps
-    by (dt / 4) * div(c grad v). Pixels must be strictly positive (shift
-    the image first if needed); positivity is preserved by the scheme for
-    dt <= 0.25. An iteration that leaves a pixel non-finite raises
+    by (dt / 4) * div(c grad v). The scheme needs strictly positive
+    pixels, which it keeps for dt <= 0.25: an image whose minimum lo is
+    at most 0 is lifted by 1e-6 - lo before the first iteration and
+    lowered by as much after the last, and one whose lo is too low for
+    the lift to leave the minimum above 0 (below about -1e10) raises
+    `DomainError`. An iteration that leaves a pixel non-finite raises
     `NumericError`. ``threads`` caps the worker processes as for
     `nlm_denoise`: 0, the default, means one per CPU, and a call starts
     no more workers than its work fills (a 256x256 image runs on one
@@ -244,19 +247,17 @@ def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
     is eight arrays of a strip and two rows.
     """
     v = img.pixels
-    if np.any(v <= 0):
-        idx = np.argwhere(v <= 0)[0]
-        raise DomainError(
-            f"diffusion requires strictly positive pixels; pixel ({idx[0]}, {idx[1]}) "
-            f"is {v[idx[0], idx[1]]!r} (shift the image by a small epsilon first)"
-        )
+    lo = float(v.min())
+    shift = (1e-6 - lo) if lo <= 0.0 else 0.0
+    if lo + shift <= 0.0:
+        raise DomainError(f"diffusion needs positive pixels; the minimum {lo!r} is too low to lift")
     height, width = v.shape
     stride = width + 2
     dt, q0, rho = params.dt, params.q0, params.rho
     strip_rows, workers = srad_plan(threads, height, width, params)
     flats = [worker_array((height + 2) * stride, workers) for _ in range(2)]
     grids = [flat.reshape(height + 2, stride) for flat in flats]
-    grids[0][...] = mirror_pad(v, 1)
+    np.add(mirror_pad(v, 1), shift, out=grids[0])
 
     def strip(y0, y1, src, dst, s, e, sq, esq, a, b, tmp, c) -> SimpleNamespace:
         lo, hi = (y0 + 1) * stride, (y1 + 1) * stride  # the flat span of the strip's rows
@@ -304,7 +305,7 @@ def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
                 raise NumericError(f"diffusion diverged to non-finite values at iteration {t}")
 
     run_workers(work, height, workers, "SRAD")
-    return GrayImage(grids[params.iterations % 2][1:-1, 1:-1])
+    return GrayImage._adopt(grids[params.iterations % 2][1:-1, 1:-1] - shift)
 
 
 def _srad_form(s: SimpleNamespace, q0_sq: float) -> None:

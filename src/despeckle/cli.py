@@ -7,7 +7,7 @@ and save. It lives here because the benchmark's tracer times its stages
 through this module's names; ``import despeckle`` skips this module,
 whose argparse, hashlib and statistics cost ~20 ms to import. `_prepare`
 runs each filter from its row of `FILTERS`, adding only the defaults
-that follow from the noise level and SRAD's positivity shift.
+that follow from the noise level.
 
 Subcommands: ``synth`` corrupts a clean PGM with synthetic speckle,
 ``denoise`` runs one filter over a PGM, ``eval`` scores a denoised
@@ -145,12 +145,6 @@ def _prepare(img: GrayImage, filter: str = "robust-nlm", *, domain: str | None =
     if _NOISE_LED.keys() & _FIELDS[filter]:  # the noise level behind the defaults
         config["sigma_n"] = sigma_n
     filtered = lambda: call(work, built, threads)
-    if filter == "srad":
-        # the diffusion needs positive pixels (a PGM may hold zeros): shift and shift back
-        lo = float(work.pixels.min())
-        config["positivity_shift"] = shift = (1e-6 - lo) if lo <= 0.0 else 0.0
-        filtered = lambda: GrayImage(
-            call(GrayImage(work.pixels + shift), built, threads).pixels - shift)
     if plan is not None:
         config["threads"] = plan(threads, work.height, work.width, built)[1]
     config.update(asdict(built))
@@ -163,7 +157,7 @@ def denoise(img: GrayImage, filter: str = "robust-nlm", **options) -> tuple[Gray
     """Run one of `FILTERS` over ``img`` as ``despeckle denoise`` does;
     return the output, in ``img``'s domain, and the filter's fields of the
     ``resolved-config:`` line, ``threads`` being the workers it starts:
-    ``denoise(img, **config)`` repeats the run, SRAD's positivity_shift aside.
+    ``denoise(img, **config)`` repeats the run.
 
     ``domain`` "log" filters ln(v + ``epsilon``) (default 1.0) and expands
     back; the default is log for robust-nlm, else "linear". ``threads``
@@ -175,8 +169,7 @@ def denoise(img: GrayImage, filter: str = "robust-nlm", **options) -> tuple[Gray
     ``h`` = max(9 sigma_n, `H1_FLOOR`), ``h2`` = 148 / sigma_n (`H2_CAP`
     above it or for sigma_n < 1e-6) and Lee's ``noise_sigma`` = sigma_n /
     mean, each the nearest value its field accepts (`errors.nearest_real`:
-    h = 9e100 becomes 1e100, noise_sigma = 1e-102 becomes 0). SRAD's
-    input is shifted to strictly positive pixels and back. An unknown
+    h = 9e100 becomes 1e100, noise_sigma = 1e-102 becomes 0). An unknown
     filter, domain or keyword, or a bad value, is a ParameterError.
     """
     run, config = _prepare(img, filter, **options)

@@ -23,6 +23,7 @@ from despeckle import baselines, workers
 from despeckle import (
     DomainError,
     FrostParams,
+    GrayImage,
     LeeParams,
     NumericError,
     ParameterError,
@@ -157,11 +158,20 @@ class TestSrad:
         out = srad(img, SradParams(iterations=50, dt=0.2))
         assert np.array_equal(out.pixels, img.pixels)
 
-    def test_rejects_non_positive_pixels(self):
-        img = as_img(np.array([[1.0, 2.0], [0.0, 3.0]]))
-        with pytest.raises(DomainError) as info:
-            srad(img, SradParams(iterations=1))
-        assert "(1, 0)" in str(info.value)
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("iterations", [1, 5])
+    def test_lifts_non_positive_pixels(self, iterations, threads):
+        # srad(v) is srad(v + s) - s bit for bit, with s = 1e-6 - min(v)
+        params = SradParams(iterations=iterations)
+        for v in (np.array([[1.0, 2.0], [0.0, 3.0]]), rand_image(40, 17, 13, lo=0.0, hi=100.0) - 50):
+            s = 1e-6 - v.min()
+            want = GrayImage(srad(GrayImage(v + s), params, threads).pixels - s)
+            assert srad(GrayImage(v), params, threads).pixels.tobytes() == want.pixels.tobytes()
+
+    def test_rejects_pixels_too_low_to_lift(self):
+        # 1e-6 - (-1e20) rounds to 1e20, which lifts the minimum to 0
+        with pytest.raises(DomainError, match=r"minimum -1e\+20 is too low to lift"):
+            srad(as_img(np.array([[-1e20, 1.0]])), SradParams(iterations=1))
 
     def test_long_run_stays_finite_and_in_range(self):
         arr = np.abs(textured_image(39, 24, 24)) + 1.0

@@ -40,7 +40,7 @@ def speckled(side=24, seed=7):
 def src(tmp_path):
     path = tmp_path / "in.pgm"
     pixels = speckled().pixels.copy()
-    pixels[:2, :2] = 0.0  # SRAD's positivity shift is then at work
+    pixels[:2, :2] = 0.0  # SRAD's lift is then at work
     save_pgm(as_img(pixels), path)
     return path
 
@@ -73,11 +73,10 @@ def test_library_output_and_config_are_the_clis(tmp_path, capsys, src, name):
 
 @pytest.mark.parametrize("name", list(FILTERS))
 def test_the_config_repeats_the_run(name):
-    # every key but SRAD's positivity_shift is a denoise() keyword
+    # every key is a denoise() keyword
     img = speckled()
     out, config = denoise(img, name, **FILTERS[name][0])
-    again, same = denoise(img, **{key: value for key, value in config.items()
-                                  if key != "positivity_shift"})
+    again, same = denoise(img, **config)
     assert np.array_equal(again.pixels, out.pixels)
     assert same == config
 
