@@ -10,8 +10,11 @@ window mean and variance as fixed-order sums over the shifted planes
 of the mirror-padded input. SRAD reads one padded image and writes
 another each iteration, as the scalar scheme does, sweeping in row
 strips so that a strip's passes stay in cache; its only image-sized
-arrays are the two padded images, and its output bits are those of the
-plain four-difference formulation at any strip height.
+arrays are the two padded images. When the work fills more than one
+forked worker, each takes an equal share of the rows, cut into equal
+strips, and they meet once between iterations; its output bits are
+those of the plain four-difference formulation at any strip height and
+worker count.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ import numpy as np
 
 from .errors import DomainError, NumericError, check_int, check_real
 from .image import GrayImage, check_radii, mirror_pad
-from .workers import worker_array
+from .workers import plan, run_workers, worker_array
 
 # Values per row strip of `srad`: 128 KiB per strip-sized float64 array.
 _STRIP_VALUES = 16384
+# Array passes per value and iteration of `srad`: 33 to form and step, 2 to check.
+_SRAD_PASSES = 35
 
 
 @dataclass(frozen=True)
@@ -184,7 +189,15 @@ def frost_filter(img: GrayImage, params: FrostParams) -> GrayImage:
     return GrayImage._adopt(num)
 
 
-def srad(img: GrayImage, params: SradParams) -> GrayImage:
+def srad_plan(threads, height: int, width: int, params: SradParams) -> tuple[int, int]:
+    """Strip height and worker count of `srad` on a ``height`` x ``width``
+    image (see `workers.plan`), counting a barrier per iteration; starts
+    nothing."""
+    return plan(threads, height, width + 2, _STRIP_VALUES, _SRAD_PASSES * params.iterations,
+                params.iterations)
+
+
+def srad(img: GrayImage, params: SradParams, threads: int = 0) -> GrayImage:
     """Speckle-reducing anisotropic diffusion (explicit scheme).
 
     Per iteration: one-sided neighbor differences give the normalized
@@ -199,7 +212,10 @@ def srad(img: GrayImage, params: SradParams) -> GrayImage:
     lowered by as much after the last, and one whose lo is too low for
     the lift to leave the minimum above 0 (below about -1e10) raises
     `DomainError`. An iteration that leaves a pixel non-finite raises
-    `NumericError`. It runs in the calling process.
+    `NumericError`. ``threads`` caps the worker processes as for
+    `nlm_denoise`: 0, the default, means one per CPU, and a call starts
+    no more workers than its work fills (a 256x256 image runs on one
+    worker for up to 15 iterations).
 
     The image is mirror-padded by one pixel and flattened, and the
     differences and c are kept on the same row stride S = W + 2, so a
@@ -222,11 +238,13 @@ def srad(img: GrayImage, params: SradParams) -> GrayImage:
     cache: a strip forms its differences and c in strip-sized scratch,
     for one halo row more (the row below it, whose c its last row
     reads, and which the next strip forms the same way), and steps.
-    The rows are cut into the fewest equal strips of at most that many
-    values. No strip reads what another writes in the same iteration,
-    so the bits do not depend on the strip height. The two padded grids
-    are the only image-sized arrays; the scratch is eight arrays of a
-    strip and two rows, freed before the output is allocated.
+    Each worker (`srad_plan`) takes an equal share of the rows, cut
+    into equal strips, and the workers meet at one barrier between
+    iterations. No strip reads what another writes in the same
+    iteration, so the bits do not depend on the worker count or the
+    strip height. The two padded grids are the only
+    image-sized arrays (shared with the workers); each worker's scratch
+    is eight arrays of a strip and two rows.
     """
     v = img.pixels
     lo = float(v.min())
@@ -236,9 +254,8 @@ def srad(img: GrayImage, params: SradParams) -> GrayImage:
     height, width = v.shape
     stride = width + 2
     dt, q0, rho = params.dt, params.q0, params.rho
-    strips = -(-height // max(1, _STRIP_VALUES // stride))
-    strip_rows = -(-height // strips)
-    flats = [worker_array((height + 2) * stride) for _ in range(2)]
+    strip_rows, workers = srad_plan(threads, height, width, params)
+    flats = [worker_array((height + 2) * stride, workers) for _ in range(2)]
     grids = [flat.reshape(height + 2, stride) for flat in flats]
     np.add(mirror_pad(v, 1), shift, out=grids[0])
 
@@ -263,14 +280,16 @@ def srad(img: GrayImage, params: SradParams) -> GrayImage:
             c_s=c[: n + stride], s_span=s[: n + stride], cs=cs, cs_s=cs[stride:], neg_cn=cs[:n],
             c_e=c[: n + 1], e_span=e[: n + 1], ce=ce, ce_e=ce[1:], neg_cw=ce[:n])
 
-    def iterate() -> None:  # its scratch and strip views go when it returns
+    def work(first, end, link) -> None:
         scratch = [worker_array((strip_rows + 2) * stride) for _ in range(8)]
-        sweeps = [[strip(y0, min(y0 + strip_rows, height), flats[p], flats[1 - p], *scratch)
-                   for y0 in range(0, height, strip_rows)] for p in (0, 1)]
-        blocks = [grid[1:-1] for grid in grids]
+        sweeps = [[strip(y0, min(y0 + strip_rows, end), flats[p], flats[1 - p], *scratch)
+                   for y0 in range(first, end, strip_rows)] for p in (0, 1)]
+        blocks = [grid[first + 1 : end + 1] for grid in grids]
         for t in range(1, params.iterations + 1):
             q0_t = q0 * math.exp(-rho * t * dt)
             q0_sq = q0_t * q0_t
+            if t > 1:
+                link.barrier()  # every worker has written the grid this one reads
             for s in sweeps[(t - 1) % 2]:
                 _srad_form(s, q0_sq)
                 _srad_step(s, dt)
@@ -278,12 +297,14 @@ def srad(img: GrayImage, params: SradParams) -> GrayImage:
             grid, rows = grids[t % 2], blocks[t % 2]
             rows[:, 0] = rows[:, 1]
             rows[:, -1] = rows[:, -2]
-            grid[0] = grid[1]
-            grid[-1] = grid[-2]
+            if first == 0:
+                grid[0] = grid[1]
+            if end == height:
+                grid[-1] = grid[-2]
             if not np.isfinite(rows).all():
                 raise NumericError(f"diffusion diverged to non-finite values at iteration {t}")
 
-    iterate()
+    run_workers(work, height, workers, "SRAD")
     return GrayImage._adopt(grids[params.iterations % 2][1:-1, 1:-1] - shift)
 
 

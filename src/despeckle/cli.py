@@ -18,11 +18,11 @@ input file), 1 runtime failures (parse errors, numeric blowups, a failed
 engine worker process, I/O, running out of memory). Every run echoes its
 fully resolved configuration to standard error before doing any work, so
 logs capture the effective parameters. The worker cap for the non-local
-filters comes from --threads, else from the DESPECKLE_THREADS
+filters and SRAD comes from --threads, else from the DESPECKLE_THREADS
 environment variable; 0 means one worker per CPU. The echoed ``threads``
 is the number of workers the filter starts, from the plan it starts
-them by (`workers.plan`). Lee, Frost and SRAD run on the calling thread
-and read neither setting.
+them by (`workers.plan`). Lee and Frost run on the calling thread and
+read neither setting.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .baselines import (
     frost_filter,
     lee_filter,
     srad,
+    srad_plan,
 )
 from .errors import (DomainError, NumericError, ParameterError, PgmParseError, check_int, check_real,
                      nearest_real)
@@ -67,7 +68,7 @@ FILTERS = {
     "robust-nlm": (RobustNlmParams, engine_plan, lambda *run: robust_nlm_denoise(*run)),
     "lee": (LeeParams, None, lambda img, params, _: lee_filter(img, params)),
     "frost": (FrostParams, None, lambda img, params, _: frost_filter(img, params)),
-    "srad": (SradParams, None, lambda img, params, _: srad(img, params)),
+    "srad": (SradParams, srad_plan, lambda *run: srad(*run)),
 }
 DOMAIN_CHOICES = ("linear", "log")
 MODEL_CHOICES = {"mult-gauss": "multiplicative_gaussian", "rayleigh": "rayleigh"}
@@ -160,8 +161,8 @@ def denoise(img: GrayImage, filter: str = "robust-nlm", **options) -> tuple[Gray
 
     ``domain`` "log" filters ln(v + ``epsilon``) (default 1.0) and expands
     back; the default is log for robust-nlm, else "linear". ``threads``
-    caps the workers of the non-local filters (0, the default: one per
-    CPU). The other keywords are the fields of the filter's
+    caps the workers of the non-local filters and SRAD (0, the default:
+    one per CPU). The other keywords are the fields of the filter's
     parameter class (`PARAM_NAMES`); its default fills one not given or
     None, and another filter's are ignored. The noise level ``sigma_n``,
     estimated on the filtering-domain image when absent and needed, sets
@@ -177,11 +178,11 @@ def denoise(img: GrayImage, filter: str = "robust-nlm", **options) -> tuple[Gray
 
 def _options(args: argparse.Namespace) -> dict:
     """`_prepare`'s keywords from the filter flags that were given; it
-    and the parameter classes fill and check the rest. Lee, Frost and
-    SRAD read no thread setting."""
+    and the parameter classes fill and check the rest. A filter with no
+    worker plan in `FILTERS` (Lee, Frost) reads no thread setting."""
     options = {name: value for name in ("filter", "domain", "epsilon", "sigma_n", *PARAM_NAMES)
                if (value := getattr(args, name)) is not None}
-    if args.filter not in ("lee", "frost", "srad"):
+    if FILTERS[args.filter or "robust-nlm"][1] is not None:
         options["threads"] = _resolve_threads(args.threads)
     return options
 
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in PARAM_NAMES:
         filter_args.add_argument("--" + name.replace("_", "-"), **_flag(name))
     filter_args.add_argument("--threads", type=int,
-                             help=f"worker cap for the nlm filters, at most the CPU count; "
+                             help=f"worker cap for nlm filters and srad, at most the CPU count; "
                                   f"0 = one per CPU; default from {THREADS_ENV_VAR}")
 
     synth = sub.add_parser("synth", parents=[output_args],

@@ -337,7 +337,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
             acc_px[zero] = v[y0:y1][zero]
         np.divide(acc_px, norm_px, out=out[y0:y1])
 
-    def work(first, end, check) -> None:
+    def work(first, end, link) -> None:
         a = worker_array((tile_blocks * _BAND + 2 * r) * stride)
         b = worker_array(tile_blocks * _BAND * stride + 2 * r)  # the r values at each end stay 0
         acc, norm = worker_array(tile_rows * stride), worker_array(tile_rows * stride)
@@ -346,7 +346,7 @@ def _filter_engine(img: GrayImage, params: NlmParams, corr: np.ndarray | None,
         # flushes them to the intended weight 0, so the overflow is not an error.
         with np.errstate(over="ignore"):
             for y0 in range(first, end, tile_rows):
-                check()
+                link.check()
                 run_tile(y0, min(y0 + tile_rows, end), a, b, acc, norm, wmax)
 
     run_workers(work, height, workers, "NLM")

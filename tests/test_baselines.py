@@ -1,12 +1,25 @@
+import os
+import threading
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import as_img, make_step, rand_image, textured_image
-from despeckle import baselines
+from conftest import (
+    as_img,
+    assert_children_of_a_killed_caller_stop,
+    assert_no_children,
+    fail,
+    make_step,
+    open_fds,
+    rand_image,
+    textured_image,
+)
+from despeckle import baselines, workers
 from despeckle import (
     DomainError,
     FrostParams,
@@ -145,14 +158,15 @@ class TestSrad:
         out = srad(img, SradParams(iterations=50, dt=0.2))
         assert np.array_equal(out.pixels, img.pixels)
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("iterations", [1, 5])
-    def test_lifts_non_positive_pixels(self, iterations):
+    def test_lifts_non_positive_pixels(self, iterations, threads):
         # srad(v) is srad(v + s) - s bit for bit, with s = 1e-6 - min(v)
         params = SradParams(iterations=iterations)
         for v in (np.array([[1.0, 2.0], [0.0, 3.0]]), rand_image(40, 17, 13, lo=0.0, hi=100.0) - 50):
             s = 1e-6 - v.min()
-            want = GrayImage(srad(GrayImage(v + s), params).pixels - s)
-            assert srad(GrayImage(v), params).pixels.tobytes() == want.pixels.tobytes()
+            want = GrayImage(srad(GrayImage(v + s), params, threads).pixels - s)
+            assert srad(GrayImage(v), params, threads).pixels.tobytes() == want.pixels.tobytes()
 
     def test_rejects_pixels_too_low_to_lift(self):
         # 1e-6 - (-1e20) rounds to 1e20, which lifts the minimum to 0
@@ -218,8 +232,8 @@ class TestSrad:
         # the formula's denominator q0(t)^2 (1 + q0(t)^2) overflows, and c
         # is exactly 1, as at q0 = 1e60, where it rounds to 1 without overflow
         img = self.flat_block_image()
-        got = srad(img, SradParams(iterations=20, q0=q0)).pixels
-        assert np.array_equal(got, srad(img, SradParams(iterations=20, q0=1e60)).pixels)
+        got = srad(img, SradParams(iterations=20, q0=q0), threads=1).pixels
+        assert np.array_equal(got, srad(img, SradParams(iterations=20, q0=1e60), threads=1).pixels)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("params", [dict(q0=1e-100), dict(q0=1e-60), dict(q0=1e-9),
@@ -229,14 +243,14 @@ class TestSrad:
         # flat block (rho = 1e100 makes q0(t)^2 exactly 0); the limit is
         # c = 1 where q = 0 and 0 elsewhere
         img = self.flat_block_image()
-        got = srad(img, SradParams(iterations=20, **params)).pixels
-        limit = srad(img, SradParams(iterations=20, rho=1e100)).pixels
+        got = srad(img, SradParams(iterations=20, **params), threads=1).pixels
+        limit = srad(img, SradParams(iterations=20, rho=1e100), threads=1).pixels
         assert np.array_equal(got, limit)
         assert np.array_equal(got[9:15, 9:15], img.pixels[9:15, 9:15])
         # the formula just above the cut-over comes within 1e-9 of the limit
-        near = srad(img, SradParams(iterations=20, q0=1e-7)).pixels
+        near = srad(img, SradParams(iterations=20, q0=1e-7), threads=1).pixels
         assert np.max(np.abs(near - limit)) < 1e-9
-        assert not np.array_equal(near, srad(img, SradParams(iterations=20)).pixels)
+        assert not np.array_equal(near, srad(img, SradParams(iterations=20), threads=1).pixels)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -267,6 +281,153 @@ class TestSrad:
         with pytest.raises(ParameterError):
             SradParams(rho=-1.0)
         SradParams(rho=0.0)  # a frozen threshold is allowed
+
+
+# the margin input of TestSrad, single pixels, rows and columns, and
+# shapes that split into uneven blocks of strips
+WORKER_INPUTS = [np.tile(1e150 * 1e-10 ** np.arange(31.0), (3, 1))] + [
+    rand_image(seed, *shape, lo=1.0, hi=255.0)
+    for seed, shape in enumerate([(1, 1), (1, 23), (23, 1), (37, 16), (70, 300)])]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="srad forks its workers")
+class TestSradWorkers:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_worker_count_does_not_change_the_bits(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)  # tiny images fork too
+        fork = mock.Mock(side_effect=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        params = SradParams(iterations=3, dt=0.25)
+        for arr in WORKER_INPUTS:
+            want = srad(as_img(arr), params, threads=1).pixels
+            height, stride = arr.shape[0], arr.shape[1] + 2
+            # strips of 1 and 2 rows, and 5 rows with a short last strip
+            for values in (1, 2 * stride, 5 * stride):
+                monkeypatch.setattr(baselines, "_STRIP_VALUES", values)
+                for threads in (1, 2, 3):
+                    count = baselines.srad_plan(threads, *arr.shape, params)[1]
+                    assert count == min(threads, height)
+                    forks = fork.call_count
+                    assert np.array_equal(srad(as_img(arr), params, threads=threads).pixels, want)
+                    assert fork.call_count - forks == count - 1
+
+    def test_workers_meet_only_between_iterations(self, monkeypatch):
+        # the runner reaps every child before the caller reads the grid,
+        # so the last iteration ends at no barrier
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(baselines, "_STRIP_VALUES", 1)
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)
+        calls, meet = [], workers._Caller.barrier
+
+        def barrier(link):
+            calls.append(link)
+            meet(link)
+
+        monkeypatch.setattr(workers._Caller, "barrier", barrier)
+        arr = rand_image(49, 6, 4, lo=1.0)
+        assert baselines.srad_plan(0, *arr.shape, SradParams(iterations=1))[1] == 2
+        for iterations in (0, 1, 2, 5):
+            calls.clear()
+            srad(as_img(arr), SradParams(iterations=iterations))
+            assert len(calls) == max(0, iterations - 1)
+
+    def test_each_worker_needs_the_work_floor(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        # one floor of work: one iteration at 96x96 (rows of 98 values)
+        monkeypatch.setattr(workers, "_MIN_PASSES", 96 * 98 * baselines._SRAD_PASSES)
+
+        def plan(threads, height, width, iterations):
+            return baselines.srad_plan(threads, height, width, SradParams(iterations=iterations))
+
+        assert baselines._STRIP_VALUES // 98 > 96  # so the strips are a worker's share
+        assert plan(0, 96, 96, 0) == (96, 1)
+        assert plan(0, 96, 96, 1) == (96, 1)
+        # two floors of work, but the workers would meet once, which costs more
+        assert plan(0, 96, 96, 2) == (96, 1)
+        assert plan(0, 96, 96, 3) == (48, 2)
+        assert plan(0, 96, 96, 4) == (32, 3)
+        assert plan(1, 96, 96, 4) == (96, 1)
+        assert plan(0, 2, 10**4, 100) == (1, 2)  # no more workers than strips
+        assert plan(0, 1000, 10**6, 1) == (1, 8)  # rows wider than a strip
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_child_divergence_raises_numeric_error_and_leaks_nothing(self, monkeypatch):
+        # one-row strips: the caller steps rows 0-2, the child rows 3-5,
+        # whose squared differences overflow
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(baselines, "_STRIP_VALUES", 1)
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)
+        arr = np.ones((6, 2))
+        arr[5, 1] = 1e308
+        fds = open_fds()
+        with pytest.raises(NumericError, match="an SRAD worker process failed: NumericError: "
+                                               "diffusion diverged to non-finite values "
+                                               "at iteration 1$"):
+            srad(as_img(arr), SradParams(iterations=3), threads=2)
+        assert_no_children()
+        assert open_fds() == fds
+
+    def test_caller_failure_kills_and_reaps_the_children(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(baselines, "_STRIP_VALUES", 1)
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)
+        caller, form = os.getpid(), baselines._srad_form
+        stalled = []
+
+        def stall_or_fail(*args):  # the call returns in time only if it kills the children
+            if os.getpid() == caller:
+                fail()
+            if not stalled:
+                stalled.append(True)
+                time.sleep(20)
+            form(*args)
+
+        monkeypatch.setattr(baselines, "_srad_form", stall_or_fail)
+        fds = open_fds()
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="injected failure"):
+            srad(as_img(rand_image(45, 9, 4, lo=1.0)), SradParams(iterations=3), threads=3)
+        assert time.monotonic() - start < 10
+        assert_no_children()
+        assert open_fds() == fds
+
+    def test_runs_serially_beside_other_threads_or_without_fork(self, monkeypatch):
+        arr = rand_image(47, 24, 16, lo=1.0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(baselines, "_STRIP_VALUES", 18)
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)
+        params = SradParams(iterations=5)
+        one = srad(as_img(arr), params, threads=1).pixels.tobytes()
+        fork = mock.Mock(side_effect=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait, args=(30,))
+        helper.start()
+        try:
+            assert srad(as_img(arr), params).pixels.tobytes() == one
+        finally:
+            release.set()
+            helper.join(timeout=30)
+        assert not helper.is_alive()
+        assert fork.call_count == 0
+        # with the helper gone, the same call forks its one child
+        assert srad(as_img(arr), params).pixels.tobytes() == one
+        assert fork.call_count == 1
+        monkeypatch.delattr(os, "fork")
+        assert srad(as_img(arr), params).pixels.tobytes() == one
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states")
+    def test_children_of_a_killed_caller_stop(self):
+        # the child stops at its next barrier
+        assert_children_of_a_killed_caller_stop("""
+            import numpy as np
+            from despeckle import GrayImage, SradParams, srad
+            arr = np.random.Generator(np.random.Philox(48)).uniform(1, 255, (512, 512))
+            srad(GrayImage(arr), SradParams(iterations=5000))  # some 20 s
+        """)
 
 
 # 1x1 to 24x24, single rows and columns among them
@@ -329,13 +490,13 @@ class TestMemory:
     # Each filter holds a fixed handful of image-sized buffers, whatever
     # the window radius or the iteration count; per-pixel window copies
     # would take 28 (Lee) to 105 (Frost, radius 3) image sizes. SRAD
-    # keeps two padded images and eight row strips, then frees the
-    # strips for its output: 3.96 image sizes at 256x256.
+    # keeps two padded images, its output and eight row strips: 4.31
+    # image sizes at 256x256.
     @pytest.mark.parametrize("name, run", [
         ("lee", lambda img: lee_filter(img, LeeParams(window_radius=2))),
         ("frost-2", lambda img: frost_filter(img, FrostParams(window_radius=2))),
         ("frost-3", lambda img: frost_filter(img, FrostParams(window_radius=3))),
-        ("srad", lambda img: srad(img, SradParams(iterations=3))),
+        ("srad", lambda img: srad(img, SradParams(iterations=3), threads=1)),
     ])
     def test_peak_stays_under_twelve_images(self, name, run):
         img = as_img(np.abs(textured_image(40, 256, 256)) + 1.0)
@@ -347,3 +508,29 @@ class TestMemory:
             tracemalloc.stop()
         images = 5 if name == "srad" else 12
         assert peak < images * img.pixels.nbytes, f"{name}: {peak / img.pixels.nbytes:.1f} images"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="srad forks its workers")
+    def test_srad_on_two_workers_stays_under_five_images(self, monkeypatch):
+        # tracemalloc does not see the shared mappings, so their bytes
+        # are added to the caller's traced peak
+        img = as_img(np.abs(textured_image(40, 256, 256)) + 1.0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(workers, "_MIN_PASSES", 1)  # three iterations are below the floor
+        assert baselines.srad_plan(0, 256, 256, SradParams(iterations=3))[1] == 2
+        mapped, allocate = [], baselines.worker_array
+
+        def worker_array(size, workers=1):
+            if workers > 1:
+                mapped.append(8 * size)
+            return allocate(size, workers)
+
+        monkeypatch.setattr(baselines, "worker_array", worker_array)
+        tracemalloc.start()
+        try:
+            srad(img, SradParams(iterations=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(mapped) == 2
+        images = (peak + sum(mapped)) / img.pixels.nbytes
+        assert images < 5, f"srad on 2 workers: {images:.1f} images"

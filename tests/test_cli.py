@@ -28,6 +28,7 @@ from despeckle import (
     ssim,
 )
 from despeckle import workers
+from despeckle.baselines import srad_plan
 from despeckle.cli import FILTERS, PARAM_NAMES, build_parser, denoise, main
 from despeckle.errors import REAL_RANGE
 from despeckle.nlm import engine_plan
@@ -453,15 +454,16 @@ class TestDenoise:
         src = tmp_path / "in.pgm"
         write_pgm(src, rand_image(81, 12, 12))
         monkeypatch.setenv("DESPECKLE_THREADS", "abc")
-        rc = main(["denoise", str(src), str(tmp_path / "o.pgm"), "--filter", "nlm",
-                   "--h", "20", *FAST])
-        assert rc == 2
-        assert "DESPECKLE_THREADS" in capsys.readouterr().err
+        # no --filter runs robust-nlm, which reads the setting too
+        for argv in (["--filter", "nlm", "--h", "20"], []):
+            rc = main(["denoise", str(src), str(tmp_path / "o.pgm"), *argv, *FAST])
+            assert rc == 2
+            assert "DESPECKLE_THREADS" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["lee", "frost", "srad"])
+    @pytest.mark.parametrize("name", ["lee", "frost"])
     def test_baselines_ignore_the_thread_settings(self, tmp_path, capsys, monkeypatch, name):
-        # lee, frost and srad start no worker, so a bad DESPECKLE_THREADS
-        # is never read for them
+        # lee and frost start no worker, so a bad DESPECKLE_THREADS is
+        # never read for them
         src = tmp_path / "in.pgm"
         write_pgm(src, rand_image(88, 8, 8, lo=60, hi=200))
         outputs = []
@@ -474,6 +476,36 @@ class TestDenoise:
             assert f"bench: filter={name} repeats=1 threads=1 " in capsys.readouterr().out
             outputs.append(dst.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_srad_reads_a_bad_threads_env(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "in.pgm"
+        write_pgm(src, rand_image(88, 8, 8, lo=60, hi=200))
+        monkeypatch.setenv("DESPECKLE_THREADS", "abc")
+        for command in (["denoise", str(src), str(tmp_path / "out.pgm")], ["bench", str(src)]):
+            assert main([*command, "--filter", "srad", "--iterations", "2"]) == 2
+            assert "DESPECKLE_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side, threads", [(64, 0), (256, 0), (256, 1), (256, 64)])
+    def test_srad_threads_echo_the_planned_worker_count(self, tmp_path, capsys, monkeypatch,
+                                                        side, threads):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        src = tmp_path / "in.pgm"
+        write_pgm(src, rand_image(89, side, side, lo=60, hi=200))
+        # 20 iterations are past the work floor of a second worker at 256x256
+        count = srad_plan(threads, side, side, SradParams(iterations=20))[1]
+        assert count == (2 if side == 256 and threads != 1 else 1)
+        flags = ["--filter", "srad", "--iterations", "20", "--threads", str(threads)]
+        dst = tmp_path / "out.pgm"
+        assert main(["denoise", str(src), str(dst), *flags]) == 0
+        assert parse_echo(capsys.readouterr().err)["threads"] == str(count)
+        want = tmp_path / "want.pgm"
+        assert main(["denoise", str(src), str(want), *flags[:-1], "1"]) == 0
+        assert dst.read_bytes() == want.read_bytes()
+        capsys.readouterr()
+        assert main(["bench", str(src), "--repeats", "1", *flags]) == 0
+        captured = capsys.readouterr()
+        assert parse_echo(captured.err)["threads"] == str(count)
+        assert f" threads={count} " in captured.out
 
     @pytest.mark.parametrize("source", ["--threads", "DESPECKLE_THREADS"])
     def test_negative_threads_exits_2(self, tmp_path, capsys, monkeypatch, source):

@@ -125,7 +125,7 @@ def test_bad_arguments_raise_parameter_error(call, message):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
-@pytest.mark.parametrize("name", ["nlm", "robust-nlm"])
+@pytest.mark.parametrize("name", ["nlm", "robust-nlm", "srad"])
 def test_worker_counts_keep_the_bits(monkeypatch, name):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(workers, "_MIN_PASSES", 1)  # a 24x24 input splits too
