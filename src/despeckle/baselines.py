@@ -6,15 +6,17 @@ repeated runs are bit-identical.
 
 They work plane by plane on a few preallocated image-sized arrays, so
 their memory does not grow with the window. Lee and Frost take the
-window mean and variance as fixed-order sums over the shifted planes
-of the mirror-padded input. SRAD reads one padded image and writes
-another each iteration, as the scalar scheme does, sweeping in row
-strips so that a strip's passes stay in cache; its only image-sized
-arrays are the two padded images. When the work fills more than one
-forked worker, each takes an equal share of the rows, cut into equal
-strips, and they meet once between iterations; its output bits are
-those of the plain four-difference formulation at any strip height and
-worker count.
+window mean and variance from box sums (`image.correlate1d_valid` with
+unit taps) of the mirror-padded input and its squares, scaled by a power
+of two to below 1: no square overflows, and a power-of-two scale of the
+input scales the output alike, bit for bit, while both stay normal
+floats. SRAD reads one padded image and writes another each iteration,
+as the scalar scheme does, sweeping in row strips so that a strip's
+passes stay in cache; its only image-sized arrays are the two padded
+images. When the work fills more than one forked worker, each takes an
+equal share of the rows, cut into equal strips, and they meet once
+between iterations; its output bits are those of the plain
+four-difference formulation at any strip height and worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, NumericError, check_int, check_real
-from .image import GrayImage, check_radii, mirror_pad
+from .image import GrayImage, check_radii, correlate1d_valid, mirror_pad
 from .workers import plan, run_workers, worker_array
 
 # Values per row strip of `srad`: 128 KiB per strip-sized float64 array.
@@ -84,32 +86,28 @@ class SradParams:
         object.__setattr__(self, "rho", check_real(self.rho, "rho", nonnegative=True))
 
 
-def _window_stats(padded: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
+def _window_stats(padded: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Mean and population variance of the (2 radius + 1)^2 window around
-    each pixel of an image mirror-padded by ``radius``.
+    each pixel of an image mirror-padded by ``radius``, both of the samples
+    scaled in place by the power of two 2^-e that brings their largest
+    magnitude into [0.5, 1), so that no square overflows; and e.
 
-    Both are fixed-order sums over the shifted planes of ``padded``: the
-    mean sums rows, then columns; the variance sums the squared
-    deviations from that mean (two passes, so a flat window gives 0).
+    Each is a box sum over the n = (2 radius + 1)^2 window samples, the
+    `correlate1d_valid` of unit taps along the columns and then the rows:
+    mean = box(v) / n and var = max(box(v^2) / n - mean^2, 0). Unit taps
+    sum integer samples exactly, so a flat window of integers gives its
+    value and a variance of 0.
     """
-    side = 2 * radius + 1
-    height, width = padded.shape[0] - 2 * radius, padded.shape[1] - 2 * radius
-    rows = padded[:, :width].copy()
-    for dx in range(1, side):
-        rows += padded[:, dx : dx + width]
-    mean = rows[:height].copy()
-    for dy in range(1, side):
-        mean += rows[dy : dy + height]
-    mean /= side * side
-    var = np.zeros_like(mean)
-    dev = rows[:height]
-    for dy in range(side):
-        for dx in range(side):
-            np.subtract(padded[dy : dy + height, dx : dx + width], mean, out=dev)
-            dev *= dev
-            var += dev
-    var /= side * side
-    return mean, var
+    e = math.frexp(max(padded.max(), -padded.min()))[1]
+    np.ldexp(padded, -e, out=padded)
+    ones = np.ones(2 * radius + 1)
+    n = ones.size * ones.size
+    mean = correlate1d_valid(correlate1d_valid(padded, ones, 0), ones, 1)
+    mean /= n
+    var = correlate1d_valid(correlate1d_valid(np.multiply(padded, padded), ones, 0), ones, 1)
+    var /= n
+    var -= np.multiply(mean, mean)
+    return mean, np.maximum(var, 0.0, out=var), e
 
 
 def lee_filter(img: GrayImage, params: LeeParams) -> GrayImage:
@@ -123,10 +121,11 @@ def lee_filter(img: GrayImage, params: LeeParams) -> GrayImage:
     """
     check_radii(img, window_radius=params.window_radius)
     v = img.pixels
-    m, s2 = _window_stats(mirror_pad(v, params.window_radius), params.window_radius)
+    # the gain is scale-free, so it is taken from the scaled statistics
+    m, s2, e = _window_stats(mirror_pad(v, params.window_radius), params.window_radius)
     sig2 = params.noise_sigma ** 2
-    # At sigma = inf, or on huge samples, m^2 sigma^2 and s^2 (1 + sigma^2) overflow: the quotient
-    # is -inf / inf, 0 inf (m = 0) or finite / inf, the gain's limit is 0 and fmax turns NaNs into it.
+    # Only at sigma = inf do m^2 sigma^2 and s^2 (1 + sigma^2) overflow: the quotient is
+    # -inf / inf or 0 inf (m = 0) / inf, the gain's limit is 0 and fmax turns NaNs into it.
     with np.errstate(over="ignore", invalid="ignore"):
         num = np.multiply(m, m)
         num *= sig2
@@ -136,6 +135,7 @@ def lee_filter(img: GrayImage, params: LeeParams) -> GrayImage:
         gain = np.zeros_like(m)
         np.divide(num, den, out=gain, where=den > 0)
     np.fmin(np.fmax(gain, 0.0, out=gain), 1.0, out=gain)
+    np.ldexp(m, e, out=m)
     out = np.subtract(v, m, out=num)
     out *= gain
     out += m
@@ -157,11 +157,11 @@ def frost_filter(img: GrayImage, params: FrostParams) -> GrayImage:
     exp is computed once and no array is kept per offset or distance.
     """
     check_radii(img, window_radius=params.window_radius)
-    v = img.pixels
     radius = params.window_radius
-    height, width = v.shape
-    padded = mirror_pad(v, radius)
-    m, s2 = _window_stats(padded, radius)
+    height, width = img.pixels.shape
+    padded = mirror_pad(img.pixels, radius)  # scaled by 2^-e: the weights are scale-free
+    m, s2, e = _window_stats(padded, radius)
+    v = padded[radius : radius + height, radius : radius + width]
     m2 = np.multiply(m, m, out=m)
     kcv2 = np.divide(s2, m2, out=np.zeros_like(s2), where=m2 > 0)
     with np.errstate(over="ignore"):  # -inf at a huge Cv^2 (a mean near 0): weight exp(-inf) = 0
@@ -186,7 +186,7 @@ def frost_filter(img: GrayImage, params: FrostParams) -> GrayImage:
         weight *= count
         den += weight
     num /= den
-    return GrayImage._adopt(num)
+    return GrayImage._adopt(np.ldexp(num, e, out=num))
 
 
 def srad_plan(threads, height: int, width: int, params: SradParams) -> tuple[int, int]:

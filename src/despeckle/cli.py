@@ -46,8 +46,8 @@ from .baselines import (
     srad,
     srad_plan,
 )
-from .errors import (DomainError, NumericError, ParameterError, PgmParseError, check_int, check_real,
-                     nearest_real)
+from .errors import (DomainError, NumericError, ParameterError, PgmParseError, check_choice, check_int,
+                     check_real, nearest_real)
 from .image import GrayImage
 from .metrics import CSV_HEADER, evaluate
 from .nlm import SELF_WEIGHT_MODES, NlmParams, RobustNlmParams, engine_plan, nlm_denoise, robust_nlm_denoise
@@ -121,12 +121,10 @@ def _prepare(img: GrayImage, filter: str = "robust-nlm", *, domain: str | None =
     """`denoise` in two steps: resolve every parameter for ``img``, and
     return (run, config); run() filters and maps back to ``img``'s domain."""
     threads = check_int(threads, "threads (0 = auto)")
-    if filter not in FILTERS:
-        raise ParameterError(f"filter must be one of {tuple(FILTERS)}, got {filter!r}")
-    cls, plan, call = FILTERS[filter]
-    domain = domain or ("log" if filter == "robust-nlm" else "linear")
-    if domain not in DOMAIN_CHOICES:
-        raise ParameterError(f"domain must be one of {DOMAIN_CHOICES}, got {domain!r}")
+    cls, plan, call = FILTERS[check_choice(filter, "filter", tuple(FILTERS))]
+    if domain is None:
+        domain = "log" if filter == "robust-nlm" else "linear"
+    check_choice(domain, "domain", DOMAIN_CHOICES)
     unknown = sorted(set(params) - set(PARAM_NAMES))
     if unknown:
         raise ParameterError(f"no filter takes {unknown}; the parameters are {PARAM_NAMES}")

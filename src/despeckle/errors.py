@@ -71,3 +71,10 @@ def check_int(value, name: str, low: int = 0, high: int | None = None) -> int:
         return int(value)
     bound = f" in [{low}, {high}]" if high is not None else f" >= {low}"
     raise ParameterError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def check_choice(value, name: str, choices: tuple[str, ...]) -> str:
+    """``value`` if it is a str in ``choices``."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise ParameterError(f"{name} must be one of {choices}, got {value!r}")

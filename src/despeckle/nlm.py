@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .errors import ParameterError, check_int, check_real
+from .errors import ParameterError, check_choice, check_int, check_real
 from .image import (_BAND, _BLAS_SERIAL, GrayImage, blur_array, check_radii, check_sigmas,
                     gaussian_axis_weights, mirror_pad, tap_band)
 from .image import correlate1d_valid  # noqa: F401  (perfbench/tracing.py wraps this binding)
@@ -104,10 +104,7 @@ class NlmParams:
                            check_int(self.patch_radius, "patch_radius", 1, sys.maxsize))
         sigma_s = self.patch_radius / 2.0 if self.sigma_s is None else self.sigma_s
         object.__setattr__(self, "sigma_s", check_real(sigma_s, "sigma_s"))
-        if self.self_weight not in SELF_WEIGHT_MODES:
-            raise ParameterError(
-                f"self_weight must be one of {SELF_WEIGHT_MODES}, got {self.self_weight!r}"
-            )
+        check_choice(self.self_weight, "self_weight", SELF_WEIGHT_MODES)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ParameterError, check_int, check_real
+from .errors import DomainError, NumericError, ParameterError, check_choice, check_int, check_real
 from .image import GrayImage
 
 SPECKLE_MODELS = ("multiplicative_gaussian", "rayleigh")
@@ -31,10 +31,7 @@ class SpeckleParams:
     seed: int
 
     def __post_init__(self):
-        if self.model not in SPECKLE_MODELS:
-            raise ParameterError(
-                f"model must be one of {SPECKLE_MODELS}, got {self.model!r}"
-            )
+        check_choice(self.model, "model", SPECKLE_MODELS)
         object.__setattr__(self, "sigma", check_real(self.sigma, "sigma", nonnegative=True))
         object.__setattr__(self, "seed", check_int(self.seed, "seed", 0, 2**64 - 1))
 

@@ -464,6 +464,18 @@ class TestProperties:
         with pytest.raises(ParameterError, match="^window_radius for a 3x12 image"):
             frost_filter(as_img(arr), FrostParams(window_radius=25))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1015])
+    @pytest.mark.parametrize("lo, hi", [(0.0, 255.0), (-250.0, 250.0)])
+    def test_lee_and_frost_commute_with_every_power_of_two(self, radius, k, lo, hi):
+        # the window statistics are taken on samples scaled below 1, so at
+        # 2^1015 no square overflows, and at 2^-1000 none underflows
+        arr = rand_image(46, 13, 17, lo=lo, hi=hi)
+        for run in (lambda a: lee_filter(as_img(a), LeeParams(window_radius=radius, noise_sigma=0.2)),
+                    lambda a: frost_filter(as_img(a), FrostParams(window_radius=radius, damping=1.0))):
+            assert np.array_equal(run(np.ldexp(arr, k)).pixels, np.ldexp(run(arr).pixels, k))
+
     @settings(max_examples=25, deadline=None)
     @given(shape=SHAPES, value=st.integers(0, 65535), radius=st.integers(1, 3))
     def test_integer_constants_come_back_exactly(self, shape, value, radius):

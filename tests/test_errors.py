@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from despeckle.errors import REAL_RANGE, ParameterError, check_real, nearest_real
+from despeckle.errors import REAL_RANGE, ParameterError, check_choice, check_real, nearest_real
 
 LOW, HIGH = REAL_RANGE
 PAST = "(finite values lie in [1e-100, 1e+100])"
@@ -57,3 +57,11 @@ def test_nearest_real_is_the_nearest_value_check_real_takes(value, nonnegative, 
     got = nearest_real(value, nonnegative=nonnegative)
     assert got == nearest
     assert check_real(got, "p", nonnegative=nonnegative, allow_inf=True) == got
+
+
+@pytest.mark.parametrize("value", ["c", "", 0, None, ["a"], b"a"])
+def test_only_a_listed_str_is_a_choice(value):
+    assert check_choice("a", "mode", ("a", "b")) == "a"
+    with pytest.raises(ParameterError) as info:
+        check_choice(value, "mode", ("a", "b"))
+    assert str(info.value) == f"mode must be one of ('a', 'b'), got {value!r}"

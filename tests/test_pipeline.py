@@ -107,6 +107,10 @@ def test_defaults_come_from_the_parameter_classes_and_the_noise_level():
     (lambda img: denoise(img, "nlm", h=10.0, radius=3), "no filter takes ['radius']"),
     (lambda img: denoise(img, "median"), "filter must be one of"),
     (lambda img: denoise(img, "lee", domain="sqrt"), "domain must be one of"),
+    # a list is not a filter name, and only None means the default domain
+    (lambda img: denoise(img, ["nlm"]), "filter must be one of ('nlm', 'robust-nlm', 'lee', 'frost', 'srad'), got ['nlm']"),
+    (lambda img: denoise(img, "lee", domain=""), "domain must be one of ('linear', 'log'), got ''"),
+    (lambda img: denoise(img, "lee", domain=0), "domain must be one of ('linear', 'log'), got 0"),
     (lambda img: denoise(img, "lee", epsilon=0.0), "epsilon must be"),
     (lambda img: denoise(img, "nlm", sigma_n=-1.0), "sigma_n must be"),
     # a given sigma_n is checked for every filter, also where nothing reads it
